@@ -24,7 +24,6 @@ import time
 
 from . import constructions as cons
 from . import graphs as gr
-from . import hypergraph as hg
 from .field import factor_prime_power, field_for_order
 from .plane import ProjectivePlane
 from .polarity import Polarity, build_er_graph
@@ -147,7 +146,9 @@ def cmd_graph(args):
         if not data.endswith(b"\n"):
             sys.stdout.buffer.write(b"\n")
     m = g.num_edges()
-    assert m == q * (q + 1) ** 2 // 2
+    if m != q * (q + 1) ** 2 // 2:
+        raise CliError(f"ER_{q} has {m} edges, expected {q * (q + 1) ** 2 // 2}",
+                       EXIT_VERIFICATION)
     _report(args, "graph", {"q": q, "format": args.format},
             {"n": g.n, "m": m}, outputs, t0)
 

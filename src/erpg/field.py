@@ -11,9 +11,13 @@ The modulus is always the least monic irreducible polynomial of degree n
 over GF(p), found by a deterministic scan (polynomials ordered by their
 integer encoding, low-degree coefficient in the least significant digit).
 
-Fields with ``q <= 2^16`` get exp/log tables over a fixed generator, which
-makes mul/inv/pow table lookups; larger fields (up to the 2^20 cap) fall
-back to polynomial arithmetic.
+Fields with ``q <= 2^16`` get exp/log tables over a fixed generator g,
+which make mul/inv/pow table lookups, and a table of Zech logarithms
+``zech[d] = log(1 + g^d)``, which makes add/neg/sub table lookups for odd
+p too (for p = 2 addition is xor).  ``affine_values`` evaluates a whole
+affine map y -> u + v*y over the field from slices of these tables; the
+plane solves lines with it.  Larger fields (up to the 2^20 cap) fall back
+to polynomial arithmetic and base-p digit-wise addition.
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ class FieldCtx:
         self.modulus = least_irreducible(p, n)  # low-degree first, monic
         self._exp = None
         self._log = None
+        self._zech = None
         self.generator = None
         if q <= _TABLE_CAP:
             self._build_tables()
@@ -168,6 +173,31 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self._zech is None:
+            return self._add_digits(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a])
+        m, log = self.q - 1, self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % m]
+        return 0 if z == m else self._exp[(la + z) % m]
+
+    def neg(self, a: int) -> int:
+        if self.p == 2 or not a:
+            return a
+        if self._exp is None:
+            return self._neg_digits(a)
+        m = self.q - 1
+        return self._exp[(self._log[a] + m // 2) % m]  # -1 = g^((q-1)/2)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def _add_digits(self, a: int, b: int) -> int:
+        """Addition digit by digit in base p (no tables needed)."""
         p, v, mult = self.p, 0, 1
         for _ in range(self.n):
             v += ((a + b) % p) * mult
@@ -176,18 +206,13 @@ class FieldCtx:
             mult *= p
         return v
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
+    def _neg_digits(self, a: int) -> int:
         p, v, mult = self.p, 0, 1
         for _ in range(self.n):
             v += (-a % p) * mult
             a //= p
             mult *= p
         return v
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         pa = _int_to_poly(a, self.p)
@@ -213,8 +238,42 @@ class FieldCtx:
                 self.generator = g
                 self._exp = exp
                 self._log = log
+                self._build_zech()
                 return
         raise AssertionError("no generator found (impossible for a field)")
+
+    def _build_zech(self):
+        """zech[d] = log(1 + g^d), or q - 1 where 1 + g^d = 0."""
+        m, log = self.q - 1, self._log
+        zech = [m] * m
+        for d, e in enumerate(self._exp):
+            s = self._add_digits(1, e)
+            if s:
+                zech[d] = log[s]
+        self._zech = zech
+
+    def affine_values(self, u: int, v: int) -> list:
+        """[u + v*y for y in range(q)]: an affine map over the whole field.
+
+        With tables this is three lookups per element and no branch:
+        for u, v, y nonzero, u + v*y = u * g^zech[log v - log u + log y],
+        and the rotated slices below absorb both offsets.
+        """
+        q = self.q
+        if not v:
+            return [u] * q
+        if self._exp is None:
+            return [self.add(u, self.mul(v, y)) for y in range(q)]
+        exp, log, m = self._exp, self._log, q - 1
+        if not u:
+            lv = log[v]
+            ev = exp[lv:] + exp[:lv]            # ev[k] = v * g^k
+            return [0] + [ev[k] for k in log[1:]]
+        lu = log[u]
+        w = (log[v] - lu) % m
+        zw = self._zech[w:] + self._zech[:w]    # zw[k] = zech[w + k]
+        eu = exp[lu:] + exp[:lu] + [0]          # eu[k] = u * g^k, eu[m] = 0
+        return [u] + [eu[zw[k]] for k in log[1:]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -7,6 +7,7 @@ single machine operations per word.
 
 from __future__ import annotations
 
+import binascii
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,11 +18,17 @@ def popcount(x: int) -> int:
 
 
 def bits(x: int):
-    """Indices of set bits, ascending."""
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
+    """Indices of set bits, ascending.
+
+    Scans the binary string of x from its low end, so a row of n bits
+    costs one O(n) conversion rather than O(n) work per set bit.
+    """
+    s = bin(x)
+    top = len(s) - 1  # position of bit 0
+    pos = s.rfind("1", 2)
+    while pos >= 0:
+        yield top - pos
+        pos = s.rfind("1", 2, pos)
 
 
 class Graph:
@@ -72,12 +79,33 @@ class Graph:
         return list(bits(self.adj[v]))
 
     def check_symmetric(self):
-        for u in range(self.n):
-            if self.adj[u] >> u & 1:
+        """Raise AssertionError on a loop, an asymmetric pair or a
+        neighbour outside 0..n-1.
+
+        Every edge (u, v) with u < v is looked up in row v's bytes, a
+        constant-time test.  Then at least as many bits lie below the
+        diagonal as above it, and equal bit totals leave no room for a
+        lower bit without its upper twin.
+        """
+        n, adj = self.n, self.adj
+        nbytes = (n + 7) // 8
+        for u, row in enumerate(adj):
+            if row.bit_length() > n:
+                raise AssertionError(f"vertex {u} has a neighbour out of range")
+            if row >> u & 1:
                 raise AssertionError(f"loop at vertex {u}")
-        for u, v in self.edges():
-            if not self.adj[v] >> u & 1:
-                raise AssertionError(f"asymmetric edge ({u},{v})")
+        rows = [row.to_bytes(nbytes, "little") for row in adj]
+        upper = 0
+        for u, row in enumerate(adj):
+            ubyte, ubit = u >> 3, 1 << (u & 7)
+            for v in bits(row >> (u + 1) << (u + 1)):
+                if not rows[v][ubyte] & ubit:
+                    raise AssertionError(f"asymmetric edge ({u},{v})")
+                upper += 1
+        lower = sum(row.bit_count() for row in adj) - upper
+        if lower != upper:
+            raise AssertionError(f"{lower} edges below the diagonal, "
+                                 f"{upper} above")
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -309,54 +337,90 @@ def _graph6_size_bytes(n):
     raise ValueError("graph too large for graph6")
 
 
+# graph6 stores 6-bit groups as bytes 63..126; base64 stores the same groups
+# as its alphabet, so binascii packs and unpacks them and a byte translation
+# converts between the two alphabets.
+_B64 = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+        b"0123456789+/")
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+
+
 def to_graph6(g: Graph) -> bytes:
-    """Header-less graph6: upper triangle column-wise, 6 bits per byte."""
-    out = bytearray(_graph6_size_bytes(g.n))
-    acc, nb = 0, 0
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nb += 1
-            if nb == 6:
-                out.append(acc + 63)
-                acc, nb = 0, 0
-    if nb:
-        out.append((acc << (6 - nb)) + 63)
-    return bytes(out)
+    """Header-less graph6: upper triangle column-wise, 6 bits per byte.
+
+    Column v is bits 0..v-1 of row v, written lowest vertex first; the
+    columns are joined into one bit string and packed 24 bits at a time.
+    """
+    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                     for v in range(1, g.n))
+    nbits = len(stream)
+    body = b""
+    if nbits:
+        pad = -nbits % 24
+        raw = int(stream + "0" * pad, 2).to_bytes((nbits + pad) // 8, "big")
+        body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+        body = body[:(nbits + 5) // 6]
+    return _graph6_size_bytes(g.n) + body
+
+
+def _graph6_size(data):
+    """(n, length of the size field) of a graph6 string."""
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data[0] != 126:
+        width, size = 1, data[:1]
+    elif data[1:2] == b"~":
+        width, size = 8, data[2:8]
+    else:
+        width, size = 4, data[1:4]
+    if len(data) < width or any(not 63 <= b <= 126 for b in size):
+        raise ValueError("malformed graph6 size field")
+    n = 0
+    for b in size:
+        n = n << 6 | (b - 63)
+    return n, width
 
 
 def from_graph6(data: bytes) -> Graph:
+    """Parse header-less graph6; ValueError if the string is malformed.
+
+    The body is unpacked 24 bits at a time into one bit string; each
+    column is then scanned for its set bits, and every edge sets two bits
+    of a byte matrix that becomes the adjacency rows.
+    """
     data = bytes(data).strip()
-    pos = 0
-    if data[pos] == 126:
-        if data[pos + 1] == 126:
-            vals = [b - 63 for b in data[pos + 2:pos + 8]]
-            n = 0
-            for v in vals:
-                n = n << 6 | v
-            pos += 8
-        else:
-            vals = [b - 63 for b in data[pos + 1:pos + 4]]
-            n = vals[0] << 12 | vals[1] << 6 | vals[2]
-            pos += 4
-    else:
-        n = data[pos] - 63
-        pos += 1
-    g = Graph(n)
-    bitstream = []
-    for b in data[pos:]:
-        v = b - 63
-        if not 0 <= v < 64:
-            raise ValueError("invalid graph6 byte")
-        bitstream.extend((v >> s) & 1 for s in range(5, -1, -1))
-    k = 0
+    n, start = _graph6_size(data)
+    body = data[start:]
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise ValueError(f"graph6 body has {len(body)} bytes, "
+                         f"n = {n} needs {(nbits + 5) // 6}")
+    if body.translate(None, _G6):
+        raise ValueError("invalid graph6 byte")
+    stream = ""
+    if body:
+        raw = binascii.a2b_base64(body.translate(_G6_TO_B64)
+                                  + b"A" * (-len(body) % 4))
+        stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+        if "1" in stream[nbits:]:
+            raise ValueError("nonzero graph6 padding bits")
+    nbytes = (n + 7) // 8
+    mat = bytearray(n * nbytes)
+    off = 0
     for v in range(1, n):
-        for u in range(v):
-            if bitstream[k]:
-                g.add_edge(u, v)
-            k += 1
-    return g
+        end = off + v
+        vrow, vbyte, vbit = v * nbytes, v >> 3, 1 << (v & 7)
+        k = stream.find("1", off, end)
+        while k >= 0:
+            u = k - off
+            mat[vrow + (u >> 3)] |= 1 << (u & 7)
+            mat[u * nbytes + vbyte] |= vbit
+            k = stream.find("1", k + 1, end)
+        off = end
+    return Graph(n, [int.from_bytes(mat[i * nbytes:(i + 1) * nbytes], "little")
+                     for i in range(n)])
 
 
 def to_dimacs(g: Graph) -> bytes:
@@ -366,15 +430,24 @@ def to_dimacs(g: Graph) -> bytes:
 
 
 def from_dimacs(data: bytes) -> Graph:
+    """Parse DIMACS edge format; ValueError if the text is malformed."""
     g = None
     for raw in bytes(data).decode().splitlines():
         tok = raw.split()
         if not tok or tok[0] == "c":
             continue
         if tok[0] == "p":
+            if g is not None or len(tok) != 4 or int(tok[2]) < 0:
+                raise ValueError(f"bad DIMACS problem line {raw!r}")
             g = Graph(int(tok[2]))
         elif tok[0] == "e":
-            g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
+            if g is None:
+                raise ValueError("DIMACS edge line before the problem line")
+            try:  # a missing endpoint or one outside 1..n
+                g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
+            except IndexError:
+                raise ValueError(f"bad DIMACS edge line {raw!r} "
+                                 f"for n = {g.n}") from None
     if g is None:
         raise ValueError("missing DIMACS problem line")
     return g

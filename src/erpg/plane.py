@@ -4,10 +4,16 @@ Points and lines are homogeneous triples of field elements, stored as
 plain 3-tuples of ints and normalized so the first nonzero coordinate
 equals 1.  Enumeration order is fixed: (0,0,1), then (0,1,z), then
 (1,y,z) with (y,z) in canonical field order, giving every point/line a
-stable integer index.
+stable integer index: 0, 1 + z and 1 + q + q*y + z.
+
+``line_point_indices`` solves a line's equation directly in these index
+coordinates, so listing the points of a line needs no per-point
+normalization.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .field import FieldCtx
 
@@ -30,7 +36,8 @@ class ProjectivePlane:
         pts = [(0, 0, 1)]
         pts.extend((0, 1, z) for z in range(q))
         pts.extend((1, y, z) for y in range(q) for z in range(q))
-        assert len(pts) == q * q + q + 1
+        if len(pts) != q * q + q + 1:
+            raise AssertionError(f"enumerated {len(pts)} points of PG(2,{q})")
         return pts
 
     def normalize(self, v):
@@ -56,29 +63,35 @@ class ProjectivePlane:
                   f.mul(line[2], point[2]))
         return s == 0
 
-    def line_points(self, line):
-        """The q+1 points of a line, via a two-point parametrization."""
-        f = self.ctx
+    def line_point_indices(self, line):
+        """Ascending indices of the q+1 points of a*x + b*y + c*z = 0.
+
+        The line need not be normalized.  For c != 0 the points are
+        (0, 1, -b/c) and, on the x = 1 chart, (1, y, u + v*y) for every y,
+        with u = -a/c and v = -b/c; for c = 0 they form contiguous index
+        blocks.
+        """
+        f, q = self.ctx, self.q
         a, b, c = line
-        if a:
-            ia = f.inv(a)
-            v1 = (f.neg(f.mul(ia, b)), 1, 0)
-            v2 = (f.neg(f.mul(ia, c)), 0, 1)
-        elif b:
-            ib = f.inv(b)
-            v1 = (1, 0, 0)
-            v2 = (0, f.neg(f.mul(ib, c)), 1)
-        else:
-            v1 = (1, 0, 0)
-            v2 = (0, 1, 0)
-        pts = [self.normalize(v2)]
-        for t in range(self.q):
-            w = (f.add(v1[0], f.mul(t, v2[0])),
-                 f.add(v1[1], f.mul(t, v2[1])),
-                 f.add(v1[2], f.mul(t, v2[2])))
-            pts.append(self.normalize(w))
-        assert len(set(pts)) == self.q + 1
-        return pts
+        if c:
+            ic = f.inv(c)
+            u, v = f.neg(f.mul(a, ic)), f.neg(f.mul(b, ic))
+            chart = range(q + 1, q * q + q + 1, q)  # index of (1, y, 0)
+            return [1 + v, *map(add, chart, f.affine_values(u, v))]
+        if b:  # (0, 0, 1) and the points (1, -a/b, z)
+            start = q + 1 + q * f.neg(f.div(a, b))
+            return [0, *range(start, start + q)]
+        if a:  # x = 0: (0, 0, 1) and the points (0, 1, z)
+            return list(range(q + 1))
+        raise ValueError("the zero triple is not a line")
+
+    def line_points(self, line):
+        """The q+1 points of a line, in index order."""
+        idx = self.line_point_indices(line)
+        if len(set(idx)) != self.q + 1:
+            raise AssertionError(f"line {line} does not have q+1 points")
+        points = self.points
+        return [points[j] for j in idx]
 
     def line_through(self, P, Q):
         """The unique line through two distinct points (cross product)."""

@@ -75,28 +75,25 @@ class Polarity:
         return self.plane.line_points((1, 0, 0))
 
 
-def polarity_for_order(q):
-    from .field import field_for_order
-    plane = ProjectivePlane(field_for_order(q))
-    return Polarity(plane)
-
-
 def build_er_graph(plane: ProjectivePlane) -> Graph:
     """The polarity graph ER_q as a dense bitset graph.
 
     Vertex i is the plane's i-th point; labels carry the point triples.
-    Loops at absolute points are dropped (simple graph).
+    Loops at absolute points are dropped (simple graph).  Each row is
+    filled as a little-endian byte string from the polar line's point
+    indices and converted to an int once.
     """
     pol = Polarity(plane)
-    n = len(plane.points)
-    adj = [0] * n
-    idx = plane.index
-    for i, pt in enumerate(plane.points):
-        line = pol.polar_line(pt)
-        for nb in plane.line_points(line):
-            j = idx[nb]
-            if j != i:
-                adj[i] |= 1 << j
-    g = Graph(n, adj, labels=list(plane.points))
+    points = plane.points
+    n = len(points)
+    nbytes = (n + 7) // 8
+    adj = []
+    for i, pt in enumerate(points):
+        row = bytearray(nbytes)
+        for j in plane.line_point_indices(pol.polar_line(pt)):
+            row[j >> 3] |= 1 << (j & 7)
+        row[i >> 3] &= ~(1 << (i & 7))
+        adj.append(int.from_bytes(row, "little"))
+    g = Graph(n, adj, labels=list(points))
     g.check_symmetric()
     return g

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import erpg
+from erpg import cli
 from erpg import graphs as gr
 from erpg.cli import alpha_bounds, main
 
@@ -131,3 +135,38 @@ def test_alpha_bounds_spot_values():
     assert (lower, upper) == (22, 31)
     assert alpha_bounds(8)[0] == 10
     assert alpha_bounds(7)[2] == "reported, not constructed"
+
+
+def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch):
+    build = cli.build_er_graph
+
+    def drop_one_edge(plane):
+        g = build(plane)
+        u, v = next(g.edges())
+        g.adj[u] &= ~(1 << v)
+        g.adj[v] &= ~(1 << u)
+        return g
+
+    monkeypatch.setattr(cli, "build_er_graph", drop_one_edge)
+    code, _, err = run(capsys, "graph", "--q", "3", "--format", "dimacs")
+    assert code == 3
+    assert "edges" in err
+
+
+@pytest.mark.parametrize("argv", [["build", "--q", "8", "--json"],
+                                  ["graph", "--q", "4", "--format", "graph6"],
+                                  ["solve", "--q", "4"]])
+def test_optimized_interpreter_gives_identical_output(argv):
+    """python -O strips assert statements; no check may depend on them."""
+    src = str(Path(erpg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.pop("ERPG_BUDGET_NODES", None)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "erpg.cli", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

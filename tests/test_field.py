@@ -166,3 +166,28 @@ def test_factor_prime_power():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             factor_prime_power(bad)
+
+
+def _digitwise(f, a, b, sign):
+    """Reference: coefficient-wise a + sign*b over GF(p)."""
+    return f.from_coeffs([(x + sign * y) % f.p
+                          for x, y in zip(f.coeffs(a), f.coeffs(b))])
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49])
+def test_zech_add_neg_sub_exhaustive(q):
+    f = field_for_order(q)
+    for a in f.elements():
+        assert f.neg(a) == _digitwise(f, 0, a, -1)
+        for b in f.elements():
+            assert f.add(a, b) == _digitwise(f, a, b, 1)
+            assert f.sub(a, b) == _digitwise(f, a, b, -1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25])
+def test_affine_values_exhaustive(q):
+    f = field_for_order(q)
+    for u in f.elements():
+        for v in f.elements():
+            assert f.affine_values(u, v) == [
+                _digitwise(f, u, f.mul(v, y), 1) for y in f.elements()]

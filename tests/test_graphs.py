@@ -230,3 +230,96 @@ def test_export_dispatch():
     assert gr.export(g, "csv") == gr.to_edgelist_csv(g)
     with pytest.raises(ValueError):
         gr.export(g, "gml")
+
+
+def to_graph6_bitwise(g):
+    """Reference encoder: the graph6 body one bit at a time."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, (n >> 12) + 63, (n >> 6 & 63) + 63,
+                         (n & 63) + 63])
+    acc, nb = 0, 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = acc << 1 | g.has_edge(u, v)
+            nb += 1
+            if nb == 6:
+                out.append(acc + 63)
+                acc, nb = 0, 0
+    if nb:
+        out.append((acc << (6 - nb)) + 63)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 100])
+def test_graph6_matches_bitwise_reference(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.3, 1.0):
+        g = random_graph(n, p, rng)
+        data = gr.to_graph6(g)
+        assert data == to_graph6_bitwise(g)
+        assert gr.from_graph6(data) == g
+
+
+def test_graph6_empty_input_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_graph6(b"")
+
+
+def test_graph6_missing_body_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_graph6(b"D")
+
+
+def test_graph6_truncated_body_raises_value_error():
+    data = gr.to_graph6(random_graph(30, 0.5, random.Random(3)))
+    with pytest.raises(ValueError):
+        gr.from_graph6(data[:-1])
+
+
+def test_graph6_overlong_body_raises_value_error():
+    data = gr.to_graph6(random_graph(30, 0.5, random.Random(4)))
+    with pytest.raises(ValueError):
+        gr.from_graph6(data + b"?")
+
+
+def test_graph6_truncated_size_field_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_graph6(b"~?A")
+
+
+def test_graph6_bad_byte_and_padding_raise_value_error():
+    with pytest.raises(ValueError):
+        gr.from_graph6(b"B\x7f")
+    with pytest.raises(ValueError):
+        gr.from_graph6(b"Bx")  # K3 is "Bw"; the last bit is padding
+
+
+def test_dimacs_edge_before_problem_line_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_dimacs(b"e 1 2\np edge 2 1\n")
+
+
+def test_dimacs_endpoint_out_of_range_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_dimacs(b"p edge 3 1\ne 1 4\n")
+    with pytest.raises(ValueError):
+        gr.from_dimacs(b"p edge 3 1\ne 0 2\n")
+
+
+def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    g.check_symmetric()
+    loop = Graph(3, [0b001, 0, 0])
+    with pytest.raises(AssertionError):
+        loop.check_symmetric()
+    for u, v in ((0, 2), (2, 0), (4, 1)):
+        one_way = Graph(5, g.adj)
+        one_way.adj[u] |= 1 << v
+        with pytest.raises(AssertionError):
+            one_way.check_symmetric()
+    out_of_range = Graph(3, [1 << 5, 0, 0])
+    with pytest.raises(AssertionError):
+        out_of_range.check_symmetric()

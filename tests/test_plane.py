@@ -53,6 +53,23 @@ def test_every_line_has_q_plus_1_points(q):
         assert all(pl.incident(P, line) for P in pts)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_line_point_indices_match_incidence(q):
+    pl = plane_for(q)
+    f = pl.ctx
+    for line in pl.lines:
+        expected = [j for j, P in enumerate(pl.points) if pl.incident(P, line)]
+        assert pl.line_point_indices(line) == expected
+        for s in range(2, q):
+            scaled = tuple(f.mul(s, c) for c in line)
+            assert pl.line_point_indices(scaled) == expected
+
+
+def test_zero_triple_is_not_a_line():
+    with pytest.raises(ValueError):
+        plane_for(3).line_point_indices((0, 0, 0))
+
+
 def test_line_through_two_points():
     pl = plane_for(5)
     rng = random.Random(1)
