@@ -9,13 +9,10 @@ from erpg import constructions as cons
 from erpg import hypergraph as hg
 
 for q in (4, 8, 16):
-    ctx, plane, pol = cons._context(q)
-    tfs = cons.triangle_free_set(q)
-    sub = cons.induced_on_points(plane, pol, tfs.points)
-    print(f"q={q:>2}: {tfs.size} vertices, {sub.num_edges()} edges, "
-          f"{sub.triangle_count()} triangles, "
-          f"{q // 2}-regular: {sub.is_regular(q // 2)}, "
-          f"girth {sub.girth()}")
+    cert, girth = cons.triangle_free_certificate(q)
+    print(f"q={q:>2}: {cert.size} vertices, "
+          f"{cert.size * (q // 2) // 2} edges ({q // 2}-regular), "
+          f"girth {girth}, verified {cert.verified}")
 
 q = 8
 h = hg.build_hypergraph(q)

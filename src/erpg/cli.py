@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from . import constructions as cons
 from . import graphs as gr
+from .constructions import alpha_bounds
 from .field import factor_prime_power, field_for_order
 from .plane import ProjectivePlane
-from .polarity import Polarity, build_er_graph
+from .polarity import build_er_graph
 
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
@@ -76,55 +76,29 @@ def cmd_build(args):
     t0 = time.monotonic()
     q = _check_q(args.q)
     construction = _CONSTRUCTION_FLAGS[args.construction]
-    outputs = []
-    if construction == "triangle_free":
-        if q % 2:
-            raise CliError(f"q = {q}: triangle-free construction needs even q")
-        tfs = cons.triangle_free_set(q)
-        ctx, plane, pol = cons._context(q)
-        sub = cons.induced_on_points(plane, pol, tfs.points)
-        tri = sub.triangle_count()
-        regular = sub.is_regular(q // 2)
-        girth = sub.girth()
-        if tri or not regular or girth < 5:
-            raise CliError("triangle-free verification failed",
-                           EXIT_VERIFICATION)
-        doc = {
-            "version": cons.CERTIFICATE_VERSION,
-            "construction": "triangle_free",
-            "q": q,
-            "modulus": list(ctx.modulus),
-            "parameters": {"lambda": tfs.lam},
-            "size": tfs.size,
-            "claimed_size": q * (q + 1) // 2,
-            "points": [[list(ctx.coeffs(c)) for c in pt] for pt in tfs.points],
-            "verified": {"triangle_free": True, "regular": True,
-                         "girth_at_least_5": True, "size_matches": True},
-        }
-        payload = json.dumps(doc, indent=2, sort_keys=True)
-        summary = {"construction": "triangle_free", "q": q, "size": tfs.size,
-                   "regular": q // 2, "girth": girth}
-    else:
-        try:
+    try:
+        if construction == "triangle_free":
+            cert, girth = cons.triangle_free_certificate(q)
+        else:
             cert = cons.build_coclique(q, construction)
-        except ValueError as e:
-            raise CliError(str(e))
-        except cons.VerificationError as e:
-            raise CliError(str(e), EXIT_VERIFICATION)
-        if not all(cert.verified.values()):
-            raise CliError("certificate verification failed",
-                           EXIT_VERIFICATION)
-        ctx = field_for_order(q)
-        payload = cert.to_json(ctx)
-        summary = {"construction": cert.construction_id, "q": q,
-                   "size": cert.size, "claimed_size": cert.claimed_size,
-                   "verified": cert.verified}
-        if cert.extension:
-            summary["extension_candidates"] = cert.extension["candidate_count"]
-            summary["greedy_extended_size"] = cert.extension["greedy_size"]
+    except ValueError as e:
+        raise CliError(str(e))
+    except cons.VerificationError as e:
+        raise CliError(str(e), EXIT_VERIFICATION)
+    if not all(cert.verified.values()):
+        raise CliError("certificate verification failed", EXIT_VERIFICATION)
+    summary = {"construction": cert.construction_id, "q": q, "size": cert.size}
+    if construction == "triangle_free":
+        summary.update(regular=q // 2, girth=girth)
+    else:
+        summary.update(claimed_size=cert.claimed_size, verified=cert.verified)
+    if cert.extension:
+        summary["extension_candidates"] = cert.extension["candidate_count"]
+        summary["greedy_extended_size"] = cert.extension["greedy_size"]
+    outputs = []
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(cert.to_json(field_for_order(q)) + "\n")
         outputs.append(args.out)
     _report(args, "build", {"q": q, "construction": args.construction},
             summary, outputs, t0)
@@ -151,31 +125,6 @@ def cmd_graph(args):
                        EXIT_VERIFICATION)
     _report(args, "graph", {"q": q, "format": args.format},
             {"n": g.n, "m": m}, outputs, t0)
-
-
-def alpha_bounds(q):
-    """Known lower/upper bounds on the independence number of ER_q."""
-    r = cons.isqrt_exact(q)
-    upper = math.floor(q ** 1.5 + q ** 0.5) + 1
-    lower = 1
-    note = ""
-    if q % 2 == 0:
-        if r is not None:
-            upper = min(upper, q ** 1.5 - q + r + 1)
-            lower = int(q ** 1.5 - q + r)
-        else:
-            h = cons.isqrt_exact(q // 2)
-            lower = int(round(q ** 1.5 / math.sqrt(2))) - q + h
-    else:
-        if r is not None:
-            if r % 4 == 3:
-                lower = (q * r - r) // 2 + q + 1
-            else:
-                lower = (q * r + q) // 2 + q + 1
-        else:
-            lower = math.floor(120 * q ** 1.5 / (73 * math.sqrt(73)))
-            note = "reported, not constructed"
-    return int(lower), int(upper), note
 
 
 def cmd_solve(args):
@@ -293,7 +242,6 @@ def make_parser():
     o.set_defaults(func=cmd_orbits)
 
     t = sub.add_parser("table", help="bound table")
-    t.add_argument("--set", choices=["default"], default="default")
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=cmd_table)
     return p

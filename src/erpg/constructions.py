@@ -20,11 +20,13 @@ reported as a warning.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .field import FieldCtx, field_for_order
+from .graphs import Graph, greedy_extend
 from .plane import (Collineation, ProjectivePlane, baer_stabilizer_generators,
-                    conic_stabilizer_lift, orbit)
+                    orbit)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity
 
 CERTIFICATE_VERSION = "v1"
@@ -44,29 +46,55 @@ def _context(q):
     return ctx, plane, Polarity(plane)
 
 
-def point_set_independent(plane, pol, points):
-    """None if the point set is a coclique of ER_q, else a violating pair.
+def _point_mask(plane, points):
+    """A bytearray over point indices, 1 exactly at the given points."""
+    mask = bytearray(len(plane.points))
+    for pt in points:
+        mask[plane.index[pt]] = 1
+    return mask
 
-    Checked through polar lines directly, so it does not need the full
-    graph in memory.
+
+def _hits(plane, mask, line):
+    """Number of the line's points marked in mask."""
+    return sum(map(mask.__getitem__, plane.line_point_indices(line)))
+
+
+def induced_on_points(plane, pol, points):
+    """Induced ER_q subgraph on a point list, without the full graph.
+
+    Vertex i is points[i]; its row holds the positions of the other listed
+    points on its polar line.
     """
-    pts = set(points)
-    for P in points:
-        for R in plane.line_points(pol.polar_line(P)):
-            if R != P and R in pts:
-                return (P, R)
-    return None
+    pos = {plane.index[pt]: i for i, pt in enumerate(points)}
+    adj = []
+    for i, pt in enumerate(points):
+        row = 0
+        for j in plane.line_point_indices(pol.polar_line(pt)):
+            k = pos.get(j)
+            if k is not None and k != i:
+                row |= 1 << k
+        adj.append(row)
+    return Graph(len(points), adj, labels=list(points))
 
 
-def _require_independent(plane, pol, points, what):
-    witness = point_set_independent(plane, pol, points)
-    if witness is not None:
-        raise VerificationError(f"{what}: conjugate pair {witness}")
+def point_set_independent(plane, pol, points):
+    """None if the point set is a coclique of ER_q, else a conjugate pair.
+
+    Checked on the induced subgraph, so it does not need the full graph in
+    memory.
+    """
+    points = list(points)
+    sub = induced_on_points(plane, pol, points)
+    witness = sub.is_independent(range(len(points)))
+    if witness is None:
+        return None
+    return (points[witness[0]], points[witness[1]])
 
 
 @dataclass
-class CocliqueCertificate:
-    """A constructed coclique together with its verification flags."""
+class Certificate:
+    """A constructed point set (a coclique or a triangle-free set)
+    together with its verification flags."""
 
     construction_id: str
     q: int
@@ -98,23 +126,20 @@ class CocliqueCertificate:
 
 
 def _certify(cert, plane, pol):
-    _require_independent(plane, pol, cert.points, cert.construction_id)
+    # Duplicates first: a repeated absolute point lies on its own polar
+    # line and would otherwise be reported as a conjugate pair.
+    if len(set(cert.points)) != len(cert.points):
+        raise VerificationError(f"{cert.construction_id}: duplicate points")
+    witness = point_set_independent(plane, pol, cert.points)
+    if witness is not None:
+        raise VerificationError(
+            f"{cert.construction_id}: conjugate pair {witness}")
     if len(cert.points) != cert.claimed_size:
         raise VerificationError(
             f"{cert.construction_id}: built {len(cert.points)} points, "
             f"formula gives {cert.claimed_size}")
-    if len(set(cert.points)) != len(cert.points):
-        raise VerificationError(f"{cert.construction_id}: duplicate points")
     cert.verified = {"independent": True, "size_matches": True}
     return cert
-
-
-def isqrt_exact(m):
-    r = round(m ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c * c == m:
-            return c
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +161,7 @@ class OrbitCensus:
     orbits: list   # raw orbits as (label, point list)
 
     def expected(self):
-        r = isqrt_exact(self.q)
+        r = math.isqrt(self.q)
         half = (self.q * r - r) // 2
         return sorted([
             (CENSUS_CONIC, self.q - r, 1),
@@ -198,7 +223,7 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     return OrbitCensus(q, sorted(entries), raw)
 
 
-def coclique_odd_sq_neg(q) -> CocliqueCertificate:
+def coclique_odd_sq_neg(q) -> Certificate:
     """Conic plus a stabilizer orbit of an internal point; needs
     sqrt(q) = -1 mod 4."""
     ctx, plane, pol = _odd_square_context(q)
@@ -216,7 +241,7 @@ def coclique_odd_sq_neg(q) -> CocliqueCertificate:
         raise VerificationError(
             f"orbit size {len(orb)} != {expected_orbit}")
     points = pol.absolute_points() + orb
-    cert = CocliqueCertificate(
+    cert = Certificate(
         construction_id="odd_sq_neg", q=q,
         parameters={"w": w}, points=points,
         claimed_size=expected_orbit + q + 1)
@@ -237,11 +262,13 @@ def k_group(plane) -> list:
                  (0, a, c),
                  (0, 0, 1))
             mats.append(Collineation(plane, m))
-    assert len(mats) == ctx.q * (r + 1)
+    if len(mats) != ctx.q * (r + 1):
+        raise VerificationError(
+            f"K has {len(mats)} elements, expected {ctx.q * (r + 1)}")
     return mats
 
 
-def coclique_odd_sq_pos(q) -> CocliqueCertificate:
+def coclique_odd_sq_pos(q) -> Certificate:
     """Conic plus a K-orbit of an internal point; needs sqrt(q) = 1 mod 4."""
     ctx, plane, pol = _odd_square_context(q)
     r = ctx.sqrt_q()
@@ -257,7 +284,7 @@ def coclique_odd_sq_pos(q) -> CocliqueCertificate:
     if len(orb) != expected_orbit:
         raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
     points = pol.absolute_points() + orb
-    cert = CocliqueCertificate(
+    cert = Certificate(
         construction_id="odd_sq_pos", q=q,
         parameters={"w": w}, points=points,
         claimed_size=expected_orbit + q + 1)
@@ -327,7 +354,7 @@ def trace_zero_set(q) -> list:
     return N
 
 
-def conic_points(plane, pol_unused, alpha, lam):
+def conic_points(plane, alpha, lam):
     """Points of the pencil conic X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 = 0."""
     f = plane.ctx
     out = []
@@ -355,7 +382,7 @@ def denniston_arc(q, N=None) -> MaximalArc:
     line-intersection property (every line meets the arc in 0 or degree
     points).
     """
-    ctx, plane, pol = _even_context(q)
+    ctx, plane, _ = _even_context(q)
     if N is None:
         N = trace_zero_set(q)
     A = sorted({ctx.mul(x, x) for x in N})
@@ -366,16 +393,16 @@ def denniston_arc(q, N=None) -> MaximalArc:
     alpha = ctx.find_trace_one()
     pts = []
     for lam in A:
-        pts.extend(conic_points(plane, pol, alpha, lam))
+        pts.extend(conic_points(plane, alpha, lam))
     if len(set(pts)) != len(pts):
         raise VerificationError("pencil conics are not disjoint")
     degree = len(A)
     if len(pts) != (degree - 1) * q + degree:
         raise VerificationError(
             f"arc has {len(pts)} points, expected {(degree - 1) * q + degree}")
-    arc_set = set(pts)
-    for line in plane.lines:
-        hits = sum(1 for R in plane.line_points(line) if R in arc_set)
+    mask = _point_mask(plane, pts)
+    for line in plane.points:  # lines are enumerated like points
+        hits = _hits(plane, mask, line)
         if hits not in (0, degree):
             raise VerificationError(
                 f"line {line} meets arc in {hits} points")
@@ -383,7 +410,7 @@ def denniston_arc(q, N=None) -> MaximalArc:
                       subgroup=A, alpha=alpha)
 
 
-def coclique_even(q) -> CocliqueCertificate:
+def coclique_even(q) -> Certificate:
     """Denniston-arc coclique for q = 2^n, n odd, plus an extension report.
 
     The extension report counts the points whose polar line misses the
@@ -396,21 +423,18 @@ def coclique_even(q) -> CocliqueCertificate:
     arc = denniston_arc(q, N)
     half = arc.degree  # sqrt(q/2)
     claimed = (half - 1) * q + half
-    cert = CocliqueCertificate(
+    cert = Certificate(
         construction_id="even_arc", q=q,
         parameters={"trace_zero_set": N, "pencil_subgroup": arc.subgroup,
                     "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
     _certify(cert, plane, pol)
-    arc_set = set(arc.points)
-    candidates = []
-    for pt in plane.points:
-        if pt in arc_set:
-            continue
-        if all(R not in arc_set for R in plane.line_points(pol.polar_line(pt))):
-            candidates.append(pt)
-    extended = _greedy_extend_points(plane, pol, arc.points, candidates)
-    _require_independent(plane, pol, extended, "even_arc greedy extension")
+    mask = _point_mask(plane, arc.points)
+    candidates = [pt for j, pt in enumerate(plane.points)
+                  if not mask[j] and not _hits(plane, mask, pol.polar_line(pt))]
+    k = len(arc.points)
+    sub = induced_on_points(plane, pol, arc.points + candidates)
+    extended = greedy_extend(sub, range(k), range(k, sub.n))
     cert.extension = {
         "candidate_count": len(candidates),
         "expected_candidates": half * (q + 1),
@@ -422,14 +446,14 @@ def coclique_even(q) -> CocliqueCertificate:
     return cert
 
 
-def even_square_arc_coclique(q) -> CocliqueCertificate:
+def even_square_arc_coclique(q) -> Certificate:
     """Degree-sqrt(q) subfield Denniston arc coclique for even square q."""
     ctx, plane, pol = _even_context(q)
     if ctx.n % 2:
         raise ValueError(f"q = {q} is not an even square")
     N = trace_zero_set(q)  # the embedded subfield
     arc = denniston_arc(q, N)
-    cert = CocliqueCertificate(
+    cert = Certificate(
         construction_id="even_sq_subfield_arc", q=q,
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points,
@@ -437,32 +461,14 @@ def even_square_arc_coclique(q) -> CocliqueCertificate:
     return _certify(cert, plane, pol)
 
 
-def _greedy_extend_points(plane, pol, base, candidates):
-    chosen = list(base)
-    chosen_set = set(chosen)
-    blocked = set()
-    for P in chosen:
-        blocked.update(plane.line_points(pol.polar_line(P)))
-    for P in sorted(candidates, key=plane.index.__getitem__):
-        if P in chosen_set or P in blocked:
-            continue
-        chosen.append(P)
-        chosen_set.add(P)
-        blocked.update(plane.line_points(pol.polar_line(P)))
-    return chosen
-
-
 def conic_polar_disjointness(q, lam) -> bool:
     """Whether every point of the pencil conic with parameter lam^2 has a
     polar line disjoint from that conic.  Holds exactly when Tr(lam) = 0."""
     ctx, plane, pol = _even_context(q)
     alpha = ctx.find_trace_one()
-    pts = conic_points(plane, pol, alpha, ctx.mul(lam, lam))
-    pset = set(pts)
-    for R in pts:
-        if any(x in pset for x in plane.line_points(pol.polar_line(R))):
-            return False
-    return True
+    pts = conic_points(plane, alpha, ctx.mul(lam, lam))
+    mask = _point_mask(plane, pts)
+    return not any(_hits(plane, mask, pol.polar_line(R)) for R in pts)
 
 
 def cyclic_pencil_group(q):
@@ -480,7 +486,9 @@ def cyclic_pencil_group(q):
                     plane, ((1, 0, 0),
                             (0, a, ctx.mul(alpha, b)),
                             (0, b, ctx.add(a, b)))))
-    assert len(sols) == q + 1
+    if len(sols) != q + 1:
+        raise VerificationError(
+            f"pencil group has {len(sols)} elements, expected {q + 1}")
     identity = Collineation.identity(plane)
     for g in sols:
         order, acc = 1, g
@@ -514,15 +522,9 @@ def triangle_free_set(q, lam=None) -> TriangleFreeSet:
     if lam == 0 or ctx.abs_trace(lam):
         raise ValueError("lam must be nonzero with trace zero")
     alpha = ctx.find_trace_one()
-    conic = set(conic_points(plane, pol, alpha, ctx.mul(lam, lam)))
-    pts = []
-    for pt in plane.points:
-        if pt[0] == 0:  # absolute line X1 = 0
-            continue
-        hits = sum(1 for R in plane.line_points(pol.polar_line(pt))
-                   if R in conic)
-        if hits == 2:
-            pts.append(pt)
+    conic = _point_mask(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
+    pts = [pt for pt in plane.points  # off the absolute line X1 = 0
+           if pt[0] and _hits(plane, conic, pol.polar_line(pt)) == 2]
     if len(pts) != q * (q + 1) // 2:
         raise VerificationError(
             f"triangle-free set has {len(pts)} points, "
@@ -532,18 +534,56 @@ def triangle_free_set(q, lam=None) -> TriangleFreeSet:
     return TriangleFreeSet(q=q, lam=lam, points=pts)
 
 
-def induced_on_points(plane, pol, points):
-    """Induced ER_q subgraph on a point list, without the full graph."""
-    from .graphs import Graph
-    idx = {pt: i for i, pt in enumerate(points)}
-    g = Graph(len(points))
-    for i, pt in enumerate(points):
-        for R in plane.line_points(pol.polar_line(pt)):
-            j = idx.get(R)
-            if j is not None and j != i:
-                g.adj[i] |= 1 << j
-    g.labels = list(points)
-    return g
+def triangle_free_certificate(q):
+    """(certificate, girth) for triangle_free_set(q).
+
+    The induced subgraph must be triangle-free, q/2-regular and of girth
+    at least 5; VerificationError otherwise.
+    """
+    if q % 2:
+        raise ValueError(f"q = {q}: triangle-free construction needs even q")
+    tfs = triangle_free_set(q)
+    _, plane, pol = _even_context(q)
+    sub = induced_on_points(plane, pol, tfs.points)
+    girth = sub.girth()
+    if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:
+        raise VerificationError("triangle-free verification failed")
+    cert = Certificate(
+        construction_id="triangle_free", q=q,
+        parameters={"lambda": tfs.lam}, points=tfs.points,
+        claimed_size=q * (q + 1) // 2,
+        verified={"triangle_free": True, "regular": True,
+                  "girth_at_least_5": True, "size_matches": True})
+    return cert, girth
+
+
+def alpha_bounds(q):
+    """Known (lower, upper, note) bounds on alpha(ER_q), in integers.
+
+    upper is floor(q^{3/2} + q^{1/2}) + 1, or q^{3/2} - q + sqrt(q) + 1 for
+    even square q; lower is the construction size, or the reported
+    floor(120 q^{3/2} / 73^{3/2}) for odd non-square q.
+    """
+    r = math.isqrt(q)
+    square = r * r == q
+    upper = math.isqrt((q + 1) ** 2 * q) + 1
+    note = ""
+    if q % 2 == 0:
+        if square:
+            lower = r * q - q + r
+            upper = min(upper, lower + 1)
+        else:
+            h = math.isqrt(q // 2)  # q / 2 is an even power of 2
+            lower = h * q - q + h
+    elif square:
+        if r % 4 == 3:
+            lower = (q * r - r) // 2 + q + 1
+        else:
+            lower = (q * r + q) // 2 + q + 1
+    else:
+        lower = math.isqrt(14400 * q ** 3 // 73 ** 3)
+        note = "reported, not constructed"
+    return lower, upper, note
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +593,12 @@ def induced_on_points(plane, pol, points):
 def auto_construction_id(q):
     """Construction selected for q by parity and squareness."""
     ctx = field_for_order(q)
-    r = isqrt_exact(q)
+    r = math.isqrt(q)
     if ctx.p == 2:
-        if r is not None:
+        if r * r == q:
             return "even_sq_subfield_arc"
         return "even_arc"
-    if r is None:
+    if r * r != q:
         raise ValueError(
             f"q = {q}: no coclique construction here for odd non-square q")
     return "odd_sq_neg" if r % 4 == 3 else "odd_sq_pos"
@@ -572,7 +612,7 @@ BUILDERS = {
 }
 
 
-def build_coclique(q, construction="auto") -> CocliqueCertificate:
+def build_coclique(q, construction="auto") -> Certificate:
     if construction == "auto":
         construction = auto_construction_id(q)
     try:

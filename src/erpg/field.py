@@ -337,7 +337,8 @@ class FieldCtx:
         for _ in range(self.n):
             t ^= v
             v = self.mul(v, v)
-        assert t in (0, 1)
+        if t not in (0, 1):
+            raise AssertionError(f"trace of {a} is {t}, not in GF(2)")
         return t
 
     def find_trace_one(self) -> int:
@@ -372,7 +373,8 @@ class FieldCtx:
             if acc == 0:
                 beta = cand
                 break
-        assert beta is not None, "subfield modulus must split in the big field"
+        if beta is None:
+            raise AssertionError("subfield modulus must split in the big field")
         table = [0] * sub.q
         for x in range(sub.q):
             acc, power = 0, 1
@@ -382,7 +384,8 @@ class FieldCtx:
             table[x] = acc
         self._embed_table = table
         self._lift_table = {v: x for x, v in enumerate(table)}
-        assert len(self._lift_table) == sub.q, "embedding must be injective"
+        if len(self._lift_table) != sub.q:
+            raise AssertionError("embedding must be injective")
 
     def embed_subfield(self, a_sub: int) -> int:
         """Image of a GF(sqrt(q)) element under the canonical embedding."""

@@ -460,11 +460,18 @@ def to_edgelist_csv(g: Graph) -> bytes:
 
 
 def from_edgelist_csv(data: bytes, n=None) -> Graph:
-    rows = bytes(data).decode().splitlines()[1:]
-    edges = [tuple(int(t) for t in r.split(",")) for r in rows if r.strip()]
+    """Parse a "u,v" edge list; ValueError if the text is malformed."""
+    edges = []
+    for r in bytes(data).decode().splitlines()[1:]:
+        if r.strip():
+            u, v = r.split(",")  # ValueError unless exactly two fields
+            edges.append((int(u), int(v)))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except IndexError as e:
+        raise ValueError(f"bad CSV edge list for n = {n}: {e}") from None
 
 
 _EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs,

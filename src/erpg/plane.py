@@ -26,9 +26,6 @@ class ProjectivePlane:
         self.q = ctx.q
         self.points = self._enumerate()
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        # Lines use the same normalization and ordering as points.
-        self.lines = self.points
-        self.line_index = self.index
         self._baer = None
 
     def _enumerate(self):

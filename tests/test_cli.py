@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,18 @@ def test_build_triangle_free(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["size"] == 36
     assert doc["verified"]["girth_at_least_5"]
+
+
+@pytest.mark.parametrize("q,digest", [
+    (8, "a33025f4ab7a3d841899ddfde08b1b8df5f1f8a9b226880f1ff02747176ac3ee"),
+    (16, "b4032262634a090337414b9919aa36eb72f078c90f187d714da30844612e17d6"),
+])
+def test_triangle_free_certificate_bytes(capsys, tmp_path, q, digest):
+    out_file = tmp_path / "tf.json"
+    code, _, _ = run(capsys, "build", "--q", str(q), "--construction",
+                     "triangle-free", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_build_invalid_q_exits_2(capsys):
@@ -155,7 +168,12 @@ def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["build", "--q", "8", "--json"],
                                   ["graph", "--q", "4", "--format", "graph6"],
-                                  ["solve", "--q", "4"]])
+                                  ["solve", "--q", "4"],
+                                  ["build", "--q", "16", "--json"],
+                                  ["build", "--q", "25", "--json"],
+                                  ["build", "--q", "8", "--construction",
+                                   "triangle-free", "--json"],
+                                  ["orbits", "--q", "9"]])
 def test_optimized_interpreter_gives_identical_output(argv):
     """python -O strips assert statements; no check may depend on them."""
     src = str(Path(erpg.__file__).resolve().parents[1])

@@ -4,7 +4,8 @@ import jsonschema
 import pytest
 
 from erpg import constructions as cons
-from erpg.field import field_for_order
+from erpg.field import factor_prime_power, field_for_order
+from erpg.graphs import greedy_extend
 from erpg.plane import ProjectivePlane, orbit, baer_stabilizer_generators
 from erpg.polarity import INTERNAL, Polarity, build_er_graph
 
@@ -129,6 +130,16 @@ def test_k_group_and_orbit_split_q25():
         assert cons.point_set_independent(pl2, pol2, orb) is None
 
 
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_point_set_independent_witness_is_conjugate_pair(q):
+    pl, pol = setup(q)
+    cert = cons.build_coclique(q)
+    neighbour = pl.line_points(pol.polar_line(cert.points[-1]))[0]
+    for points in (pl.points[::-1], cert.points + [neighbour]):
+        P, R = cons.point_set_independent(pl, pol, points)
+        assert P != R and pol.conjugate(P, R)
+
+
 def test_coclique_pos_wrong_residue():
     with pytest.raises(ValueError):
         cons.coclique_odd_sq_pos(9)
@@ -172,7 +183,7 @@ def test_arc_line_intersections_q8():
     pl, _ = setup(8)
     arc = cons.denniston_arc(8)
     pts = set(arc.points)
-    hits = {sum(P in pts for P in pl.line_points(l)) for l in pl.lines}
+    hits = {sum(P in pts for P in pl.line_points(l)) for l in pl.points}
     assert hits == {0, 2}
 
 
@@ -198,6 +209,31 @@ def test_coclique_even_rejects_bad_q():
 def test_even_square_arc_coclique_q16():
     cert = cons.even_square_arc_coclique(16)
     assert cert.size == 52  # q^{3/2} - q + sqrt(q)
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_even_extension_matches_er_greedy(q):
+    pl, _ = setup(q)
+    g = build_er_graph(pl)
+    cert = cons.coclique_even(q)
+    arc = [pl.index[P] for P in cert.points]
+    arc_mask = sum(1 << v for v in arc)
+    candidates = [v for v in range(g.n)
+                  if not arc_mask >> v & 1 and not g.adj[v] & arc_mask]
+    extended = greedy_extend(g, arc, candidates)
+    assert g.is_independent(extended) is None
+    assert cert.extension["candidate_count"] == len(candidates)
+    assert cert.extension["greedy_size"] == len(extended)
+
+
+def test_certify_rejects_duplicate_points_before_independence():
+    pl, pol = setup(9)
+    conic = pol.absolute_points()
+    cert = cons.Certificate(construction_id="odd_sq_neg", q=9, parameters={},
+                            points=conic + conic[:1],
+                            claimed_size=len(conic) + 1)
+    with pytest.raises(cons.VerificationError, match="duplicate points"):
+        cons._certify(cert, pl, pol)
 
 
 def test_greedy_extension_is_independent_and_larger():
@@ -239,7 +275,7 @@ def test_pencil_orbit_is_conic():
     gen = cons.cyclic_pencil_group(q)
     lam = next(x for x in range(1, q) if ctx.abs_trace(x) == 0)
     alpha = ctx.find_trace_one()
-    expected = set(cons.conic_points(pl, pol, alpha, ctx.mul(lam, lam)))
+    expected = set(cons.conic_points(pl, alpha, ctx.mul(lam, lam)))
     assert set(orbit([gen], (1, lam, 0))) == expected
 
 
@@ -306,6 +342,34 @@ def test_certificate_points_decode_back():
     doc = json.loads(cert.to_json(ctx))
     decoded = [tuple(ctx.from_coeffs(c) for c in pt) for pt in doc["points"]]
     assert decoded == cert.points
+
+
+def test_alpha_bounds_exact_at_73():
+    # the float formula gave 119: 120 * 73^{3/2} / 73^{3/2} is exactly 120
+    assert cons.alpha_bounds(73) == (120, 633, "reported, not constructed")
+
+
+def test_alpha_bounds_defining_inequalities():
+    for q in range(2, 4097):
+        try:
+            p, n = factor_prime_power(q)
+        except ValueError:
+            continue
+        lower, upper, note = cons.alpha_bounds(q)
+        r = p ** (n // 2)
+        if p == 2 and n % 2 == 0:  # maximal arc bound q^{3/2} - q + sqrt q + 1
+            assert (lower, upper) == (r * q - q + r, r * q - q + r + 1)
+            continue
+        assert (upper - 1) ** 2 <= (q + 1) ** 2 * q < upper ** 2
+        if p == 2:  # Denniston arc of degree sqrt(q/2) = r
+            assert lower == r * q - q + r and 2 * r * r == q
+        elif n % 2 == 0:
+            assert r * r == q and lower == (
+                (q * r - r) // 2 if r % 4 == 3 else (q * r + q) // 2) + q + 1
+        else:
+            assert note == "reported, not constructed"
+            assert lower ** 2 * 73 ** 3 <= 14400 * q ** 3
+            assert 14400 * q ** 3 < (lower + 1) ** 2 * 73 ** 3
 
 
 def test_auto_dispatch():

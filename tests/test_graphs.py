@@ -309,6 +309,24 @@ def test_dimacs_endpoint_out_of_range_raises_value_error():
         gr.from_dimacs(b"p edge 3 1\ne 0 2\n")
 
 
+def test_csv_endpoint_out_of_range_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_edgelist_csv(b"u,v\n0,5\n", n=3)
+
+
+def test_csv_negative_endpoint_raises_value_error():
+    with pytest.raises(ValueError):
+        gr.from_edgelist_csv(b"u,v\n-1,2\n", n=3)
+    with pytest.raises(ValueError):
+        gr.from_edgelist_csv(b"u,v\n-1,2\n")
+
+
+def test_csv_row_without_two_fields_raises_value_error():
+    for row in (b"1", b"0,1,2"):
+        with pytest.raises(ValueError):
+            gr.from_edgelist_csv(b"u,v\n" + row + b"\n", n=3)
+
+
 def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     g.check_symmetric()

@@ -47,7 +47,7 @@ def test_incident_examples():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_every_line_has_q_plus_1_points(q):
     pl = plane_for(q)
-    for line in pl.lines:
+    for line in pl.points:
         pts = pl.line_points(line)
         assert len(pts) == q + 1
         assert all(pl.incident(P, line) for P in pts)
@@ -57,7 +57,7 @@ def test_every_line_has_q_plus_1_points(q):
 def test_line_point_indices_match_incidence(q):
     pl = plane_for(q)
     f = pl.ctx
-    for line in pl.lines:
+    for line in pl.points:
         expected = [j for j, P in enumerate(pl.points) if pl.incident(P, line)]
         assert pl.line_point_indices(line) == expected
         for s in range(2, q):
@@ -109,7 +109,7 @@ def test_collineation_preserves_incidence():
                 break
             except ValueError:
                 continue
-        for line in rng.sample(pl.lines, 10):
+        for line in rng.sample(pl.points, 10):
             img_line = col.apply_to_line(line)
             for P in pl.line_points(line):
                 assert pl.incident(col.apply(P), img_line)
@@ -233,7 +233,7 @@ def test_unique_secant_baer_line_through_outside_point():
     # the subplane in sqrt(q)+1 points
     pl = plane_for(9)
     baer = pl.baer_points()
-    rich_lines = [l for l in pl.lines
+    rich_lines = [l for l in pl.points
                   if sum(P in baer for P in pl.line_points(l)) == 4]
     for P in pl.points:
         if P in baer:
