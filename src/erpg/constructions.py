@@ -46,17 +46,25 @@ def _context(q):
     return ctx, plane, Polarity(plane)
 
 
-def _point_mask(plane, points):
-    """A bytearray over point indices, 1 exactly at the given points."""
-    mask = bytearray(len(plane.points))
+def _line_counts(plane, points):
+    """counts[j] = number of the given points on the line with index j.
+
+    Lines are enumerated like points and incidence is the symmetric dot
+    product, so the q+1 lines through a point p are
+    line_point_indices(p); one pass over the points counts every line at
+    once.  Bytes suffice while a line's q+1 points fit in one; beyond
+    that a 16-bit view of a bytearray holds them (the array module would
+    map its shared library into every process that imports this one).
+    """
+    n = len(plane.points)
+    if plane.q + 1 <= 255:
+        counts = bytearray(n)
+    else:
+        counts = memoryview(bytearray(2 * n)).cast("H")
     for pt in points:
-        mask[plane.index[pt]] = 1
-    return mask
-
-
-def _hits(plane, mask, line):
-    """Number of the line's points marked in mask."""
-    return sum(map(mask.__getitem__, plane.line_point_indices(line)))
+        for j in plane.line_point_indices(pt):
+            counts[j] += 1
+    return counts
 
 
 def induced_on_points(plane, pol, points):
@@ -354,17 +362,36 @@ def trace_zero_set(q) -> list:
     return N
 
 
+def pencil_conics(plane, alpha, lams):
+    """Points of the pencil conics X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 = 0,
+    one list in index order per lam in lams, from one scan of the plane.
+
+    A point (1, y, z) lies on exactly one conic of the pencil, the one with
+    lam = -(y^2 + y*z + alpha*z^2); a point with x1 = 0 lies on all of them
+    or on none.  Row y of the chart is y^2 + y*z plus alpha*z^2 over all z.
+    """
+    f, q, points = plane.ctx, plane.q, plane.points
+    found = {f.neg(lam): [] for lam in lams}  # -lam -> points of conic lam
+    common = [pt for pt in points[:q + 1]
+              if not f.add(f.add(f.mul(pt[1], pt[1]), f.mul(pt[1], pt[2])),
+                           f.mul(alpha, f.mul(pt[2], pt[2])))]
+    for conic in found.values():
+        conic.extend(common)
+    squares = [f.mul(y, y) for y in range(q)]
+    alpha_squares = [f.mul(alpha, s) for s in squares]
+    for y in range(q):
+        row = points[q + 1 + q * y:q + 1 + q * (y + 1)]
+        form = map(f.add, f.affine_values(squares[y], y), alpha_squares)
+        for pt, v in zip(row, form):
+            conic = found.get(v)
+            if conic is not None:
+                conic.append(pt)
+    return [list(found[f.neg(lam)]) for lam in lams]
+
+
 def conic_points(plane, alpha, lam):
     """Points of the pencil conic X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 = 0."""
-    f = plane.ctx
-    out = []
-    for (x1, x2, x3) in plane.points:
-        v = f.add(f.add(f.mul(x2, x2), f.mul(x2, x3)),
-                  f.add(f.mul(alpha, f.mul(x3, x3)),
-                        f.mul(lam, f.mul(x1, x1))))
-        if v == 0:
-            out.append((x1, x2, x3))
-    return out
+    return pencil_conics(plane, alpha, [lam])[0]
 
 
 @dataclass
@@ -391,21 +418,18 @@ def denniston_arc(q, N=None) -> MaximalArc:
             if (a ^ b) not in A:  # char-2 addition is xor on encodings
                 raise VerificationError("pencil parameter set is not a group")
     alpha = ctx.find_trace_one()
-    pts = []
-    for lam in A:
-        pts.extend(conic_points(plane, alpha, lam))
+    pts = [pt for conic in pencil_conics(plane, alpha, A) for pt in conic]
     if len(set(pts)) != len(pts):
         raise VerificationError("pencil conics are not disjoint")
     degree = len(A)
     if len(pts) != (degree - 1) * q + degree:
         raise VerificationError(
             f"arc has {len(pts)} points, expected {(degree - 1) * q + degree}")
-    mask = _point_mask(plane, pts)
-    for line in plane.points:  # lines are enumerated like points
-        hits = _hits(plane, mask, line)
-        if hits not in (0, degree):
-            raise VerificationError(
-                f"line {line} meets arc in {hits} points")
+    counts = _line_counts(plane, pts)
+    if not set(counts) <= {0, degree}:
+        j = next(j for j, hits in enumerate(counts) if hits not in (0, degree))
+        raise VerificationError(
+            f"line {plane.points[j]} meets arc in {counts[j]} points")
     return MaximalArc(degree=degree, points=sorted(pts, key=plane.index.__getitem__),
                       subgroup=A, alpha=alpha)
 
@@ -429,9 +453,10 @@ def coclique_even(q) -> Certificate:
                     "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
     _certify(cert, plane, pol)
-    mask = _point_mask(plane, arc.points)
-    candidates = [pt for j, pt in enumerate(plane.points)
-                  if not mask[j] and not _hits(plane, mask, pol.polar_line(pt))]
+    on_arc = set(arc.points)
+    counts, index = _line_counts(plane, arc.points), plane.index
+    candidates = [pt for pt in plane.points
+                  if pt not in on_arc and not counts[index[pol.polar_line(pt)]]]
     k = len(arc.points)
     sub = induced_on_points(plane, pol, arc.points + candidates)
     extended = greedy_extend(sub, range(k), range(k, sub.n))
@@ -467,8 +492,8 @@ def conic_polar_disjointness(q, lam) -> bool:
     ctx, plane, pol = _even_context(q)
     alpha = ctx.find_trace_one()
     pts = conic_points(plane, alpha, ctx.mul(lam, lam))
-    mask = _point_mask(plane, pts)
-    return not any(_hits(plane, mask, pol.polar_line(R)) for R in pts)
+    counts, index = _line_counts(plane, pts), plane.index
+    return not any(counts[index[pol.polar_line(R)]] for R in pts)
 
 
 def cyclic_pencil_group(q):
@@ -522,9 +547,10 @@ def triangle_free_set(q, lam=None) -> TriangleFreeSet:
     if lam == 0 or ctx.abs_trace(lam):
         raise ValueError("lam must be nonzero with trace zero")
     alpha = ctx.find_trace_one()
-    conic = _point_mask(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
+    counts = _line_counts(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
+    index = plane.index
     pts = [pt for pt in plane.points  # off the absolute line X1 = 0
-           if pt[0] and _hits(plane, conic, pol.polar_line(pt)) == 2]
+           if pt[0] and counts[index[pol.polar_line(pt)]] == 2]
     if len(pts) != q * (q + 1) // 2:
         raise VerificationError(
             f"triangle-free set has {len(pts)} points, "

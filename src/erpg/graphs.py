@@ -178,28 +178,33 @@ class Graph:
     def girth(self):
         """Length of a shortest cycle; math.inf for forests.
 
-        BFS from every vertex; the shortest cycle through the root is
-        detected at the first non-tree edge between visited vertices.
+        BFS in bitset layers from every root, over the vertices >= root
+        only (a shortest cycle is found from its least vertex).  An edge
+        inside layer d closes a cycle of length at most 2d+1; a vertex of
+        layer d+1 with two neighbours in layer d closes one of length at
+        most 2d+2, and from the least vertex of a shortest cycle one of
+        the two is exact.  A root's search stops once 2d+1 >= best.
         """
         best = math.inf
-        nbrs = [self.neighbors(v) for v in range(self.n)]
+        adj = self.adj
         for root in range(self.n):
-            dist = {root: 0}
-            parent = {root: -1}
-            frontier = [root]
+            seen = (2 << root) - 1  # the root and every lower vertex
+            frontier = 1 << root
             d = 0
             while frontier and 2 * d + 1 < best:
-                nxt = []
-                for u in frontier:
-                    for w in nbrs[u]:
-                        if w not in dist:
-                            dist[w] = d + 1
-                            parent[w] = u
-                            nxt.append(w)
-                        elif parent[u] != w and dist[w] >= d:
-                            # cross (dist equal) or forward (d+1) edge
-                            best = min(best, dist[w] + d + 1)
-                frontier = nxt
+                inside = reached = twice = 0
+                for u in bits(frontier):
+                    row = adj[u]
+                    inside |= row & frontier
+                    fresh = row & ~seen
+                    twice |= reached & fresh
+                    reached |= fresh
+                if inside:
+                    best = 2 * d + 1
+                elif twice:
+                    best = min(best, 2 * d + 2)
+                seen |= reached
+                frontier = reached
                 d += 1
         return best
 
@@ -246,7 +251,9 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     """Exact maximum independent set by bitset branch-and-bound.
 
     Branches on a maximum-degree candidate vertex (least index breaks
-    ties); the bound is a greedy clique cover of the candidate set.
+    ties), including it first; the bound is a greedy clique cover of the
+    candidate set.  The search keeps its open nodes on an explicit stack,
+    so the graph size is not limited by the recursion limit.
     Deterministic: identical inputs give identical outputs.  `initial`
     seeds the incumbent with a known independent set.
     """
@@ -263,27 +270,26 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             raise ValueError(f"initial set is not independent: edge {witness}")
         for v in initial:
             best_set |= 1 << v
-    best = [popcount(best_set), best_set]
+    best = popcount(best_set)
 
     t0 = time.monotonic()
-    nodes = [0]
-    exhausted = [False]
-
-    def dfs(chosen: int, csize: int, cand: int):
-        if exhausted[0]:
-            return
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes or (
-                nodes[0] % 4096 == 0
-                and time.monotonic() - t0 > budget.time_cap):
-            exhausted[0] = True
-            return
+    max_nodes, time_cap = budget.max_nodes, budget.time_cap
+    nodes = 0
+    exhausted = False
+    stack = [(0, 0, full)]  # open nodes: (chosen, its size, candidates)
+    while stack:
+        chosen, csize, cand = stack.pop()
+        nodes += 1
+        if nodes > max_nodes or (
+                nodes % 4096 == 0 and time.monotonic() - t0 > time_cap):
+            exhausted = True
+            break
         if not cand:
-            if csize > best[0]:
-                best[0], best[1] = csize, chosen
-            return
-        if csize + _clique_cover_bound(adj, cand) <= best[0]:
-            return
+            if csize > best:
+                best, best_set = csize, chosen
+            continue
+        if csize + _clique_cover_bound(adj, cand) <= best:
+            continue
         # max-degree candidate (degree within cand), least index on ties
         v, vdeg = -1, -1
         rest = cand
@@ -293,14 +299,12 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             d = popcount(adj[u] & cand)
             if d > vdeg:
                 v, vdeg = u, d
-        # include v
-        dfs(chosen | (1 << v), csize + 1, cand & ~(adj[v] | (1 << v)))
-        # exclude v
-        dfs(chosen, csize, cand & ~(1 << v))
-
-    dfs(0, 0, full)
-    status = "budget_exhausted" if exhausted[0] else "optimal"
-    return MISResult(best[0], sorted(bits(best[1])), status, nodes[0])
+        # exclude v is pushed first, so include v is searched first
+        stack.append((chosen, csize, cand & ~(1 << v)))
+        stack.append((chosen | (1 << v), csize + 1,
+                      cand & ~(adj[v] | (1 << v))))
+    status = "budget_exhausted" if exhausted else "optimal"
+    return MISResult(best, sorted(bits(best_set)), status, nodes)
 
 
 def greedy_extend(g: Graph, S, candidates):

@@ -64,6 +64,26 @@ def test_triangle_free_certificate_bytes(capsys, tmp_path, q, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("q,digest", [
+    (32, "bead9cbe5f2e929b679b3cbe43616221d2afee59bc14840fe9f3e38ab2ac53a7"),
+    (128, "d915d77386be06f4fe6ffac0481fde0e0f3689fc02dae9528908d7125b60e034"),
+])
+def test_even_arc_certificate_bytes(capsys, tmp_path, q, digest):
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "build", "--q", str(q), "--json",
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_triangle_free_q64_report_bytes(capsys):
+    code, out, _ = run(capsys, "build", "--q", "64", "--construction",
+                       "triangle-free", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "84ad5d17d08ecf7284bd8b2d7d9415d2bb53e8b3923a15373776a235b77731fc")
+
+
 def test_build_invalid_q_exits_2(capsys):
     code, _, err = run(capsys, "build", "--q", "6")
     assert code == 2
@@ -101,6 +121,14 @@ def test_solve_small(capsys):
     result = json.loads(out)["result"]
     assert result["status"] == "optimal"
     assert result["alpha"] <= 14  # floor(5^{3/2} + sqrt 5) + 1
+
+
+@pytest.mark.parametrize("q,nodes", [(7, 13919), (8, 143173), (9, 334121)])
+def test_solve_node_counts_unchanged(capsys, q, nodes):
+    code, out, _ = run(capsys, "solve", "--q", str(q), "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["status"], result["nodes"]) == ("optimal", nodes)
 
 
 def test_solve_budget_exhaustion_still_reports(capsys):
@@ -173,7 +201,10 @@ def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch):
                                   ["build", "--q", "25", "--json"],
                                   ["build", "--q", "8", "--construction",
                                    "triangle-free", "--json"],
-                                  ["orbits", "--q", "9"]])
+                                  ["orbits", "--q", "9"],
+                                  ["build", "--q", "32", "--json"],
+                                  ["build", "--q", "64", "--construction",
+                                   "triangle-free", "--json"]])
 def test_optimized_interpreter_gives_identical_output(argv):
     """python -O strips assert statements; no check may depend on them."""
     src = str(Path(erpg.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import jsonschema
 import pytest
@@ -185,6 +186,79 @@ def test_arc_line_intersections_q8():
     pts = set(arc.points)
     hits = {sum(P in pts for P in pl.line_points(l)) for l in pl.points}
     assert hits == {0, 2}
+
+
+# -- line counts and the pencil scan -----------------------------------------
+
+def direct_line_counts(pl, points):
+    """Per line: the number of marked points among its q+1 points."""
+    mask = bytearray(len(pl.points))
+    for P in points:
+        mask[pl.index[P]] = 1
+    return [sum(mask[j] for j in pl.line_point_indices(line))
+            for line in pl.points]
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_line_counts_match_direct_count(q):
+    pl, pol = setup(q)
+    ctx = pl.ctx
+    rng = random.Random(q)
+    alpha = ctx.find_trace_one()
+    sets = [cons.denniston_arc(q).points,
+            cons.conic_points(pl, alpha, 1),
+            pol.absolute_points(),
+            []]
+    sets += [rng.sample(pl.points, k) for k in (1, q, len(pl.points) // 3)]
+    for points in sets:
+        counts = cons._line_counts(pl, points)
+        assert list(counts) == direct_line_counts(pl, points)
+
+
+def test_line_counts_wide_counter_q256():
+    pl, _ = setup(256)
+    line = (1, 0, 0)
+    counts = cons._line_counts(pl, pl.line_points(line))
+    assert len(counts) == len(pl.points)
+    assert counts[pl.index[line]] == 257
+    # every other line meets the full line in exactly one point
+    assert sum(counts) == 257 * 257
+    assert list(counts).count(1) == len(pl.points) - 1
+
+
+def conic_points_reference(pl, alpha, lam):
+    """Evaluates X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 at every point."""
+    f = pl.ctx
+    return [(x1, x2, x3) for (x1, x2, x3) in pl.points
+            if not f.add(f.add(f.mul(x2, x2), f.mul(x2, x3)),
+                         f.add(f.mul(alpha, f.mul(x3, x3)),
+                               f.mul(lam, f.mul(x1, x1))))]
+
+
+@pytest.mark.parametrize("q", [8, 32, 128])
+def test_pencil_scan_matches_per_parameter_conics(q):
+    pl, _ = setup(q)
+    ctx = pl.ctx
+    alpha = ctx.find_trace_one()
+    arc = cons.denniston_arc(q)
+    lams = arc.subgroup + [x for x in (1, 2, q - 1) if x not in arc.subgroup]
+    scanned = cons.pencil_conics(pl, alpha, lams)
+    expected = [conic_points_reference(pl, alpha, lam) for lam in lams]
+    assert scanned == expected
+    assert sorted(sum(scanned[:arc.degree], []),
+                  key=pl.index.__getitem__) == arc.points
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_pencil_scan_any_alpha(q):
+    """With alpha of trace 0 the form X2^2 + X2*X3 + alpha*X3^2 has zeros
+    on X1 = 0; those points lie on every conic of the pencil."""
+    pl, _ = setup(q)
+    lams = list(range(q))
+    for alpha in range(q):
+        expected = [conic_points_reference(pl, alpha, lam) for lam in lams]
+        assert cons.pencil_conics(pl, alpha, lams) == expected
+        assert cons.conic_points(pl, alpha, 1) == expected[1]
 
 
 # -- even cocliques ----------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erpg import graphs as gr
 from erpg.graphs import Graph, SolveBudget, max_independent_set
@@ -114,6 +115,108 @@ def test_girth_matches_bruteforce_on_random_graphs():
         assert g.girth() == expected
 
 
+def girth_reference(g):
+    """Reference oracle: dict-based BFS from every vertex, closing a cycle
+    at the first non-tree edge between visited vertices."""
+    best = math.inf
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if w not in dist:
+                        dist[w] = d + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and dist[w] >= d:
+                        # cross (dist equal) or forward (d+1) edge
+                        best = min(best, dist[w] + d + 1)
+            frontier = nxt
+            d += 1
+    return best
+
+
+def petersen():
+    return Graph.from_edges(10, [e for i in range(5) for e in (
+        (i, (i + 1) % 5), (i, i + 5), (i + 5, 5 + (i + 2) % 5))])
+
+
+def heawood():
+    """Point-line incidence graph of the Fano plane {i, i+1, i+3 mod 7}."""
+    return Graph.from_edges(14, [(p % 7, 7 + i) for i in range(7)
+                                 for p in (i, i + 1, i + 3)])
+
+
+def test_girth_named_graphs():
+    k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    for g, girth in ((petersen(), 5), (k33, 4), (heawood(), 6)):
+        assert g.girth() == girth_reference(g) == girth
+
+
+@st.composite
+def random_graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def forests(draw, max_n=20):
+    """Each vertex joins one earlier vertex or none: no cycle."""
+    n = draw(st.integers(0, max_n))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.none() | st.integers(0, v - 1))
+        if parent is not None:
+            edges.append((parent, v))
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def one_cycle_graphs(draw):
+    """A k-cycle on shuffled vertices with trees hung on it: girth k."""
+    k = draw(st.integers(3, 12))
+    n = k + draw(st.integers(0, 8))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[(i + 1) % k]) for i in range(k)]
+    for i in range(k, n):
+        edges.append((order[draw(st.integers(0, i - 1))], order[i]))
+    return Graph.from_edges(n, edges), k
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, g.adj + [row << g.n for row in h.adj])
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_girth_matches_reference_on_random_graphs(g):
+    assert g.girth() == girth_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests())
+def test_girth_of_forest_is_infinite(g):
+    assert g.girth() == girth_reference(g) == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_cycle_graphs(), random_graphs(max_n=8), st.booleans())
+def test_girth_odd_even_and_disconnected(cycle, other, cycle_first):
+    g, k = cycle
+    assert g.girth() == girth_reference(g) == k
+    # the girth of a disjoint union is the least girth of its parts
+    union = disjoint_union(g, other) if cycle_first else disjoint_union(other, g)
+    expected = min(k, girth_reference(other))
+    assert union.girth() == girth_reference(union) == expected
+
+
 # -- solver ------------------------------------------------------------------
 
 def test_solver_trivial_cases():
@@ -148,6 +251,33 @@ def test_solver_budget_exhaustion():
     res = max_independent_set(g, SolveBudget(max_nodes=5))
     assert res.status == "budget_exhausted"
     assert g.is_independent(res.vertices) is None
+
+
+def test_solver_budget_results_pinned():
+    """The search tree and the node count under a budget are unchanged:
+    max_nodes = k reports k + 1 nodes."""
+    g = random_graph(40, 0.2, random.Random(1))
+    res = max_independent_set(g, SolveBudget(max_nodes=1))
+    assert (res.size, res.vertices, res.status, res.nodes) == (
+        0, [], "budget_exhausted", 2)
+    res = max_independent_set(g, SolveBudget(max_nodes=5))
+    assert (res.size, res.vertices, res.status, res.nodes) == (
+        0, [], "budget_exhausted", 6)
+    res = max_independent_set(g, SolveBudget(max_nodes=50))
+    assert (res.size, res.vertices, res.status, res.nodes) == (
+        11, [0, 3, 16, 17, 19, 23, 25, 28, 31, 32, 37], "budget_exhausted", 51)
+    res = max_independent_set(g)
+    assert (res.size, res.status, res.nodes) == (13, "optimal", 205)
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    res = max_independent_set(c5, SolveBudget(max_nodes=1), initial=[0, 2])
+    assert (res.size, res.vertices, res.status, res.nodes) == (
+        2, [0, 2], "budget_exhausted", 2)
+
+
+def test_solver_has_no_recursion_limit():
+    res = max_independent_set(Graph(2000))
+    assert res.status == "optimal"
+    assert res.size == 2000 and res.vertices == list(range(2000))
 
 
 def test_solver_initial_seed():
