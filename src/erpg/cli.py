@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import constructions as cons
 from . import graphs as gr
 from .constructions import alpha_bounds
-from .field import factor_prime_power, field_for_order
+from .field import field_for_order
 from .plane import ProjectivePlane
 from .polarity import build_er_graph
 
@@ -50,7 +49,7 @@ class CliError(Exception):
 
 def _check_q(q):
     try:
-        factor_prime_power(q)
+        field_for_order(q)
     except ValueError as e:
         raise CliError(str(e))
     return q
@@ -130,18 +129,19 @@ def cmd_graph(args):
 def cmd_solve(args):
     t0 = time.monotonic()
     q = _check_q(args.q)
+    try:
+        budget = gr.SolveBudget(max_nodes=args.budget)
+    except ValueError as e:
+        raise CliError(str(e))
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
-    budget_nodes = args.budget or int(os.environ.get("ERPG_BUDGET_NODES",
-                                                     10 ** 8))
     initial = None
     try:
         cert = cons.build_coclique(q, "auto")
         initial = [plane.index[pt] for pt in cert.points]
     except ValueError:
         pass  # no construction for this q; solve unseeded
-    res = gr.max_independent_set(g, gr.SolveBudget(max_nodes=budget_nodes),
-                                 initial=initial)
+    res = gr.max_independent_set(g, budget, initial=initial)
     lower, upper, note = alpha_bounds(q)
     violation = None
     if res.size > upper:
@@ -151,7 +151,7 @@ def cmd_solve(args):
     summary = {"q": q, "alpha": res.size, "status": res.status,
                "nodes": res.nodes, "lower_bound": lower,
                "upper_bound": upper}
-    _report(args, "solve", {"q": q, "budget": budget_nodes}, summary, (), t0)
+    _report(args, "solve", {"q": q, "budget": args.budget}, summary, (), t0)
     if violation:
         raise CliError(f"bound violation: {violation}", EXIT_BOUND)
 
@@ -230,7 +230,7 @@ def make_parser():
 
     s = sub.add_parser("solve", help="exact alpha(ER_q)")
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--budget", type=int)
+    s.add_argument("--budget", type=int, default=gr.SolveBudget.max_nodes)
     s.add_argument("--json", action="store_true")
     s.add_argument("--timings", action="store_true")
     s.set_defaults(func=cmd_solve)

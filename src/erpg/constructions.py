@@ -41,7 +41,10 @@ class VerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 
 def _context(q):
-    ctx = field_for_order(q)
+    return _plane_context(field_for_order(q))
+
+
+def _plane_context(ctx):
     plane = ProjectivePlane(ctx)
     return ctx, plane, Polarity(plane)
 
@@ -133,15 +136,20 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _certify(cert, plane, pol):
+def _certify(cert, plane, pol, sub=None):
+    """Check cert.points and set cert.verified.  sub, if given, is an
+    induced_on_points subgraph whose first vertices are cert.points."""
     # Duplicates first: a repeated absolute point lies on its own polar
     # line and would otherwise be reported as a conjugate pair.
     if len(set(cert.points)) != len(cert.points):
         raise VerificationError(f"{cert.construction_id}: duplicate points")
-    witness = point_set_independent(plane, pol, cert.points)
+    if sub is None:
+        sub = induced_on_points(plane, pol, cert.points)
+    witness = sub.is_independent(range(len(cert.points)))
     if witness is not None:
+        pair = (sub.labels[witness[0]], sub.labels[witness[1]])
         raise VerificationError(
-            f"{cert.construction_id}: conjugate pair {witness}")
+            f"{cert.construction_id}: conjugate pair {pair}")
     if len(cert.points) != cert.claimed_size:
         raise VerificationError(
             f"{cert.construction_id}: built {len(cert.points)} points, "
@@ -182,17 +190,17 @@ class OrbitCensus:
         return sorted(self.entries) == self.expected()
 
 
-def _odd_square_context(q):
-    ctx, plane, pol = _context(q)
+def _odd_square_field(q):
+    ctx = field_for_order(q)
     if ctx.p == 2 or ctx.n % 2:
         raise ValueError(f"q = {q} is not an odd square")
-    return ctx, plane, pol
+    return ctx
 
 
 def orbit_census_odd_square(q) -> OrbitCensus:
     """Decompose PG(2,q) minus the Baer subplane under the lifted
     PGL(2, sqrt q) and label each orbit by its conic point class."""
-    ctx, plane, pol = _odd_square_context(q)
+    ctx, plane, pol = _plane_context(_odd_square_field(q))
     gens = baer_stabilizer_generators(plane)
     baer = plane.baer_points()
     # Tangent lines to the Baer conic: polars of the conic points inside B.
@@ -234,10 +242,11 @@ def orbit_census_odd_square(q) -> OrbitCensus:
 def coclique_odd_sq_neg(q) -> Certificate:
     """Conic plus a stabilizer orbit of an internal point; needs
     sqrt(q) = -1 mod 4."""
-    ctx, plane, pol = _odd_square_context(q)
+    ctx = _odd_square_field(q)
     r = ctx.sqrt_q()
     if r % 4 != 3:
         raise ValueError(f"sqrt(q) = {r} is not -1 mod 4")
+    _, plane, pol = _plane_context(ctx)
     w = ctx.find_nonsquare()
     base = plane.normalize((1, 0, w))
     if pol.classify(base) != INTERNAL:
@@ -278,10 +287,11 @@ def k_group(plane) -> list:
 
 def coclique_odd_sq_pos(q) -> Certificate:
     """Conic plus a K-orbit of an internal point; needs sqrt(q) = 1 mod 4."""
-    ctx, plane, pol = _odd_square_context(q)
+    ctx = _odd_square_field(q)
     r = ctx.sqrt_q()
     if r % 4 != 1:
         raise ValueError(f"sqrt(q) = {r} is not 1 mod 4")
+    _, plane, pol = _plane_context(ctx)
     w = ctx.find_nonsquare()
     base = plane.normalize((1, 0, w))
     if pol.classify(base) != INTERNAL:
@@ -301,7 +311,7 @@ def coclique_odd_sq_pos(q) -> Certificate:
 
 def internal_k_orbits(q):
     """All K-orbits on internal points, as lists (deterministic order)."""
-    ctx, plane, pol = _odd_square_context(q)
+    ctx, plane, pol = _plane_context(_odd_square_field(q))
     group = k_group(plane)
     seen = set()
     orbits = []
@@ -318,11 +328,11 @@ def internal_k_orbits(q):
 # q even: trace-zero sets, Denniston arcs, cocliques, triangle-free sets
 # ---------------------------------------------------------------------------
 
-def _even_context(q):
-    ctx, plane, pol = _context(q)
+def _even_field(q):
+    ctx = field_for_order(q)
     if ctx.p != 2:
         raise ValueError(f"q = {q} is not even")
-    return ctx, plane, pol
+    return ctx
 
 
 def trace_zero_set(q) -> list:
@@ -334,7 +344,7 @@ def trace_zero_set(q) -> list:
     subfield GF(sqrt q) is returned (its pairwise products lie in the
     subfield, where the trace vanishes).
     """
-    ctx, _, _ = _even_context(q)
+    ctx = _even_field(q)
     n = ctx.n
     if n % 2 == 0:
         return sorted(ctx.embed_subfield(x) for x in ctx.subfield().elements())
@@ -400,6 +410,8 @@ class MaximalArc:
     points: list
     subgroup: list  # the additive subgroup of pencil parameters
     alpha: int
+    plane: ProjectivePlane = field(repr=False)
+    line_counts: bytearray | memoryview = field(repr=False)  # _line_counts
 
 
 def denniston_arc(q, N=None) -> MaximalArc:
@@ -409,7 +421,7 @@ def denniston_arc(q, N=None) -> MaximalArc:
     line-intersection property (every line meets the arc in 0 or degree
     points).
     """
-    ctx, plane, _ = _even_context(q)
+    ctx = _even_field(q)
     if N is None:
         N = trace_zero_set(q)
     A = sorted({ctx.mul(x, x) for x in N})
@@ -418,6 +430,7 @@ def denniston_arc(q, N=None) -> MaximalArc:
             if (a ^ b) not in A:  # char-2 addition is xor on encodings
                 raise VerificationError("pencil parameter set is not a group")
     alpha = ctx.find_trace_one()
+    plane = ProjectivePlane(ctx)
     pts = [pt for conic in pencil_conics(plane, alpha, A) for pt in conic]
     if len(set(pts)) != len(pts):
         raise VerificationError("pencil conics are not disjoint")
@@ -431,20 +444,23 @@ def denniston_arc(q, N=None) -> MaximalArc:
         raise VerificationError(
             f"line {plane.points[j]} meets arc in {counts[j]} points")
     return MaximalArc(degree=degree, points=sorted(pts, key=plane.index.__getitem__),
-                      subgroup=A, alpha=alpha)
+                      subgroup=A, alpha=alpha, plane=plane, line_counts=counts)
 
 
 def coclique_even(q) -> Certificate:
     """Denniston-arc coclique for q = 2^n, n odd, plus an extension report.
 
     The extension report counts the points whose polar line misses the
-    arc (exactly sqrt(q/2)*(q+1) of them) and greedily adds them.
+    arc (exactly sqrt(q/2)*(q+1) of them) and greedily adds them.  The
+    arc is certified on the first vertices of the same induced subgraph
+    that the extension reads.
     """
-    ctx, plane, pol = _even_context(q)
+    ctx = _even_field(q)
     if ctx.n % 2 == 0 or ctx.n < 3:
         raise ValueError(f"q = {q} is not an odd power of 2 with n >= 3")
     N = trace_zero_set(q)
     arc = denniston_arc(q, N)
+    plane, pol = arc.plane, Polarity(arc.plane)
     half = arc.degree  # sqrt(q/2)
     claimed = (half - 1) * q + half
     cert = Certificate(
@@ -452,13 +468,13 @@ def coclique_even(q) -> Certificate:
         parameters={"trace_zero_set": N, "pencil_subgroup": arc.subgroup,
                     "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
-    _certify(cert, plane, pol)
     on_arc = set(arc.points)
-    counts, index = _line_counts(plane, arc.points), plane.index
+    counts, index = arc.line_counts, plane.index
     candidates = [pt for pt in plane.points
                   if pt not in on_arc and not counts[index[pol.polar_line(pt)]]]
     k = len(arc.points)
     sub = induced_on_points(plane, pol, arc.points + candidates)
+    _certify(cert, plane, pol, sub)
     extended = greedy_extend(sub, range(k), range(k, sub.n))
     cert.extension = {
         "candidate_count": len(candidates),
@@ -473,7 +489,7 @@ def coclique_even(q) -> Certificate:
 
 def even_square_arc_coclique(q) -> Certificate:
     """Degree-sqrt(q) subfield Denniston arc coclique for even square q."""
-    ctx, plane, pol = _even_context(q)
+    ctx = _even_field(q)
     if ctx.n % 2:
         raise ValueError(f"q = {q} is not an even square")
     N = trace_zero_set(q)  # the embedded subfield
@@ -483,13 +499,13 @@ def even_square_arc_coclique(q) -> Certificate:
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points,
         claimed_size=(arc.degree - 1) * q + arc.degree)
-    return _certify(cert, plane, pol)
+    return _certify(cert, arc.plane, Polarity(arc.plane))
 
 
 def conic_polar_disjointness(q, lam) -> bool:
     """Whether every point of the pencil conic with parameter lam^2 has a
     polar line disjoint from that conic.  Holds exactly when Tr(lam) = 0."""
-    ctx, plane, pol = _even_context(q)
+    ctx, plane, pol = _plane_context(_even_field(q))
     alpha = ctx.find_trace_one()
     pts = conic_points(plane, alpha, ctx.mul(lam, lam))
     counts, index = _line_counts(plane, pts), plane.index
@@ -499,7 +515,8 @@ def conic_polar_disjointness(q, lam) -> bool:
 def cyclic_pencil_group(q):
     """Generator of the cyclic order-(q+1) collineation group stabilizing
     the pencil; its orbits off the absolute line are the pencil conics."""
-    ctx, plane, _ = _even_context(q)
+    ctx = _even_field(q)
+    plane = ProjectivePlane(ctx)
     alpha = ctx.find_trace_one()
     sols = []
     for a in ctx.elements():
@@ -539,13 +556,14 @@ class TriangleFreeSet:
 def triangle_free_set(q, lam=None) -> TriangleFreeSet:
     """The q(q+1)/2 points off the absolute line whose polar line is secant
     to the pencil conic with parameter lam^2 (lam nonzero, Tr(lam) = 0)."""
-    ctx, plane, pol = _even_context(q)
+    ctx = _even_field(q)
     if lam is None:
         lam = next((x for x in range(1, q) if ctx.abs_trace(x) == 0), None)
         if lam is None:
             raise ValueError("no nonzero trace-zero element (q = 2)")
     if lam == 0 or ctx.abs_trace(lam):
         raise ValueError("lam must be nonzero with trace zero")
+    _, plane, pol = _plane_context(ctx)
     alpha = ctx.find_trace_one()
     counts = _line_counts(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
     index = plane.index
@@ -569,7 +587,7 @@ def triangle_free_certificate(q):
     if q % 2:
         raise ValueError(f"q = {q}: triangle-free construction needs even q")
     tfs = triangle_free_set(q)
-    _, plane, pol = _even_context(q)
+    _, plane, pol = _context(q)
     sub = induced_on_points(plane, pol, tfs.points)
     girth = sub.girth()
     if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:

@@ -11,21 +11,21 @@ The modulus is always the least monic irreducible polynomial of degree n
 over GF(p), found by a deterministic scan (polynomials ordered by their
 integer encoding, low-degree coefficient in the least significant digit).
 
-Fields with ``q <= 2^16`` get exp/log tables over a fixed generator g,
-which make mul/inv/pow table lookups, and a table of Zech logarithms
-``zech[d] = log(1 + g^d)``, which makes add/neg/sub table lookups for odd
-p too (for p = 2 addition is xor).  ``affine_values`` evaluates a whole
-affine map y -> u + v*y over the field from slices of these tables; the
-plane solves lines with it.  Larger fields (up to the 2^20 cap) fall back
-to polynomial arithmetic and base-p digit-wise addition.
+Every field (``q <= 2^16``, the cap) gets exp/log tables over a fixed
+generator g, the least primitive element, which make mul/inv/pow/is_square
+table lookups, and a table of Zech logarithms ``zech[d] = log(1 + g^d)``,
+which makes add/neg/sub table lookups for odd p too (for p = 2 addition is
+xor).  Polynomial multiplication and base-p digit addition are used only to
+build these tables.  ``affine_values`` evaluates a whole affine map
+y -> u + v*y over the field from slices of the tables; the plane solves
+lines with it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-Q_CAP = 1 << 20
-_TABLE_CAP = 1 << 16
+Q_CAP = 1 << 16
 
 
 def is_prime(m: int) -> bool:
@@ -136,12 +136,7 @@ class FieldCtx:
         self.n = n
         self.q = q
         self.modulus = least_irreducible(p, n)  # low-degree first, monic
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self.generator = None
-        if q <= _TABLE_CAP:
-            self._build_tables()
+        self._build_tables()
         self._subfield = None
         self._embed_table = None
         self._lift_table = None
@@ -173,8 +168,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._zech is None:
-            return self._add_digits(a, b)
         if not a:
             return b
         if not b:
@@ -188,8 +181,6 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.p == 2 or not a:
             return a
-        if self._exp is None:
-            return self._neg_digits(a)
         m = self.q - 1
         return self._exp[(self._log[a] + m // 2) % m]  # -1 = g^((q-1)/2)
 
@@ -197,20 +188,12 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def _add_digits(self, a: int, b: int) -> int:
-        """Addition digit by digit in base p (no tables needed)."""
+        """Addition digit by digit in base p; builds the Zech table."""
         p, v, mult = self.p, 0, 1
         for _ in range(self.n):
             v += ((a + b) % p) * mult
             a //= p
             b //= p
-            mult *= p
-        return v
-
-    def _neg_digits(self, a: int) -> int:
-        p, v, mult = self.p, 0, 1
-        for _ in range(self.n):
-            v += (-a % p) * mult
-            a //= p
             mult *= p
         return v
 
@@ -255,15 +238,13 @@ class FieldCtx:
     def affine_values(self, u: int, v: int) -> list:
         """[u + v*y for y in range(q)]: an affine map over the whole field.
 
-        With tables this is three lookups per element and no branch:
+        Three lookups per element and no branch:
         for u, v, y nonzero, u + v*y = u * g^zech[log v - log u + log y],
         and the rotated slices below absorb both offsets.
         """
         q = self.q
         if not v:
             return [u] * q
-        if self._exp is None:
-            return [self.add(u, self.mul(v, y)) for y in range(q)]
         exp, log, m = self._exp, self._log, q - 1
         if not u:
             lv = log[v]
@@ -278,30 +259,23 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self.pow(a, self.q - 2)
+        return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r, base = 1, a
-        while e:  # square-and-multiply
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        """a^e for any integer e, with 0^0 = 1."""
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of 0")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- squares and traces ------------------------------------------------
 
@@ -311,9 +285,7 @@ class FieldCtx:
             return True
         if a == 0:
             return True
-        if self._log is not None:
-            return self._log[a] % 2 == 0
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return self._log[a] % 2 == 0
 
     def sqrt_q(self) -> int:
         if self.n % 2:
@@ -417,7 +389,9 @@ def make_field(p: int, n: int) -> FieldCtx:
 
 
 def field_for_order(q: int) -> FieldCtx:
-    """GF(q) for a prime power q."""
+    """GF(q) for a prime power q up to Q_CAP (ValueError otherwise)."""
+    if q > Q_CAP:  # before factoring, which is O(sqrt q)
+        raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
     p, n = factor_prime_power(q)
     return make_field(p, n)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import binascii
 import math
-import time
 from dataclasses import dataclass, field
 
 
@@ -214,10 +213,9 @@ class Graph:
 @dataclass
 class SolveBudget:
     max_nodes: int = 10 ** 8
-    time_cap: float = math.inf
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_cap <= 0:
+        if self.max_nodes <= 0:
             raise ValueError("budget must be positive")
 
 
@@ -272,16 +270,14 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             best_set |= 1 << v
     best = popcount(best_set)
 
-    t0 = time.monotonic()
-    max_nodes, time_cap = budget.max_nodes, budget.time_cap
+    max_nodes = budget.max_nodes
     nodes = 0
     exhausted = False
     stack = [(0, 0, full)]  # open nodes: (chosen, its size, candidates)
     while stack:
         chosen, csize, cand = stack.pop()
         nodes += 1
-        if nodes > max_nodes or (
-                nodes % 4096 == 0 and time.monotonic() - t0 > time_cap):
+        if nodes > max_nodes:
             exhausted = True
             break
         if not cand:
@@ -478,8 +474,7 @@ def from_edgelist_csv(data: bytes, n=None) -> Graph:
         raise ValueError(f"bad CSV edge list for n = {n}: {e}") from None
 
 
-_EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs,
-              "edgelist_csv": to_edgelist_csv, "csv": to_edgelist_csv}
+_EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs, "csv": to_edgelist_csv}
 
 
 def export(g: Graph, fmt: str) -> bytes:

@@ -263,7 +263,7 @@ def baer_stabilizer_generators(plane: ProjectivePlane):
     ctx = plane.ctx
     sub = ctx.subfield()
     e = ctx.embed_subfield
-    g = e(sub.generator if sub.generator is not None else 1)
+    g = e(sub.generator)
     one = e(1)
     gens2 = [
         (one, one, 0, one),

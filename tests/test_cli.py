@@ -211,7 +211,6 @@ def test_optimized_interpreter_gives_identical_output(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    env.pop("ERPG_BUDGET_NODES", None)
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-m", "erpg.cli", *argv],
@@ -219,3 +218,19 @@ def test_optimized_interpreter_gives_identical_output(argv):
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("q", ["65537", str(2 ** 21)])
+@pytest.mark.parametrize("argv", [["graph", "--format", "graph6"], ["solve"],
+                                  ["build"], ["orbits"]])
+def test_q_above_cap_exits_2(capsys, argv, q):
+    code, out, err = run(capsys, *argv, "--q", q)
+    assert code == 2 and out == ""
+    assert err == f"error: q = {q} exceeds the supported cap 65536\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_solve_nonpositive_budget_exits_2(capsys, budget):
+    code, out, err = run(capsys, "solve", "--q", "3", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == "error: budget must be positive\n"

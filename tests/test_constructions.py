@@ -461,3 +461,52 @@ def test_build_deterministic():
     a = cons.build_coclique(9).to_json(field_for_order(9))
     b = cons.build_coclique(9).to_json(field_for_order(9))
     assert a == b
+
+
+def test_q_is_checked_before_any_plane_is_built(monkeypatch):
+    def no_plane(ctx):
+        raise AssertionError(f"built PG(2,{ctx.q})")
+    N = cons.trace_zero_set(8)
+    monkeypatch.setattr(cons, "ProjectivePlane", no_plane)
+    assert cons.trace_zero_set(8) == N
+    for builder, q in [(cons.coclique_even, 509), (cons.coclique_even, 16),
+                       (cons.orbit_census_odd_square, 509),
+                       (cons.coclique_odd_sq_neg, 25),
+                       (cons.coclique_odd_sq_pos, 9),
+                       (cons.even_square_arc_coclique, 8),
+                       (cons.triangle_free_set, 509)]:
+        with pytest.raises(ValueError):
+            builder(q)
+
+
+def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
+    # An arc with an extra conjugate point fails on the shared subgraph
+    # with the point triples of the pair, before the extension is used.
+    real = cons.denniston_arc
+
+    def spoiled(q, N=None):
+        arc = real(q, N)
+        pol = Polarity(arc.plane)
+        P = arc.points[0]
+        Q = next(pt for pt in arc.plane.points
+                 if pt not in arc.points and pol.conjugate(P, pt))
+        arc.points = [Q] + arc.points
+        return arc
+    monkeypatch.setattr(cons, "denniston_arc", spoiled)
+    with pytest.raises(cons.VerificationError,
+                       match=r"even_arc: conjugate pair \(\(\d+, \d+, \d+\), "
+                             r"\(\d+, \d+, \d+\)\)"):
+        cons.coclique_even(8)
+
+
+def test_even_arc_reports_duplicate_points(monkeypatch):
+    real = cons.denniston_arc
+
+    def doubled(q, N=None):
+        arc = real(q, N)
+        arc.points = arc.points + arc.points[:1]
+        return arc
+    monkeypatch.setattr(cons, "denniston_arc", doubled)
+    with pytest.raises(cons.VerificationError,
+                       match="even_arc: duplicate points"):
+        cons.coclique_even(8)

@@ -25,6 +25,10 @@ def test_rejects_non_prime_and_too_large():
         FieldCtx(6, 1)
     with pytest.raises(ValueError):
         FieldCtx(2, 21)
+    with pytest.raises(ValueError):
+        FieldCtx(2, 17)
+    with pytest.raises(ValueError):
+        FieldCtx(65537, 1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (3, 4)])
@@ -191,3 +195,44 @@ def test_affine_values_exhaustive(q):
         for v in f.elements():
             assert f.affine_values(u, v) == [
                 _digitwise(f, u, f.mul(v, y), 1) for y in f.elements()]
+
+
+SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
+
+
+def _power_by_mul(f, a, e):
+    """Reference: a^|e| by repeated mul, inverted for e < 0."""
+    r = 1
+    for _ in range(abs(e)):
+        r = f.mul(r, a)
+    if e < 0:
+        r = next(x for x in f.elements() if f.mul(r, x) == 1)
+    return r
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_pow_matches_repeated_mul(q):
+    f = field_for_order(q)
+    for a in f.elements():
+        for e in range(-q, 2 * q + 1):
+            if a == 0 and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, e)
+            else:
+                assert f.pow(a, e) == _power_by_mul(f, a, e), (a, e)
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_inv_and_is_square_match_mul(q):
+    f = field_for_order(q)
+    squares = {f.mul(a, a) for a in f.elements()}
+    for a in f.elements():
+        assert f.is_square(a) == (a in squares)
+        if a:
+            assert [x for x in f.elements() if f.mul(a, x) == 1] == [f.inv(a)]
+
+
+def test_field_for_order_rejects_above_cap():
+    for q in (65537, 2 ** 17, 2 ** 21, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="exceeds the supported cap"):
+            field_for_order(q)
