@@ -76,6 +76,26 @@ def test_even_arc_certificate_bytes(capsys, tmp_path, q, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("q,digest", [
+    (9, "f11b35d1e04692f58d637945a3279cd6af380f6cb55e4f74a50e9890f8300795"),
+    (25, "37ad3d7950bf808d83a6ac197f8250d54792a42f9c9deb05ccca40cbc4f768ba"),
+    (49, "41a905a27197d64c8f3a51e8b9a6ae6898b1d885b09bd3c4f177263b192795f2"),
+])
+def test_odd_square_certificate_bytes(capsys, tmp_path, q, digest):
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "build", "--q", str(q), "--json",
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_orbits_q25_report_bytes(capsys):
+    code, out, _ = run(capsys, "orbits", "--q", "25", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6d8ccc5834fc21aaf8a65bbe3ea552fb5cdc0865d05e4c9cfd17e3bbf298439b")
+
+
 def test_triangle_free_q64_report_bytes(capsys):
     code, out, _ = run(capsys, "build", "--q", "64", "--construction",
                        "triangle-free", "--json")
