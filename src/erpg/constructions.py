@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .field import FieldCtx, field_for_order
 from .graphs import Graph, greedy_extend
 from .plane import (Collineation, ProjectivePlane, baer_stabilizer_generators,
-                    orbit)
+                    conic_stabilizer_lift, orbit)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity
 
 CERTIFICATE_VERSION = "v1"
@@ -39,10 +40,6 @@ class VerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _context(q):
-    return _plane_context(field_for_order(q))
-
 
 def _plane_context(ctx):
     plane = ProjectivePlane(ctx)
@@ -201,126 +198,115 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     """Decompose PG(2,q) minus the Baer subplane under the lifted
     PGL(2, sqrt q) and label each orbit by its conic point class."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    gens = baer_stabilizer_generators(plane)
-    baer = plane.baer_points()
+    perms = [g.permutation() for g in baer_stabilizer_generators(plane)]
+    points, index = plane.points, plane.index
+    baer = {index[pt] for pt in plane.baer_points()}
     # Tangent lines to the Baer conic: polars of the conic points inside B.
-    tangent_pts = set()
+    tangent = set()
     for R in pol.absolute_points():
-        if R in baer:
-            tangent_pts.update(plane.line_points(pol.polar_line(R)))
-    seen = set()
+        if index[R] in baer:
+            tangent.update(plane.line_point_indices(pol.polar_line(R)))
+    seen = set(baer)
     raw = []
-    for pt in plane.points:
-        if pt in baer or pt in seen:
+    for i, pt in enumerate(points):
+        if i in seen:
             continue
-        orb = orbit(gens, pt)
+        orb = orbit(perms, i)
         seen.update(orb)
         cls = pol.classify(pt)
         if cls == ABSOLUTE:
             label = CENSUS_CONIC
         elif cls == EXTERNAL:
-            label = (CENSUS_EXTERNAL_TANGENT if pt in tangent_pts
+            label = (CENSUS_EXTERNAL_TANGENT if i in tangent
                      else CENSUS_EXTERNAL)
         else:
             label = CENSUS_INTERNAL
-        if any(pol.classify(x) != cls for x in orb):
+        if any(pol.classify(points[j]) != cls for j in orb):
             raise VerificationError("orbit mixes point classes")
         if label == CENSUS_EXTERNAL_TANGENT and any(
-                x not in tangent_pts for x in orb):
+                j not in tangent for j in orb):
             raise VerificationError("orbit mixes tangent membership")
-        raw.append((label, orb))
-    counts = {}
-    for label, orb in raw:
-        counts[(label, len(orb))] = counts.get((label, len(orb)), 0) + 1
+        raw.append((label, [points[j] for j in orb]))
+    counts = Counter((label, len(orb)) for label, orb in raw)
     entries = [(label, size, mult) for (label, size), mult in counts.items()]
     total = sum(size * mult for _, size, mult in entries)
-    if total != len(plane.points) - len(baer):
+    if total != len(points) - len(baer):
         raise VerificationError("census does not cover PG(2,q) \\ B")
     return OrbitCensus(q, sorted(entries), raw)
 
 
+def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
+                      arrange):
+    """Certificate for the conic plus the orbit of the internal point
+    (1, 0, w), w the first nonsquare, under the group generated by
+    generators(plane); arrange puts the orbit's indices in order."""
+    _, plane, pol = _plane_context(ctx)
+    w = ctx.find_nonsquare()
+    base = plane.normalize((1, 0, w))
+    if pol.classify(base) != INTERNAL:
+        raise VerificationError("base point (1,0,w) must be internal")
+    perms = [g.permutation() for g in generators(plane)]
+    orb = arrange(orbit(perms, plane.index[base]))
+    if len(orb) != expected_orbit:
+        raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
+    cert = Certificate(
+        construction_id=construction_id, q=ctx.q,
+        parameters={"w": w},
+        points=pol.absolute_points() + [plane.points[j] for j in orb],
+        claimed_size=expected_orbit + ctx.q + 1)
+    return _certify(cert, plane, pol)
+
+
 def coclique_odd_sq_neg(q) -> Certificate:
-    """Conic plus a stabilizer orbit of an internal point; needs
-    sqrt(q) = -1 mod 4."""
+    """Conic plus a stabilizer orbit of an internal point, in BFS order;
+    needs sqrt(q) = -1 mod 4."""
     ctx = _odd_square_field(q)
     r = ctx.sqrt_q()
     if r % 4 != 3:
         raise ValueError(f"sqrt(q) = {r} is not -1 mod 4")
-    _, plane, pol = _plane_context(ctx)
-    w = ctx.find_nonsquare()
-    base = plane.normalize((1, 0, w))
-    if pol.classify(base) != INTERNAL:
-        raise VerificationError("base point (1,0,w) must be internal")
-    gens = baer_stabilizer_generators(plane)
-    orb = orbit(gens, base)
-    expected_orbit = (q * r - r) // 2
-    if len(orb) != expected_orbit:
-        raise VerificationError(
-            f"orbit size {len(orb)} != {expected_orbit}")
-    points = pol.absolute_points() + orb
-    cert = Certificate(
-        construction_id="odd_sq_neg", q=q,
-        parameters={"w": w}, points=points,
-        claimed_size=expected_orbit + q + 1)
-    return _certify(cert, plane, pol)
+    return _conic_plus_orbit(ctx, "odd_sq_neg", baer_stabilizer_generators,
+                             (q * r - r) // 2, list)
 
 
-def k_group(plane) -> list:
-    """The group of q(sqrt q + 1) upper-triangular conic stabilizers
-    [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]] with a of norm 1."""
+def k_generators(plane) -> list:
+    """Generators of the group K of order q(sqrt q + 1): the lifts of
+    t -> a*t + c with a of norm 1, i.e. the conic stabilizers
+    [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
+
+    K is generated by t -> zeta*t, zeta = g^(sqrt q - 1) of order
+    sqrt q + 1, and the translations t -> t + p^i (i < n), whose
+    encodings p^i are the power basis of GF(q) over GF(p).
+    """
     ctx = plane.ctx
-    r = ctx.sqrt_q()
-    norm_one = [a for a in range(1, ctx.q) if ctx.pow(a, r + 1) == 1]
-    two = ctx.add(1, 1)
-    mats = []
-    for a in norm_one:
-        for c in ctx.elements():
-            m = ((ctx.mul(a, a), ctx.mul(two, ctx.mul(a, c)), ctx.mul(c, c)),
-                 (0, a, c),
-                 (0, 0, 1))
-            mats.append(Collineation(plane, m))
-    if len(mats) != ctx.q * (r + 1):
-        raise VerificationError(
-            f"K has {len(mats)} elements, expected {ctx.q * (r + 1)}")
-    return mats
+    zeta = ctx.pow(ctx.generator, ctx.sqrt_q() - 1)
+    return [conic_stabilizer_lift(plane, a, c, 0, 1)
+            for a, c in [(zeta, 0)] + [(1, ctx.p ** i) for i in range(ctx.n)]]
 
 
 def coclique_odd_sq_pos(q) -> Certificate:
-    """Conic plus a K-orbit of an internal point; needs sqrt(q) = 1 mod 4."""
+    """Conic plus a K-orbit of an internal point, in index order; needs
+    sqrt(q) = 1 mod 4."""
     ctx = _odd_square_field(q)
     r = ctx.sqrt_q()
     if r % 4 != 1:
         raise ValueError(f"sqrt(q) = {r} is not 1 mod 4")
-    _, plane, pol = _plane_context(ctx)
-    w = ctx.find_nonsquare()
-    base = plane.normalize((1, 0, w))
-    if pol.classify(base) != INTERNAL:
-        raise VerificationError("base point (1,0,w) must be internal")
-    group = k_group(plane)
-    orb = sorted({g.apply(base) for g in group}, key=plane.index.__getitem__)
-    expected_orbit = q * (r + 1) // 2
-    if len(orb) != expected_orbit:
-        raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
-    points = pol.absolute_points() + orb
-    cert = Certificate(
-        construction_id="odd_sq_pos", q=q,
-        parameters={"w": w}, points=points,
-        claimed_size=expected_orbit + q + 1)
-    return _certify(cert, plane, pol)
+    return _conic_plus_orbit(ctx, "odd_sq_pos", k_generators,
+                             q * (r + 1) // 2, sorted)
 
 
 def internal_k_orbits(q):
-    """All K-orbits on internal points, as lists (deterministic order)."""
+    """All K-orbits on internal points, as point lists in index order."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    group = k_group(plane)
+    perms = [g.permutation() for g in k_generators(plane)]
+    points = plane.points
     seen = set()
     orbits = []
-    for pt in plane.points:
-        if pt in seen or pol.classify(pt) != INTERNAL:
+    for i, pt in enumerate(points):
+        if i in seen or pol.classify(pt) != INTERNAL:
             continue
-        orb = sorted({g.apply(pt) for g in group}, key=plane.index.__getitem__)
+        orb = sorted(orbit(perms, i))
         seen.update(orb)
-        orbits.append(orb)
+        orbits.append([points[j] for j in orb])
     return orbits
 
 
@@ -547,6 +533,7 @@ class TriangleFreeSet:
     q: int
     lam: int
     points: list
+    plane: ProjectivePlane = field(repr=False)
 
     @property
     def size(self):
@@ -575,7 +562,7 @@ def triangle_free_set(q, lam=None) -> TriangleFreeSet:
             f"expected {q * (q + 1) // 2}")
     if any(pol.is_absolute(pt) for pt in pts):
         raise VerificationError("triangle-free set contains an absolute point")
-    return TriangleFreeSet(q=q, lam=lam, points=pts)
+    return TriangleFreeSet(q=q, lam=lam, points=pts, plane=plane)
 
 
 def triangle_free_certificate(q):
@@ -587,8 +574,8 @@ def triangle_free_certificate(q):
     if q % 2:
         raise ValueError(f"q = {q}: triangle-free construction needs even q")
     tfs = triangle_free_set(q)
-    _, plane, pol = _context(q)
-    sub = induced_on_points(plane, pol, tfs.points)
+    plane = tfs.plane
+    sub = induced_on_points(plane, Polarity(plane), tfs.points)
     girth = sub.girth()
     if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:
         raise VerificationError("triangle-free verification failed")

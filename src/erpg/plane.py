@@ -8,7 +8,9 @@ stable integer index: 0, 1 + z and 1 + q + q*y + z.
 
 ``line_point_indices`` solves a line's equation directly in these index
 coordinates, so listing the points of a line needs no per-point
-normalization.
+normalization.  A collineation acts as a permutation of the point
+indices (``Collineation.permutation``), built the same way, and
+``orbit`` is a BFS over such permutations.
 """
 
 from __future__ import annotations
@@ -170,15 +172,36 @@ class Collineation:
             for i in range(3))
         return self.plane.normalize(img)
 
-    def apply_to_line(self, line):
-        """Image of a line: inverse-transpose action preserves incidence."""
-        inv = self.inverse().m
-        f = self.plane.ctx
-        img = tuple(
-            f.add(f.add(f.mul(inv[0][i], line[0]), f.mul(inv[1][i], line[1])),
-                  f.mul(inv[2][i], line[2]))
-            for i in range(3))
-        return self.plane.normalize(img)
+    def permutation(self):
+        """perm[i] = index of the image of point i.
+
+        Along each enumeration block -- (0,0,1), then (0,1,z), then each
+        row (1,y,z) -- every image coordinate is affine in z, so
+        affine_values lists it for the whole block; dividing by the first
+        nonzero coordinate then gives the index directly.
+        """
+        f, q = self.plane.ctx, self.plane.q
+        mul = f.mul
+        inv = [0, *map(f.inv, range(1, q))]
+        perm = []
+
+        def emit(xs, ys, zs):
+            for x, y, z in zip(xs, ys, zs):
+                if x:
+                    s = inv[x]
+                    perm.append(q + 1 + q * mul(y, s) + mul(z, s))
+                elif y:
+                    perm.append(1 + mul(z, inv[y]))
+                else:
+                    perm.append(0)
+
+        rows = self.m
+        emit(*([r[2]] for r in rows))                             # (0, 0, 1)
+        emit(*(f.affine_values(r[1], r[2]) for r in rows))        # (0, 1, z)
+        starts = [f.affine_values(r[0], r[1]) for r in rows]      # at (1, y, 0)
+        for y in range(q):
+            emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, rows)))
+        return perm
 
     def compose(self, other: "Collineation") -> "Collineation":
         """self after other (matrix product self.m @ other.m)."""
@@ -192,19 +215,6 @@ class Collineation:
             for i in range(3))
         return Collineation(self.plane, prod)
 
-    def inverse(self) -> "Collineation":
-        f = self.plane.ctx
-        m = self.m
-        # Adjugate; the projective scalar 1/det is absorbed by normalization.
-        def c2(i1, j1, i2, j2):
-            return f.sub(f.mul(m[i1][j1], m[i2][j2]), f.mul(m[i1][j2], m[i2][j1]))
-        adj = (
-            (c2(1, 1, 2, 2), f.neg(c2(0, 1, 2, 2)), c2(0, 1, 1, 2)),
-            (f.neg(c2(1, 0, 2, 2)), c2(0, 0, 2, 2), f.neg(c2(0, 0, 1, 2))),
-            (c2(1, 0, 2, 1), f.neg(c2(0, 0, 2, 1)), c2(0, 0, 1, 1)),
-        )
-        return Collineation(self.plane, adj)
-
     @classmethod
     def identity(cls, plane):
         return cls(plane, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -213,15 +223,18 @@ class Collineation:
 def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> Collineation:
     """3x3 lift of an invertible 2x2 matrix into the conic/polarity stabilizer.
 
-    For odd q the lift stabilizes the conic X2^2 - X1*X3 = 0; for even q it
-    commutes with the pseudo polarity.
+    For odd q the lift stabilizes the conic X2^2 - X1*X3 = 0.  For even q
+    it is diag(sqrt(det), [[a, b], [c, d]]); then M^T A M = det * A for
+    the pseudo polarity's matrix A, so the lift commutes with the
+    polarity, and sqrt(det) = det^(q/2) keeps the map a homomorphism.
     """
     f = plane.ctx
     det = f.sub(f.mul(a, d), f.mul(b, c))
     if det == 0:
         raise ValueError("degenerate 2x2 matrix")
     if f.p == 2:
-        return Collineation(plane, ((1, 0, 0), (0, a, b), (0, c, d)))
+        return Collineation(plane, ((f.pow(det, f.q // 2), 0, 0),
+                                    (0, a, b), (0, c, d)))
     two = f.add(1, 1)
     # symmetric square of [[a,b],[c,d]] in the basis (x^2, x*y, y^2);
     # a true homomorphism GL(2,q) -> GL(3,q) stabilizing X2^2 - X1*X3 = 0
@@ -233,24 +246,20 @@ def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> Collineation:
     return Collineation(plane, m)
 
 
-def orbit(generators, point):
-    """BFS closure of a point under a list of collineations.
+def orbit(perms, start):
+    """BFS closure of a point index under index permutations.
 
-    Returns the orbit in deterministic first-seen order.
+    Returns the orbit in deterministic first-seen order: the indices are
+    visited in that order and each one tries the permutations in turn.
     """
-    seen = {point}
-    order = [point]
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for g in generators:
-                img = g.apply(pt)
-                if img not in seen:
-                    seen.add(img)
-                    order.append(img)
-                    nxt.append(img)
-        frontier = nxt
+    seen = {start}
+    order = [start]
+    for i in order:  # order grows while it is read: a FIFO queue
+        for perm in perms:
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
     return order
 
 

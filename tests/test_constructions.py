@@ -7,8 +7,11 @@ import pytest
 from erpg import constructions as cons
 from erpg.field import factor_prime_power, field_for_order
 from erpg.graphs import greedy_extend
-from erpg.plane import ProjectivePlane, orbit, baer_stabilizer_generators
+from erpg.plane import (Collineation, ProjectivePlane,
+                        baer_stabilizer_generators, orbit)
 from erpg.polarity import INTERNAL, Polarity, build_er_graph
+
+from test_plane import preserves_adjacency
 
 
 def setup(q):
@@ -78,21 +81,22 @@ def test_all_good_internal_orbits_q9():
     # avoid their own polar lines
     pl, pol = setup(9)
     f = pl.ctx
-    gens = baer_stabilizer_generators(pl)
-    line_internals = [pl.normalize((1, 0, z)) for z in f.elements()
-                      if pol.classify(pl.normalize((1, 0, z))) == INTERNAL]
+    perms = [g.permutation() for g in baer_stabilizer_generators(pl)]
+    line_internals = [pl.index[(1, 0, z)] for z in f.elements()
+                      if pol.classify((1, 0, z)) == INTERNAL]
     orbits = []
     seen = set()
-    for P in line_internals:
-        if P in seen:
+    for i in line_internals:
+        if i in seen:
             continue
-        orb = orbit(gens, P)
+        orb = orbit(perms, i)
         seen.update(orb)
         orbits.append(orb)
     assert len(orbits) == 2
     for orb in orbits:
         assert len(orb) == 12
-        assert cons.point_set_independent(pl, pol, orb) is None
+        assert cons.point_set_independent(
+            pl, pol, [pl.points[j] for j in orb]) is None
 
 
 def test_transitivity_transfer_q9():
@@ -115,10 +119,31 @@ def test_coclique_pos_sizes(q, size):
     assert cert.size == size == cert.claimed_size
 
 
-def test_k_group_and_orbit_split_q25():
-    pl, _ = setup(25)
-    group = cons.k_group(pl)
-    assert len(group) == 25 * 6
+def k_group_reference(pl):
+    """K listed element by element: the conic stabilizers
+    [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]] with a of norm 1."""
+    f = pl.ctx
+    r = f.sqrt_q()
+    two = f.add(1, 1)
+    return {Collineation(pl, ((f.mul(a, a), f.mul(two, f.mul(a, c)),
+                               f.mul(c, c)),
+                              (0, a, c),
+                              (0, 0, 1)))
+            for a in range(1, pl.q) if f.pow(a, r + 1) == 1
+            for c in f.elements()}
+
+
+def test_k_generators_and_orbit_split_q25():
+    pl, pol = setup(25)
+    gens = cons.k_generators(pl)
+    closure = {Collineation.identity(pl)}
+    frontier = list(closure)
+    while frontier:
+        frontier = [x for x in {g.compose(h) for h in frontier for g in gens}
+                    if x not in closure]
+        closure.update(frontier)
+    assert len(closure) == 25 * 6
+    assert closure == k_group_reference(pl)
     orbits = cons.internal_k_orbits(25)
     # sqrt(q)-1 = 4 orbits of size q(sqrt(q)+1)/2 = 75 covering all
     # q(q-1)/2 = 300 internal points
@@ -126,9 +151,25 @@ def test_k_group_and_orbit_split_q25():
     assert all(len(o) == 75 for o in orbits)
     assert sum(len(o) for o in orbits) == 300
     # every K-orbit of internal points is a coclique
-    pl2, pol2 = setup(25)
     for orb in orbits:
-        assert cons.point_set_independent(pl2, pol2, orb) is None
+        assert cons.point_set_independent(pl, pol, orb) is None
+
+
+GENERATORS_IN_USE = {
+    "baer": baer_stabilizer_generators,
+    "k": cons.k_generators,
+    "pencil": lambda pl: [cons.cyclic_pencil_group(pl.q)],
+}
+
+
+@pytest.mark.parametrize("family,q", [("baer", 9), ("baer", 25), ("baer", 49),
+                                      ("k", 25), ("pencil", 4),
+                                      ("pencil", 8), ("pencil", 16)])
+def test_generators_in_use_are_er_automorphisms(family, q):
+    pl, _ = setup(q)
+    g = build_er_graph(pl)
+    for col in GENERATORS_IN_USE[family](pl):
+        assert preserves_adjacency(g, col.permutation())
 
 
 @pytest.mark.parametrize("q", [8, 9, 16])
@@ -329,7 +370,6 @@ def test_pencil_conic_polar_dichotomy(q):
 def test_cyclic_pencil_group(q):
     pl, _ = setup(q)
     gen = cons.cyclic_pencil_group(q)
-    from erpg.plane import Collineation
     ident = Collineation.identity(pl)
     seen, acc = [], gen
     while acc != ident:
@@ -350,7 +390,8 @@ def test_pencil_orbit_is_conic():
     lam = next(x for x in range(1, q) if ctx.abs_trace(x) == 0)
     alpha = ctx.find_trace_one()
     expected = set(cons.conic_points(pl, alpha, ctx.mul(lam, lam)))
-    assert set(orbit([gen], (1, lam, 0))) == expected
+    orb = orbit([gen.permutation()], pl.index[(1, lam, 0)])
+    assert {pl.points[j] for j in orb} == expected
 
 
 # -- triangle-free sets ------------------------------------------------------

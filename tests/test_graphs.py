@@ -18,8 +18,27 @@ def random_graph(n, p, rng):
     return g
 
 
+def alpha_exact(g):
+    """Exact oracle sharing no code with the solver: the recursion
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])), v the lowest vertex
+    of S, memoised over vertex bitmasks."""
+    adj = g.adj
+    memo = {0: 0}
+
+    def alpha(S):
+        a = memo.get(S)
+        if a is None:
+            v = (S & -S).bit_length() - 1
+            rest = S & (S - 1)
+            a = memo[S] = max(alpha(rest), 1 + alpha(rest & ~adj[v]))
+        return a
+
+    return alpha((1 << g.n) - 1)
+
+
 def alpha_subset_scan(g):
-    """Independent oracle: vectorized scan of all 2^n vertex subsets."""
+    """Cross-check of alpha_exact for small n: a vectorized scan of all
+    2^n vertex subsets."""
     n = g.n
     masks = np.arange(1 << n, dtype=np.uint32)
     ok = np.ones(1 << n, dtype=bool)
@@ -242,7 +261,9 @@ def test_solver_matches_subset_scan_on_200_random_graphs():
         assert res.status == "optimal"
         assert g.is_independent(res.vertices) is None
         assert len(res.vertices) == res.size
-        assert res.size == alpha_subset_scan(g)
+        assert res.size == alpha_exact(g)
+        if n <= 16:
+            assert res.size == alpha_subset_scan(g)
 
 
 def test_solver_budget_exhaustion():

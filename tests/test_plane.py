@@ -6,7 +6,8 @@ from erpg.field import field_for_order
 from erpg.plane import (Collineation, ProjectivePlane,
                         baer_stabilizer_generators, conic_stabilizer_lift,
                         orbit)
-from erpg.polarity import EXTERNAL, Polarity
+from erpg.graphs import bits
+from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
 
 def plane_for(q):
@@ -97,37 +98,46 @@ def test_singular_matrix_rejected():
         Collineation(pl, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 
+def random_collineation(pl, rng):
+    q = pl.q
+    while True:
+        m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+        try:
+            return Collineation(pl, m)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+def test_permutation_matches_matrix_action(q):
+    pl = plane_for(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        col = random_collineation(pl, rng)
+        assert col.permutation() == [pl.index[col.apply(P)]
+                                     for P in pl.points]
+
+
 def test_collineation_preserves_incidence():
+    # the permutation maps the index set of every line onto that of a line
     pl = plane_for(9)
+    lines = {frozenset(pl.line_point_indices(l)): l for l in pl.points}
     rng = random.Random(7)
     for _ in range(5):
-        while True:
-            m = tuple(tuple(rng.randrange(9) for _ in range(3))
-                      for _ in range(3))
-            try:
-                col = Collineation(pl, m)
-                break
-            except ValueError:
-                continue
-        for line in rng.sample(pl.points, 10):
-            img_line = col.apply_to_line(line)
-            for P in pl.line_points(line):
-                assert pl.incident(col.apply(P), img_line)
+        perm = random_collineation(pl, rng).permutation()
+        assert sorted(perm) == list(range(len(pl.points)))
+        images = {frozenset(perm[j] for j in pts) for pts in lines}
+        assert images == set(lines)
 
 
-def test_inverse_and_compose():
-    pl = plane_for(8)
+def test_compose_is_permutation_composition():
     rng = random.Random(3)
-    for _ in range(5):
-        while True:
-            m = tuple(tuple(rng.randrange(8) for _ in range(3))
-                      for _ in range(3))
-            try:
-                col = Collineation(pl, m)
-                break
-            except ValueError:
-                continue
-        assert col.compose(col.inverse()) == Collineation.identity(pl)
+    for q in (8, 9):
+        pl = plane_for(q)
+        for _ in range(5):
+            g, h = random_collineation(pl, rng), random_collineation(pl, rng)
+            pg, ph = g.permutation(), h.permutation()
+            assert g.compose(h).permutation() == [pg[j] for j in ph]
 
 
 def conic_point_set(pl):
@@ -178,6 +188,30 @@ def test_lift_preserves_conic():
         assert {col.apply(P) for P in conic} == conic
 
 
+def preserves_adjacency(g, perm):
+    """Whether adj[perm[u]] is the image of adj[u] for every vertex u."""
+    return all(g.adj[perm[u]] == sum(1 << perm[v] for v in bits(row))
+               for u, row in enumerate(g.adj))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_even_lifts_are_er_automorphisms(q):
+    pl = plane_for(q)
+    g = build_er_graph(pl)
+    count = 0
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    try:
+                        col = conic_stabilizer_lift(pl, a, b, c, d)
+                    except ValueError:
+                        continue
+                    count += 1
+                    assert preserves_adjacency(g, col.permutation())
+    assert count == (q * q - 1) * (q * q - q)  # |GL(2,q)|
+
+
 def test_degenerate_lift_rejected():
     pl = plane_for(9)
     with pytest.raises(ValueError):
@@ -187,34 +221,45 @@ def test_degenerate_lift_rejected():
 def test_orbit_trivial_and_closure():
     pl = plane_for(9)
     f = pl.ctx
-    P = (0, 1, 0)
+    P = pl.index[(0, 1, 0)]
     assert orbit([], P) == [P]
     # full conic stabilizer (entries from all of GF(9)): orbit of the
     # external point U2 is the whole external class, q(q+1)/2 points
-    gens = [conic_stabilizer_lift(pl, *t)
-            for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1), (0, 1, 1, 0)]]
-    orb = orbit(gens, P)
+    perms = [conic_stabilizer_lift(pl, *t).permutation()
+             for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1), (0, 1, 1, 0)]]
+    orb = orbit(perms, P)
     pol = Polarity(pl)
-    assert len(orb) == 45
-    assert all(pol.classify(x) == EXTERNAL for x in orb)
+    assert len(orb) == len(set(orb)) == 45
+    assert all(pol.classify(pl.points[j]) == EXTERNAL for j in orb)
     # the subfield-entry subgroup keeps U2 inside the Baer subplane:
     # its orbit is the 6 points of B external to the Baer conic
-    sub_orb = orbit(baer_stabilizer_generators(pl), P)
+    sub_orb = orbit([g.permutation() for g in baer_stabilizer_generators(pl)],
+                    P)
     assert len(sub_orb) == 6
-    assert all(x in pl.baer_points() for x in sub_orb)
+    assert all(pl.points[j] in pl.baer_points() for j in sub_orb)
+
+
+def test_orbit_is_breadth_first_in_generator_order():
+    # two generators of the cyclic group of order 6 on six points
+    step, back = [1, 2, 3, 4, 5, 0], [5, 0, 1, 2, 3, 4]
+    assert orbit([step, back], 0) == [0, 1, 5, 2, 4, 3]
+    assert orbit([back, step], 0) == [0, 5, 1, 4, 2, 3]
+    assert orbit([[0, 2, 1, 3]], 3) == [3]
 
 
 def test_orbit_sizes_divide_group_order():
     # |PGL(2, sqrt q)| = sqrt(q) (q - 1) = 3 * 8 = 24 at q = 9
     pl = plane_for(9)
-    gens = baer_stabilizer_generators(pl)
+    perms = [g.permutation() for g in baer_stabilizer_generators(pl)]
+    baer = {pl.index[P] for P in pl.baer_points()}
     seen = set()
-    for P in pl.points:
-        if P in seen or P in pl.baer_points():
+    for i in range(len(pl.points)):
+        if i in seen or i in baer:
             continue
-        orb = orbit(gens, P)
+        orb = orbit(perms, i)
         seen.update(orb)
         assert 24 % len(orb) == 0
+    assert len(seen) == len(pl.points) - len(baer)
 
 
 def test_baer_membership():
