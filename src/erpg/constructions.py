@@ -273,14 +273,18 @@ def k_generators(plane) -> list:
     t -> a*t + c with a of norm 1, i.e. the conic stabilizers
     [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
 
-    K is generated by t -> zeta*t, zeta = g^(sqrt q - 1) of order
-    sqrt q + 1, and the translations t -> t + p^i (i < n), whose
-    encodings p^i are the power basis of GF(q) over GF(p).
+    Two generators suffice: t -> zeta*t, zeta = g^(sqrt q - 1), and
+    t -> t + 1.  Conjugating the translation by the k-th power of the
+    first gives t -> t + zeta^k, so K holds t -> t + c for every c in the
+    additive span of the powers of zeta, which is GF(p)[zeta].  zeta has
+    order sqrt q + 1, more than the p^d - 1 units of any proper subfield
+    GF(p^d) (d <= n/2), so GF(p)[zeta] = GF(q) and every translation is
+    in K.
     """
     ctx = plane.ctx
     zeta = ctx.pow(ctx.generator, ctx.sqrt_q() - 1)
     return [conic_stabilizer_lift(plane, a, c, 0, 1)
-            for a, c in [(zeta, 0)] + [(1, ctx.p ** i) for i in range(ctx.n)]]
+            for a, c in [(zeta, 0), (1, 1)]]
 
 
 def coclique_odd_sq_pos(q) -> Certificate:

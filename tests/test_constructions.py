@@ -155,6 +155,19 @@ def test_k_generators_and_orbit_split_q25():
         assert cons.point_set_independent(pl, pol, orb) is None
 
 
+def test_internal_k_orbits_q81():
+    # sqrt(q)-1 = 8 orbits of size q(sqrt(q)+1)/2 = 405 covering all
+    # q(q-1)/2 = 3,240 internal points, from the two generators of K
+    orbits = cons.internal_k_orbits(81)
+    assert len(orbits) == 8
+    assert all(len(o) == 405 for o in orbits)
+    pl, pol = setup(81)
+    internal = {pt for pt in pl.points if pol.classify(pt) == INTERNAL}
+    covered = [pt for o in orbits for pt in o]
+    assert len(covered) == len(set(covered)) == 3240
+    assert set(covered) == internal
+
+
 GENERATORS_IN_USE = {
     "baer": baer_stabilizer_generators,
     "k": cons.k_generators,
