@@ -8,8 +8,10 @@ Subcommands:
 * ``orbits`` -- orbit census for odd square q
 * ``table``  -- bound table with constructed sizes
 
-Exit codes: 0 success, 2 invalid arguments, 3 verification failure,
-4 bound violation (both 3 and 4 indicate an implementation bug).
+Exit codes, the same for every command: 0 success, 2 invalid arguments
+(any ValueError), 3 verification failure (any AssertionError, such as a
+VerificationError), 4 bound violation (3 and 4 indicate an
+implementation bug).
 Identical inputs produce byte-identical outputs.
 """
 
@@ -47,20 +49,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _check_q(q):
-    try:
-        field_for_order(q)
-    except ValueError as e:
-        raise CliError(str(e))
-    return q
-
-
-def _report(args, command, parameters, summary, outputs=(), t0=None):
-    if getattr(args, "json", False):
+def _report(args, command, parameters, summary, outputs=()):
+    if args.json:
         doc = {"command": command, "parameters": parameters,
                "result": summary, "output_paths": list(outputs)}
-        if getattr(args, "timings", False) and t0 is not None:
-            doc["wall_time_s"] = time.monotonic() - t0
+        if args.timings:
+            doc["wall_time_s"] = time.monotonic() - args.t0
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for k, v in summary.items():
@@ -72,18 +66,12 @@ def _report(args, command, parameters, summary, outputs=(), t0=None):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
-    t0 = time.monotonic()
-    q = _check_q(args.q)
+    q = args.q
     construction = _CONSTRUCTION_FLAGS[args.construction]
-    try:
-        if construction == "triangle_free":
-            cert, girth = cons.triangle_free_certificate(q)
-        else:
-            cert = cons.build_coclique(q, construction)
-    except ValueError as e:
-        raise CliError(str(e))
-    except cons.VerificationError as e:
-        raise CliError(str(e), EXIT_VERIFICATION)
+    if construction == "triangle_free":
+        cert, girth = cons.triangle_free_certificate(q)
+    else:
+        cert = cons.build_coclique(q, construction)
     if not all(cert.verified.values()):
         raise CliError("certificate verification failed", EXIT_VERIFICATION)
     summary = {"construction": cert.construction_id, "q": q, "size": cert.size}
@@ -100,12 +88,11 @@ def cmd_build(args):
             fh.write(cert.to_json(field_for_order(q)) + "\n")
         outputs.append(args.out)
     _report(args, "build", {"q": q, "construction": args.construction},
-            summary, outputs, t0)
+            summary, outputs)
 
 
 def cmd_graph(args):
-    t0 = time.monotonic()
-    q = _check_q(args.q)
+    q = args.q
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
     data = gr.export(g, args.format)
@@ -123,16 +110,12 @@ def cmd_graph(args):
         raise CliError(f"ER_{q} has {m} edges, expected {q * (q + 1) ** 2 // 2}",
                        EXIT_VERIFICATION)
     _report(args, "graph", {"q": q, "format": args.format},
-            {"n": g.n, "m": m}, outputs, t0)
+            {"n": g.n, "m": m}, outputs)
 
 
 def cmd_solve(args):
-    t0 = time.monotonic()
-    q = _check_q(args.q)
-    try:
-        budget = gr.SolveBudget(max_nodes=args.budget)
-    except ValueError as e:
-        raise CliError(str(e))
+    q = args.q
+    budget = gr.SolveBudget(max_nodes=args.budget)
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
     initial = None
@@ -151,18 +134,14 @@ def cmd_solve(args):
     summary = {"q": q, "alpha": res.size, "status": res.status,
                "nodes": res.nodes, "lower_bound": lower,
                "upper_bound": upper}
-    _report(args, "solve", {"q": q, "budget": args.budget}, summary, (), t0)
+    _report(args, "solve", {"q": q, "budget": args.budget}, summary)
     if violation:
         raise CliError(f"bound violation: {violation}", EXIT_BOUND)
 
 
 def cmd_orbits(args):
-    t0 = time.monotonic()
-    q = _check_q(args.q)
-    try:
-        census = cons.orbit_census_odd_square(q)
-    except ValueError as e:
-        raise CliError(str(e))
+    q = args.q
+    census = cons.orbit_census_odd_square(q)
     ok = census.matches_expected()
     summary = {
         "q": q,
@@ -170,7 +149,7 @@ def cmd_orbits(args):
                    for c, s, m in census.entries],
         "status": "PASS" if ok else "FAIL",
     }
-    _report(args, "orbits", {"q": q}, summary, (), t0)
+    _report(args, "orbits", {"q": q}, summary)
     if not ok:
         raise CliError("orbit census mismatch", EXIT_VERIFICATION)
 
@@ -179,7 +158,6 @@ TABLE_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 121, 128]
 
 
 def cmd_table(args):
-    t0 = time.monotonic()
     rows = []
     for q in TABLE_Q:
         lower, upper, note = alpha_bounds(q)
@@ -253,12 +231,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    args.t0 = time.monotonic()
     try:
+        if hasattr(args, "q"):
+            field_for_order(args.q)
         args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except cons.VerificationError as e:
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except AssertionError as e:  # VerificationError and every self-check
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFICATION
     return 0

@@ -82,7 +82,7 @@ def induced_on_points(plane, pol, points):
             if k is not None and k != i:
                 row |= 1 << k
         adj.append(row)
-    return Graph(len(points), adj, labels=list(points))
+    return Graph(len(points), adj)
 
 
 def point_set_independent(plane, pol, points):
@@ -144,7 +144,7 @@ def _certify(cert, plane, pol, sub=None):
         sub = induced_on_points(plane, pol, cert.points)
     witness = sub.is_independent(range(len(cert.points)))
     if witness is not None:
-        pair = (sub.labels[witness[0]], sub.labels[witness[1]])
+        pair = (cert.points[witness[0]], cert.points[witness[1]])
         raise VerificationError(
             f"{cert.construction_id}: conjugate pair {pair}")
     if len(cert.points) != cert.claimed_size:
@@ -171,7 +171,6 @@ class OrbitCensus:
 
     q: int
     entries: list  # (class label, orbit size, multiplicity), aggregated
-    orbits: list   # raw orbits as (label, point list)
 
     def expected(self):
         r = math.isqrt(self.q)
@@ -207,7 +206,7 @@ def orbit_census_odd_square(q) -> OrbitCensus:
         if index[R] in baer:
             tangent.update(plane.line_point_indices(pol.polar_line(R)))
     seen = set(baer)
-    raw = []
+    counts = Counter()
     for i, pt in enumerate(points):
         if i in seen:
             continue
@@ -226,13 +225,12 @@ def orbit_census_odd_square(q) -> OrbitCensus:
         if label == CENSUS_EXTERNAL_TANGENT and any(
                 j not in tangent for j in orb):
             raise VerificationError("orbit mixes tangent membership")
-        raw.append((label, [points[j] for j in orb]))
-    counts = Counter((label, len(orb)) for label, orb in raw)
+        counts[label, len(orb)] += 1
     entries = [(label, size, mult) for (label, size), mult in counts.items()]
     total = sum(size * mult for _, size, mult in entries)
     if total != len(points) - len(baer):
         raise VerificationError("census does not cover PG(2,q) \\ B")
-    return OrbitCensus(q, sorted(entries), raw)
+    return OrbitCensus(q, sorted(entries))
 
 
 def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,

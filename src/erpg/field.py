@@ -121,7 +121,9 @@ class FieldCtx:
 
     Instances are immutable after construction and safe to share.  All
     operations take and return plain ints (the element encoding described
-    in the module docstring).
+    in the module docstring), and take elements of range(q) only: nothing
+    checks the range, and a negative value wraps silently, for example
+    make_field(5, 1).mul(-1, 2) == 3.
     """
 
     def __init__(self, p: int, n: int):

@@ -33,14 +33,13 @@ def bits(x: int):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency."""
 
-    def __init__(self, n: int, adj=None, labels=None):
+    def __init__(self, n: int, adj=None):
         self.n = n
         self.adj = list(adj) if adj is not None else [0] * n
-        self.labels = labels
 
     @classmethod
-    def from_edges(cls, n, edges, labels=None):
-        g = cls(n, labels=labels)
+    def from_edges(cls, n, edges):
+        g = cls(n)
         for u, v in edges:
             g.add_edge(u, v)
         return g
@@ -55,7 +54,7 @@ class Graph:
 
     def _check_vertex(self, v):
         if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range [0, {self.n})")
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
     def has_edge(self, u, v) -> bool:
         self._check_vertex(u)
@@ -132,9 +131,8 @@ class Graph:
     def induced(self, S) -> "Graph":
         """Induced subgraph; vertex i of the result is the i-th vertex of S.
 
-        Labels carry over (falling back to the original vertex id).  Each
-        row is masked to S before its bits are read, so it costs one step
-        per neighbour inside S, not one per neighbour.
+        Each row is masked to S before its bits are read, so it costs one
+        step per neighbour inside S, not one per neighbour.
         """
         S = sorted(set(S))
         mask = 0
@@ -148,8 +146,6 @@ class Graph:
             for w in bits(self.adj[v] & mask):
                 row |= 1 << pos[w]
             g.adj[i] = row
-        src = self.labels if self.labels is not None else list(range(self.n))
-        g.labels = [src[v] for v in S]
         return g
 
     # -- triangles and girth -----------------------------------------------
@@ -445,9 +441,9 @@ def from_dimacs(data: bytes) -> Graph:
         elif tok[0] == "e":
             if g is None:
                 raise ValueError("DIMACS edge line before the problem line")
-            try:  # a missing endpoint or one outside 1..n
+            try:  # a missing, non-integer or out-of-range endpoint, or a loop
                 g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
-            except IndexError:
+            except (IndexError, ValueError):
                 raise ValueError(f"bad DIMACS edge line {raw!r} "
                                  f"for n = {g.n}") from None
     if g is None:
@@ -470,10 +466,7 @@ def from_edgelist_csv(data: bytes, n=None) -> Graph:
             edges.append((int(u), int(v)))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
-    try:
-        return Graph.from_edges(n, edges)
-    except IndexError as e:
-        raise ValueError(f"bad CSV edge list for n = {n}: {e}") from None
+    return Graph.from_edges(n, edges)
 
 
 _EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs, "csv": to_edgelist_csv}

@@ -65,7 +65,7 @@ def hyper_independent(h: TriangleHypergraph, S):
     S = sorted(set(S))
     outside = set(S).difference(h.vertices)
     if outside:
-        raise IndexError(f"vertex {min(outside)} is not a hypergraph vertex")
+        raise ValueError(f"vertex {min(outside)} is not a hypergraph vertex")
     tri = next(h.graph.induced(S).triangles(), None)
     return None if tri is None else tuple(S[i] for i in tri)
 

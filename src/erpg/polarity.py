@@ -78,7 +78,7 @@ class Polarity:
 def build_er_graph(plane: ProjectivePlane) -> Graph:
     """The polarity graph ER_q as a dense bitset graph.
 
-    Vertex i is the plane's i-th point; labels carry the point triples.
+    Vertex i is the plane's i-th point.
     Loops at absolute points are dropped (simple graph).  Each row is
     filled as a little-endian byte string from the polar line's point
     indices and converted to an int once.
@@ -94,6 +94,6 @@ def build_er_graph(plane: ProjectivePlane) -> Graph:
             row[j >> 3] |= 1 << (j & 7)
         row[i >> 3] &= ~(1 << (i & 7))
         adj.append(int.from_bytes(row, "little"))
-    g = Graph(n, adj, labels=list(points))
+    g = Graph(n, adj)
     g.check_symmetric()
     return g

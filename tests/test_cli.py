@@ -254,3 +254,71 @@ def test_solve_nonpositive_budget_exits_2(capsys, budget):
     code, out, err = run(capsys, "solve", "--q", "3", "--budget", budget)
     assert code == 2 and out == ""
     assert err == "error: budget must be positive\n"
+
+
+@pytest.mark.parametrize("argv", [["graph", "--q", "3", "--format", "graph6"],
+                                  ["solve", "--q", "3"]])
+@pytest.mark.parametrize("exc,code,prefix", [
+    (AssertionError, 3, "verification failure"), (ValueError, 2, "error")])
+def test_library_failure_exit_code(capsys, monkeypatch, argv, exc, code,
+                                   prefix):
+    def fail(self):
+        raise exc("asymmetric edge (0,1)")
+
+    monkeypatch.setattr(gr.Graph, "check_symmetric", fail)
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err == f"{prefix}: asymmetric edge (0,1)\n"
+
+
+def test_orbits_verification_error_exits_3(capsys, monkeypatch):
+    def broken(q):
+        raise cli.cons.VerificationError("orbit mixes point classes")
+
+    monkeypatch.setattr(cli.cons, "orbit_census_odd_square", broken)
+    code, out, err = run(capsys, "orbits", "--q", "9")
+    assert code == 3 and out == ""
+    assert err == "verification failure: orbit mixes point classes\n"
+
+
+def test_build_verification_error_exits_3(capsys, monkeypatch):
+    def broken(q):
+        raise cli.cons.VerificationError("triangle found")
+
+    monkeypatch.setattr(cli.cons, "triangle_free_certificate", broken)
+    code, out, err = run(capsys, "build", "--q", "8", "--construction",
+                         "triangle-free")
+    assert code == 3 and out == ""
+    assert err == "verification failure: triangle found\n"
+
+
+def test_build_wrong_family_for_q_exits_2(capsys):
+    code, out, err = run(capsys, "build", "--q", "9", "--construction",
+                         "even-arc")
+    assert code == 2 and out == ""
+    assert err == "error: q = 9 is not even\n"
+
+
+@pytest.mark.parametrize("argv", [["build", "--q", "9"],
+                                  ["graph", "--q", "3", "--format", "dimacs"],
+                                  ["solve", "--q", "3"],
+                                  ["orbits", "--q", "9"]])
+def test_timings_adds_only_wall_time(capsys, tmp_path, argv):
+    if argv[0] == "graph":
+        argv = argv + ["--out", str(tmp_path / "er.dimacs")]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    plain = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--json", "--timings")
+    assert code == 0
+    timed = json.loads(out)
+    assert timed.pop("wall_time_s") >= 0
+    assert timed == plain
+
+
+def test_table_text_runs_without_q(capsys):
+    code, out, err = run(capsys, "table")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0].split() == ["q", "lower", "constructed",
+                                           "upper", "note"]
+    assert len(out.splitlines()) == 1 + len(cli.TABLE_Q)

@@ -60,7 +60,7 @@ def test_is_independent():
     assert g.is_independent([2]) is None
     assert g.is_independent([0, 2, 3]) is None
     assert g.is_independent([0, 1]) == (0, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         g.is_independent([7])
 
 
@@ -75,7 +75,6 @@ def test_induced():
     h = g.induced([1, 2, 4])
     assert h.n == 3
     assert sorted(h.edges()) == [(0, 1)]
-    assert h.labels == [1, 2, 4]
     assert g.induced(range(5)) == g
     assert g.induced([]).n == 0
 
@@ -492,3 +491,17 @@ def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
     out_of_range = Graph(3, [1 << 5, 0, 0])
     with pytest.raises(AssertionError):
         out_of_range.check_symmetric()
+
+
+@pytest.mark.parametrize("line", [b"e 1", b"e 1 4", b"e 0 2"])
+def test_dimacs_bad_edge_line_is_named(line):
+    with pytest.raises(ValueError, match="bad DIMACS edge line"):
+        gr.from_dimacs(b"p edge 3 1\n" + line + b"\n")
+
+
+def test_vertex_out_of_range_raises_value_error():
+    g = Graph(3)
+    for call in (lambda: g.add_edge(0, 3), lambda: g.has_edge(-1, 0),
+                 lambda: g.induced([0, 5])):
+        with pytest.raises(ValueError, match="out of range"):
+            call()

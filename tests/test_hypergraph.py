@@ -56,10 +56,10 @@ def test_hyper_independent():
     assert hg.hyper_independent(h, h.vertices[:2]) is None  # edges have size 3
     first = h.edges[0]
     assert hg.hyper_independent(h, first) == first
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         hg.hyper_independent(h, [10 ** 6])
     absolute = set(range(h.graph.n)) - set(h.vertices)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         hg.hyper_independent(h, [h.vertices[0], min(absolute)])
 
 
