@@ -7,7 +7,6 @@ it is returned: no pair in the set is conjugate.
 import json
 
 from erpg import constructions as cons
-from erpg.field import field_for_order
 
 CASES = [
     (9, "odd square, sqrt(q) = 3 mod 4: conic + one internal orbit"),
@@ -28,7 +27,7 @@ for q, story in CASES:
               f"reaches {cert.extension['greedy_size']}")
 
 cert = cons.build_coclique(9)
-doc = json.loads(cert.to_json(field_for_order(9)))
+doc = json.loads(cert.to_json())
 print(f"\ncertificate JSON (schema {doc['version']}) for q=9, "
       f"first two points as coefficient vectors:")
 print(json.dumps(doc["points"][:2]))

@@ -24,7 +24,7 @@ import time
 
 from . import constructions as cons
 from . import graphs as gr
-from .constructions import alpha_bounds
+from .constructions import VerificationError, alpha_bounds
 from .field import field_for_order
 from .plane import ProjectivePlane
 from .polarity import build_er_graph
@@ -43,15 +43,13 @@ _CONSTRUCTION_FLAGS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class BoundViolation(Exception):
+    """A solved value contradicts the known bounds on alpha(ER_q)."""
 
 
-def _report(args, command, parameters, summary, outputs=()):
+def _report(args, parameters, summary, outputs=()):
     if args.json:
-        doc = {"command": command, "parameters": parameters,
+        doc = {"command": args.command, "parameters": parameters,
                "result": summary, "output_paths": list(outputs)}
         if args.timings:
             doc["wall_time_s"] = time.monotonic() - args.t0
@@ -73,7 +71,7 @@ def cmd_build(args):
     else:
         cert = cons.build_coclique(q, construction)
     if not all(cert.verified.values()):
-        raise CliError("certificate verification failed", EXIT_VERIFICATION)
+        raise VerificationError("certificate verification failed")
     summary = {"construction": cert.construction_id, "q": q, "size": cert.size}
     if construction == "triangle_free":
         summary.update(regular=q // 2, girth=girth)
@@ -85,9 +83,9 @@ def cmd_build(args):
     outputs = []
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(cert.to_json(field_for_order(q)) + "\n")
+            fh.write(cert.to_json() + "\n")
         outputs.append(args.out)
-    _report(args, "build", {"q": q, "construction": args.construction},
+    _report(args, {"q": q, "construction": args.construction},
             summary, outputs)
 
 
@@ -95,6 +93,10 @@ def cmd_graph(args):
     q = args.q
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
+    m = g.num_edges()
+    if m != q * (q + 1) ** 2 // 2:
+        raise VerificationError(
+            f"ER_{q} has {m} edges, expected {q * (q + 1) ** 2 // 2}")
     data = gr.export(g, args.format)
     outputs = []
     if args.out:
@@ -105,11 +107,7 @@ def cmd_graph(args):
         sys.stdout.buffer.write(data)
         if not data.endswith(b"\n"):
             sys.stdout.buffer.write(b"\n")
-    m = g.num_edges()
-    if m != q * (q + 1) ** 2 // 2:
-        raise CliError(f"ER_{q} has {m} edges, expected {q * (q + 1) ** 2 // 2}",
-                       EXIT_VERIFICATION)
-    _report(args, "graph", {"q": q, "format": args.format},
+    _report(args, {"q": q, "format": args.format},
             {"n": g.n, "m": m}, outputs)
 
 
@@ -134,9 +132,9 @@ def cmd_solve(args):
     summary = {"q": q, "alpha": res.size, "status": res.status,
                "nodes": res.nodes, "lower_bound": lower,
                "upper_bound": upper}
-    _report(args, "solve", {"q": q, "budget": args.budget}, summary)
+    _report(args, {"q": q, "budget": args.budget}, summary)
     if violation:
-        raise CliError(f"bound violation: {violation}", EXIT_BOUND)
+        raise BoundViolation(f"bound violation: {violation}")
 
 
 def cmd_orbits(args):
@@ -149,9 +147,9 @@ def cmd_orbits(args):
                    for c, s, m in census.entries],
         "status": "PASS" if ok else "FAIL",
     }
-    _report(args, "orbits", {"q": q}, summary)
+    _report(args, {"q": q}, summary)
     if not ok:
-        raise CliError("orbit census mismatch", EXIT_VERIFICATION)
+        raise VerificationError("orbit census mismatch")
 
 
 TABLE_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 121, 128]
@@ -236,9 +234,9 @@ def main(argv=None):
         if hasattr(args, "q"):
             field_for_order(args.q)
         args.func(args)
-    except CliError as e:
+    except BoundViolation as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return EXIT_BOUND
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

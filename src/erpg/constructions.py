@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .field import FieldCtx, field_for_order
+from .field import field_for_order
 from .graphs import Graph, greedy_extend
 from .plane import (Collineation, ProjectivePlane, baer_stabilizer_generators,
                     conic_stabilizer_lift, orbit)
@@ -67,12 +67,13 @@ def _line_counts(plane, points):
     return counts
 
 
-def induced_on_points(plane, pol, points):
+def induced_on_points(plane, points):
     """Induced ER_q subgraph on a point list, without the full graph.
 
     Vertex i is points[i]; its row holds the positions of the other listed
     points on its polar line.
     """
+    pol = Polarity(plane)
     pos = {plane.index[pt]: i for i, pt in enumerate(points)}
     adj = []
     for i, pt in enumerate(points):
@@ -85,14 +86,14 @@ def induced_on_points(plane, pol, points):
     return Graph(len(points), adj)
 
 
-def point_set_independent(plane, pol, points):
+def point_set_independent(plane, points):
     """None if the point set is a coclique of ER_q, else a conjugate pair.
 
     Checked on the induced subgraph, so it does not need the full graph in
     memory.
     """
     points = list(points)
-    sub = induced_on_points(plane, pol, points)
+    sub = induced_on_points(plane, points)
     witness = sub.is_independent(range(len(points)))
     if witness is None:
         return None
@@ -116,7 +117,8 @@ class Certificate:
     def size(self):
         return len(self.points)
 
-    def to_json(self, ctx: FieldCtx) -> str:
+    def to_json(self) -> str:
+        ctx = field_for_order(self.q)
         doc = {
             "version": CERTIFICATE_VERSION,
             "construction": self.construction_id,
@@ -133,7 +135,7 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _certify(cert, plane, pol, sub=None):
+def _certify(cert, plane, sub=None):
     """Check cert.points and set cert.verified.  sub, if given, is an
     induced_on_points subgraph whose first vertices are cert.points."""
     # Duplicates first: a repeated absolute point lies on its own polar
@@ -141,7 +143,7 @@ def _certify(cert, plane, pol, sub=None):
     if len(set(cert.points)) != len(cert.points):
         raise VerificationError(f"{cert.construction_id}: duplicate points")
     if sub is None:
-        sub = induced_on_points(plane, pol, cert.points)
+        sub = induced_on_points(plane, cert.points)
     witness = sub.is_independent(range(len(cert.points)))
     if witness is not None:
         pair = (cert.points[witness[0]], cert.points[witness[1]])
@@ -252,7 +254,7 @@ def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
         parameters={"w": w},
         points=pol.absolute_points() + [plane.points[j] for j in orb],
         claimed_size=expected_orbit + ctx.q + 1)
-    return _certify(cert, plane, pol)
+    return _certify(cert, plane)
 
 
 def coclique_odd_sq_neg(q) -> Certificate:
@@ -398,20 +400,20 @@ class MaximalArc:
     points: list
     subgroup: list  # the additive subgroup of pencil parameters
     alpha: int
+    trace_zero_set: list  # N, the pencil parameters are {x^2 : x in N}
     plane: ProjectivePlane = field(repr=False)
     line_counts: bytearray | memoryview = field(repr=False)  # _line_counts
 
 
-def denniston_arc(q, N=None) -> MaximalArc:
-    """Union of pencil conics over the additive subgroup {x^2 : x in N}.
+def denniston_arc(q) -> MaximalArc:
+    """Union of pencil conics over the group {x^2 : x in trace_zero_set(q)}.
 
     Verifies both the point count (degree-1)*q + degree and the defining
     line-intersection property (every line meets the arc in 0 or degree
     points).
     """
     ctx = _even_field(q)
-    if N is None:
-        N = trace_zero_set(q)
+    N = trace_zero_set(q)
     A = sorted({ctx.mul(x, x) for x in N})
     for a in A:
         for b in A:
@@ -432,7 +434,8 @@ def denniston_arc(q, N=None) -> MaximalArc:
         raise VerificationError(
             f"line {plane.points[j]} meets arc in {counts[j]} points")
     return MaximalArc(degree=degree, points=sorted(pts, key=plane.index.__getitem__),
-                      subgroup=A, alpha=alpha, plane=plane, line_counts=counts)
+                      subgroup=A, alpha=alpha, trace_zero_set=N, plane=plane,
+                      line_counts=counts)
 
 
 def coclique_even(q) -> Certificate:
@@ -446,23 +449,22 @@ def coclique_even(q) -> Certificate:
     ctx = _even_field(q)
     if ctx.n % 2 == 0 or ctx.n < 3:
         raise ValueError(f"q = {q} is not an odd power of 2 with n >= 3")
-    N = trace_zero_set(q)
-    arc = denniston_arc(q, N)
+    arc = denniston_arc(q)
     plane, pol = arc.plane, Polarity(arc.plane)
     half = arc.degree  # sqrt(q/2)
     claimed = (half - 1) * q + half
     cert = Certificate(
         construction_id="even_arc", q=q,
-        parameters={"trace_zero_set": N, "pencil_subgroup": arc.subgroup,
-                    "alpha": arc.alpha},
+        parameters={"trace_zero_set": arc.trace_zero_set,
+                    "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
     on_arc = set(arc.points)
     counts, index = arc.line_counts, plane.index
     candidates = [pt for pt in plane.points
                   if pt not in on_arc and not counts[index[pol.polar_line(pt)]]]
     k = len(arc.points)
-    sub = induced_on_points(plane, pol, arc.points + candidates)
-    _certify(cert, plane, pol, sub)
+    sub = induced_on_points(plane, arc.points + candidates)
+    _certify(cert, plane, sub)
     extended = greedy_extend(sub, range(k), range(k, sub.n))
     cert.extension = {
         "candidate_count": len(candidates),
@@ -480,14 +482,13 @@ def even_square_arc_coclique(q) -> Certificate:
     ctx = _even_field(q)
     if ctx.n % 2:
         raise ValueError(f"q = {q} is not an even square")
-    N = trace_zero_set(q)  # the embedded subfield
-    arc = denniston_arc(q, N)
+    arc = denniston_arc(q)  # over the embedded subfield
     cert = Certificate(
         construction_id="even_sq_subfield_arc", q=q,
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points,
         claimed_size=(arc.degree - 1) * q + arc.degree)
-    return _certify(cert, arc.plane, Polarity(arc.plane))
+    return _certify(cert, arc.plane)
 
 
 def conic_polar_disjointness(q, lam) -> bool:
@@ -542,16 +543,13 @@ class TriangleFreeSet:
         return len(self.points)
 
 
-def triangle_free_set(q, lam=None) -> TriangleFreeSet:
+def triangle_free_set(q) -> TriangleFreeSet:
     """The q(q+1)/2 points off the absolute line whose polar line is secant
-    to the pencil conic with parameter lam^2 (lam nonzero, Tr(lam) = 0)."""
+    to the pencil conic of lam^2, lam the least nonzero trace-zero element."""
     ctx = _even_field(q)
+    lam = next((x for x in range(1, q) if ctx.abs_trace(x) == 0), None)
     if lam is None:
-        lam = next((x for x in range(1, q) if ctx.abs_trace(x) == 0), None)
-        if lam is None:
-            raise ValueError("no nonzero trace-zero element (q = 2)")
-    if lam == 0 or ctx.abs_trace(lam):
-        raise ValueError("lam must be nonzero with trace zero")
+        raise ValueError("no nonzero trace-zero element (q = 2)")
     _, plane, pol = _plane_context(ctx)
     alpha = ctx.find_trace_one()
     counts = _line_counts(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
@@ -576,8 +574,7 @@ def triangle_free_certificate(q):
     if q % 2:
         raise ValueError(f"q = {q}: triangle-free construction needs even q")
     tfs = triangle_free_set(q)
-    plane = tfs.plane
-    sub = induced_on_points(plane, Polarity(plane), tfs.points)
+    sub = induced_on_points(tfs.plane, tfs.points)
     girth = sub.girth()
     if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:
         raise VerificationError("triangle-free verification failed")

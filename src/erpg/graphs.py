@@ -12,10 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits(x: int):
     """Indices of set bits, ascending.
 
@@ -62,10 +58,10 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def num_edges(self) -> int:
-        return sum(popcount(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self):
         for u in range(self.n):
@@ -154,7 +150,7 @@ class Graph:
         total = 0
         for u, v in self.edges():
             common = self.adj[u] & self.adj[v]
-            total += popcount(common >> (v + 1) << (v + 1))
+            total += (common >> (v + 1) << (v + 1)).bit_count()
         return total
 
     def triangles(self):
@@ -169,7 +165,7 @@ class Graph:
         best = 0
         for u in range(self.n):
             for v in range(u + 1, self.n):
-                best = max(best, popcount(self.adj[u] & self.adj[v]))
+                best = max(best, (self.adj[u] & self.adj[v]).bit_count())
         return best
 
     def girth(self):
@@ -266,7 +262,7 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             raise ValueError(f"initial set is not independent: edge {witness}")
         for v in initial:
             best_set |= 1 << v
-    best = popcount(best_set)
+    best = best_set.bit_count()
 
     max_nodes = budget.max_nodes
     nodes = 0
@@ -290,7 +286,7 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
         while rest:
             u = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            d = popcount(adj[u] & cand)
+            d = (adj[u] & cand).bit_count()
             if d > vdeg:
                 v, vdeg = u, d
         # exclude v is pushed first, so include v is searched first

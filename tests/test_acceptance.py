@@ -99,7 +99,7 @@ def test_criterion_6_triangle_free():
         plane = ProjectivePlane(field_for_order(q))
         pol = Polarity(plane)
         tfs = cons.triangle_free_set(q)
-        sub = cons.induced_on_points(plane, pol, tfs.points)
+        sub = cons.induced_on_points(plane, tfs.points)
         sizes[q] = tfs.size
         ok &= tfs.size == q * (q + 1) // 2
         ok &= all(not pol.is_absolute(P) for P in tfs.points)

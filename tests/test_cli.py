@@ -198,7 +198,7 @@ def test_alpha_bounds_spot_values():
     assert alpha_bounds(7)[2] == "reported, not constructed"
 
 
-def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch):
+def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch, tmp_path):
     build = cli.build_er_graph
 
     def drop_one_edge(plane):
@@ -209,9 +209,14 @@ def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch):
         return g
 
     monkeypatch.setattr(cli, "build_er_graph", drop_one_edge)
-    code, _, err = run(capsys, "graph", "--q", "3", "--format", "dimacs")
-    assert code == 3
-    assert "edges" in err
+    code, out, err = run(capsys, "graph", "--q", "3", "--format", "dimacs")
+    assert code == 3 and out == ""
+    assert err == "verification failure: ER_3 has 23 edges, expected 24\n"
+    target = tmp_path / "er3.dimacs"
+    code, out, _ = run(capsys, "graph", "--q", "3", "--format", "dimacs",
+                       "--out", str(target))
+    assert code == 3 and out == ""
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [["build", "--q", "8", "--json"],
@@ -290,6 +295,42 @@ def test_build_verification_error_exits_3(capsys, monkeypatch):
                          "triangle-free")
     assert code == 3 and out == ""
     assert err == "verification failure: triangle found\n"
+
+
+def test_orbits_census_mismatch_exits_3(capsys, monkeypatch):
+    def wrong(q):
+        return cli.cons.OrbitCensus(q, [("conic", 6, 1)])
+
+    monkeypatch.setattr(cli.cons, "orbit_census_odd_square", wrong)
+    code, out, err = run(capsys, "orbits", "--q", "9")
+    assert code == 3
+    assert out.splitlines()[-1] == "status: FAIL"
+    assert err == "verification failure: orbit census mismatch\n"
+
+
+def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path):
+    build = cli.cons.build_coclique
+
+    def unverified(q, construction):
+        cert = build(q, construction)
+        cert.verified["independent"] = False
+        return cert
+
+    monkeypatch.setattr(cli.cons, "build_coclique", unverified)
+    target = tmp_path / "cert.json"
+    code, out, err = run(capsys, "build", "--q", "9", "--out", str(target))
+    assert code == 3 and out == ""
+    assert err == "verification failure: certificate verification failed\n"
+    assert not target.exists()
+
+
+def test_solve_bound_violation_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "alpha_bounds", lambda q: (0, 1, ""))
+    code, out, err = run(capsys, "solve", "--q", "3")
+    assert code == 4
+    assert out.splitlines()[:3] == ["q: 3", "alpha: 5", "status: optimal"]
+    assert "upper_bound: 1" in out.splitlines()
+    assert err == "error: bound violation: value 5 exceeds upper bound 1\n"
 
 
 def test_build_wrong_family_for_q_exits_2(capsys):

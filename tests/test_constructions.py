@@ -96,7 +96,7 @@ def test_all_good_internal_orbits_q9():
     for orb in orbits:
         assert len(orb) == 12
         assert cons.point_set_independent(
-            pl, pol, [pl.points[j] for j in orb]) is None
+            pl, [pl.points[j] for j in orb]) is None
 
 
 def test_transitivity_transfer_q9():
@@ -109,7 +109,7 @@ def test_transitivity_transfer_q9():
     base_clean = all(R not in pts
                      for R in pl.line_points(pol.polar_line(base))
                      if R != base)
-    full_clean = cons.point_set_independent(pl, pol, internals) is None
+    full_clean = cons.point_set_independent(pl, internals) is None
     assert base_clean and full_clean
 
 
@@ -152,7 +152,7 @@ def test_k_generators_and_orbit_split_q25():
     assert sum(len(o) for o in orbits) == 300
     # every K-orbit of internal points is a coclique
     for orb in orbits:
-        assert cons.point_set_independent(pl, pol, orb) is None
+        assert cons.point_set_independent(pl, orb) is None
 
 
 def test_internal_k_orbits_q81():
@@ -191,7 +191,7 @@ def test_point_set_independent_witness_is_conjugate_pair(q):
     cert = cons.build_coclique(q)
     neighbour = pl.line_points(pol.polar_line(cert.points[-1]))[0]
     for points in (pl.points[::-1], cert.points + [neighbour]):
-        P, R = cons.point_set_independent(pl, pol, points)
+        P, R = cons.point_set_independent(pl, points)
         assert P != R and pol.conjugate(P, R)
 
 
@@ -361,7 +361,7 @@ def test_certify_rejects_duplicate_points_before_independence():
                             points=conic + conic[:1],
                             claimed_size=len(conic) + 1)
     with pytest.raises(cons.VerificationError, match="duplicate points"):
-        cons._certify(cert, pl, pol)
+        cons._certify(cert, pl)
 
 
 def test_greedy_extension_is_independent_and_larger():
@@ -415,7 +415,7 @@ def test_triangle_free_set(q):
     tfs = cons.triangle_free_set(q)
     assert tfs.size == q * (q + 1) // 2
     assert all(not pol.is_absolute(P) for P in tfs.points)
-    sub = cons.induced_on_points(pl, pol, tfs.points)
+    sub = cons.induced_on_points(pl, tfs.points)
     assert sub.triangle_count() == 0
     assert sub.is_regular(q // 2)
     assert sub.girth() >= 5
@@ -427,7 +427,7 @@ def test_triangle_free_matches_er_induced():
     tfs = cons.triangle_free_set(q)
     g = build_er_graph(pl)
     via_big = g.induced([pl.index[P] for P in tfs.points])
-    direct = cons.induced_on_points(pl, pol, tfs.points)
+    direct = cons.induced_on_points(pl, tfs.points)
     assert via_big.n == direct.n and via_big.adj == direct.adj
 
 
@@ -442,10 +442,6 @@ def test_triangle_free_invariant_under_pencil_group():
 def test_triangle_free_rejects_bad_input():
     with pytest.raises(ValueError):
         cons.triangle_free_set(9)
-    ctx = field_for_order(8)
-    trace_one = ctx.find_trace_one()
-    with pytest.raises(ValueError):
-        cons.triangle_free_set(8, lam=trace_one)
 
 
 # -- certificates and dispatch -----------------------------------------------
@@ -457,17 +453,27 @@ def test_certificate_json_matches_schema():
     schema = json.loads(schema_path.read_text())
     for q in (9, 8, 16, 25):
         cert = cons.build_coclique(q, "auto")
-        doc = json.loads(cert.to_json(field_for_order(q)))
+        doc = json.loads(cert.to_json())
         jsonschema.validate(doc, schema)
         assert doc["version"] == "v1"
         assert doc["size"] == len(doc["points"])
+
+
+def test_certificate_json_reads_field_of_its_own_q():
+    doc = json.loads(cons.build_coclique(25).to_json())
+    assert doc["q"] == 25 and doc["modulus"] == [2, 0, 1]
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_denniston_arc_carries_trace_zero_set(q):
+    assert cons.denniston_arc(q).trace_zero_set == cons.trace_zero_set(q)
 
 
 def test_certificate_points_decode_back():
     q = 9
     ctx = field_for_order(q)
     cert = cons.build_coclique(q, "auto")
-    doc = json.loads(cert.to_json(ctx))
+    doc = json.loads(cert.to_json())
     decoded = [tuple(ctx.from_coeffs(c) for c in pt) for pt in doc["points"]]
     assert decoded == cert.points
 
@@ -512,8 +518,8 @@ def test_auto_dispatch():
 
 
 def test_build_deterministic():
-    a = cons.build_coclique(9).to_json(field_for_order(9))
-    b = cons.build_coclique(9).to_json(field_for_order(9))
+    a = cons.build_coclique(9).to_json()
+    b = cons.build_coclique(9).to_json()
     assert a == b
 
 
@@ -538,8 +544,8 @@ def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
     # with the point triples of the pair, before the extension is used.
     real = cons.denniston_arc
 
-    def spoiled(q, N=None):
-        arc = real(q, N)
+    def spoiled(q):
+        arc = real(q)
         pol = Polarity(arc.plane)
         P = arc.points[0]
         Q = next(pt for pt in arc.plane.points
@@ -556,8 +562,8 @@ def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
 def test_even_arc_reports_duplicate_points(monkeypatch):
     real = cons.denniston_arc
 
-    def doubled(q, N=None):
-        arc = real(q, N)
+    def doubled(q):
+        arc = real(q)
         arc.points = arc.points + arc.points[:1]
         return arc
     monkeypatch.setattr(cons, "denniston_arc", doubled)
