@@ -568,13 +568,15 @@ def triangle_free_set(q) -> TriangleFreeSet:
 def triangle_free_certificate(q):
     """(certificate, girth) for triangle_free_set(q).
 
-    The induced subgraph must be triangle-free, q/2-regular and of girth
-    at least 5; VerificationError otherwise.
+    The induced subgraph must be symmetric (AssertionError otherwise), and
+    triangle-free, q/2-regular and of girth at least 5 (VerificationError
+    otherwise).
     """
     if q % 2:
         raise ValueError(f"q = {q}: triangle-free construction needs even q")
     tfs = triangle_free_set(q)
     sub = induced_on_points(tfs.plane, tfs.points)
+    sub.check_symmetric()
     girth = sub.girth()
     if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:
         raise VerificationError("triangle-free verification failed")

@@ -206,26 +206,36 @@ class FieldCtx:
         return self.from_coeffs(r + (0,) * (self.n - len(r)))
 
     def _build_tables(self):
-        q = self.q
+        """exp/log tables over the least primitive element g: the first g
+        with g^(m/r) != 1 for every prime r dividing m = q - 1."""
+        q, m = self.q, self.q - 1
+        primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
         for g in range(1, q):
-            exp = [0] * (q - 1)
-            v, ok = 1, True
-            for i in range(q - 1):
-                exp[i] = v
-                v = self._mul_raw(v, g)
-                if v == 1 and i < q - 2:
-                    ok = False
-                    break
-            if ok and v == 1:
-                log = [0] * q
-                for i, e in enumerate(exp):
-                    log[e] = i
-                self.generator = g
-                self._exp = exp
-                self._log = log
-                self._build_zech()
-                return
-        raise AssertionError("no generator found (impossible for a field)")
+            if all(self._pow_raw(g, m // r) != 1 for r in primes):
+                break
+        else:
+            raise AssertionError("no generator found (impossible for a field)")
+        exp, v = [0] * m, 1
+        for i in range(m):
+            exp[i] = v
+            v = self._mul_raw(v, g)
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        self.generator = g
+        self._exp = exp
+        self._log = log
+        self._build_zech()
+
+    def _pow_raw(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply on _mul_raw."""
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return r
 
     def _build_zech(self):
         """zech[d] = log(1 + g^d), or q - 1 where 1 + g^d = 0."""

@@ -26,6 +26,30 @@ def bits(x: int):
         pos = s.rfind("1", 2, pos)
 
 
+def transpose(rows):
+    """Transpose of a square bit matrix: bit v of row u is bit u of row v.
+
+    The rows are copied into one list padded to a power of two, whose
+    off-diagonal w-by-w blocks are swapped in place for w = size/2, ..., 1
+    (Hacker's Delight 7-3 on big ints).  The diagonal stays put, and so do
+    bits at or above the padded size.
+    """
+    n = len(rows)
+    size = 1 << (n - 1).bit_length() if n else 1
+    m = list(rows) + [0] * (size - n)
+    w, mask = size >> 1, (1 << (size >> 1)) - 1  # bit k: k mod 2w < w
+    while w:
+        for j in range(0, size, 2 * w):
+            for i in range(j, j + w):
+                a, b = m[i], m[i + w]
+                t = (a >> w ^ b) & mask
+                m[i] = a ^ t << w
+                m[i + w] = b ^ t
+        w >>= 1
+        mask ^= mask << w
+    return m[:n]
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency."""
 
@@ -73,33 +97,21 @@ class Graph:
         return list(bits(self.adj[v]))
 
     def check_symmetric(self):
-        """Raise AssertionError on a loop, an asymmetric pair or a
-        neighbour outside 0..n-1.
-
-        Every edge (u, v) with u < v is looked up in row v's bytes, a
-        constant-time test.  Then at least as many bits lie below the
-        diagonal as above it, and equal bit totals leave no room for a
-        lower bit without its upper twin.
-        """
+        """Raise AssertionError on a loop, a neighbour outside 0..n-1 or
+        an asymmetric pair.  Loops and out-of-range bits do not move under
+        `transpose`, so they are checked before comparing with it."""
         n, adj = self.n, self.adj
-        nbytes = (n + 7) // 8
         for u, row in enumerate(adj):
             if row.bit_length() > n:
                 raise AssertionError(f"vertex {u} has a neighbour out of range")
             if row >> u & 1:
                 raise AssertionError(f"loop at vertex {u}")
-        rows = [row.to_bytes(nbytes, "little") for row in adj]
-        upper = 0
-        for u, row in enumerate(adj):
-            ubyte, ubit = u >> 3, 1 << (u & 7)
-            for v in bits(row >> (u + 1) << (u + 1)):
-                if not rows[v][ubyte] & ubit:
-                    raise AssertionError(f"asymmetric edge ({u},{v})")
-                upper += 1
-        lower = sum(row.bit_count() for row in adj) - upper
-        if lower != upper:
-            raise AssertionError(f"{lower} edges below the diagonal, "
-                                 f"{upper} above")
+        for u, (row, col) in enumerate(zip(adj, transpose(adj))):
+            if row != col:
+                v = next(bits(row ^ col))
+                if not row >> v & 1:
+                    u, v = v, u
+                raise AssertionError(f"asymmetric edge ({u},{v})")
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -380,9 +392,9 @@ def _graph6_size(data):
 def from_graph6(data: bytes) -> Graph:
     """Parse header-less graph6; ValueError if the string is malformed.
 
-    The body is unpacked 24 bits at a time into one bit string; each
-    column is then scanned for its set bits, and every edge sets two bits
-    of a byte matrix that becomes the adjacency rows.
+    The body is unpacked 24 bits at a time into one bit string.  Column v
+    of it is bits 0..v-1 of row v, as `to_graph6` reads them; these lower
+    rows are ORed with their transpose.
     """
     data = bytes(data).strip()
     n, start = _graph6_size(data)
@@ -400,21 +412,9 @@ def from_graph6(data: bytes) -> Graph:
         stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
         if "1" in stream[nbits:]:
             raise ValueError("nonzero graph6 padding bits")
-    nbytes = (n + 7) // 8
-    mat = bytearray(n * nbytes)
-    off = 0
-    for v in range(1, n):
-        end = off + v
-        vrow, vbyte, vbit = v * nbytes, v >> 3, 1 << (v & 7)
-        k = stream.find("1", off, end)
-        while k >= 0:
-            u = k - off
-            mat[vrow + (u >> 3)] |= 1 << (u & 7)
-            mat[u * nbytes + vbyte] |= vbit
-            k = stream.find("1", k + 1, end)
-        off = end
-    return Graph(n, [int.from_bytes(mat[i * nbytes:(i + 1) * nbytes], "little")
-                     for i in range(n)])
+    low = [int(stream[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2)
+           for v in range(n)]
+    return Graph(n, [a | b for a, b in zip(low, transpose(low))])
 
 
 def to_dimacs(g: Graph) -> bytes:

@@ -297,6 +297,21 @@ def test_build_verification_error_exits_3(capsys, monkeypatch):
     assert err == "verification failure: triangle found\n"
 
 
+def test_build_triangle_free_asymmetric_rows_exit_3(capsys, monkeypatch):
+    real = cli.cons.induced_on_points
+
+    def one_way(plane, points):
+        sub = real(plane, points)
+        sub.adj[0] &= sub.adj[0] - 1  # clears the lowest bit of row 0
+        return sub
+
+    monkeypatch.setattr(cli.cons, "induced_on_points", one_way)
+    code, out, err = run(capsys, "build", "--q", "8", "--construction",
+                         "triangle-free")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failure: asymmetric edge (")
+
+
 def test_orbits_census_mismatch_exits_3(capsys, monkeypatch):
     def wrong(q):
         return cli.cons.OrbitCensus(q, [("conic", 6, 1)])

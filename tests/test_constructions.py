@@ -439,6 +439,22 @@ def test_triangle_free_invariant_under_pencil_group():
     assert {gen.apply(P) for P in pts} == pts
 
 
+def drop_one_direction(real):
+    """induced_on_points with one edge kept in one row only."""
+    def one_way(plane, points):
+        sub = real(plane, points)
+        sub.adj[0] &= sub.adj[0] - 1  # clears the lowest bit of row 0
+        return sub
+    return one_way
+
+
+def test_triangle_free_certificate_rejects_asymmetric_rows(monkeypatch):
+    monkeypatch.setattr(cons, "induced_on_points",
+                        drop_one_direction(cons.induced_on_points))
+    with pytest.raises(AssertionError, match="asymmetric edge"):
+        cons.triangle_free_certificate(8)
+
+
 def test_triangle_free_rejects_bad_input():
     with pytest.raises(ValueError):
         cons.triangle_free_set(9)

@@ -236,3 +236,29 @@ def test_field_for_order_rejects_above_cap():
     for q in (65537, 2 ** 17, 2 ** 21, (1 << 61) - 1):
         with pytest.raises(ValueError, match="exceeds the supported cap"):
             field_for_order(q)
+
+
+def _least_primitive_by_walk(f):
+    """Least g whose powers under polynomial multiplication reach 1 only
+    after q - 1 steps."""
+    for g in range(1, f.q):
+        v, order = g, 1
+        while v != 1:
+            v, order = f._mul_raw(v, g), order + 1
+        if order == f.q - 1:
+            return g
+
+
+def test_generator_is_least_primitive_element():
+    for q in range(2, 1025):
+        try:
+            p, n = factor_prime_power(q)
+        except ValueError:
+            continue
+        assert make_field(p, n).generator == _least_primitive_by_walk(
+            make_field(p, n)), q
+
+
+def test_large_field_generators():
+    assert make_field(3, 10).generator == 34
+    assert make_field(2, 16).generator == 3

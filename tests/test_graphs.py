@@ -486,11 +486,27 @@ def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
     for u, v in ((0, 2), (2, 0), (4, 1)):
         one_way = Graph(5, g.adj)
         one_way.adj[u] |= 1 << v
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError,
+                           match=rf"asymmetric edge \({u},{v}\)"):
             one_way.check_symmetric()
-    out_of_range = Graph(3, [1 << 5, 0, 0])
-    with pytest.raises(AssertionError):
-        out_of_range.check_symmetric()
+    for row in (1 << 5, 1 << 3):  # beyond the padded size, and inside it
+        out_of_range = Graph(3, [row, 0, 0])
+        with pytest.raises(AssertionError, match="out of range"):
+            out_of_range.check_symmetric()
+
+
+def transpose_bitwise(rows):
+    """Reference transpose: one bit at a time."""
+    n = len(rows)
+    return [sum((rows[v] >> u & 1) << v for v in range(n)) for u in range(n)]
+
+
+@pytest.mark.parametrize("n", [*range(41), 63, 64, 65])
+def test_transpose_matches_bitwise_reference(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        assert gr.transpose(rows) == transpose_bitwise(rows)
 
 
 @pytest.mark.parametrize("line", [b"e 1", b"e 1 4", b"e 0 2"])
