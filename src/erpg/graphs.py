@@ -233,31 +233,46 @@ class MISResult:
     nodes: int = 0
 
 
-def _clique_cover_bound(adj, cand):
-    """Greedy clique-cover upper bound on the independence number of cand."""
-    bound = 0
+def _cover_exceeds(adj, cand, limit):
+    """True iff the greedy clique cover of cand has more than limit cliques.
+
+    The cover takes the least remaining vertex and grows its clique by the
+    least common neighbour, as long as one is left.  The count bounds the
+    independence number of cand from above, so a node with limit = best -
+    |chosen| is pruned iff this returns False.  A cover never has more
+    cliques than vertices, so |cand| <= limit answers False at once, and
+    the cover stops as soon as it needs clique limit + 1.
+    """
+    if cand.bit_count() <= limit:
+        return False
     rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique_members = 1 << v
-        grow = rest & adj[v]
+    for _ in range(limit):
+        low = rest & -rest
+        rest ^= low
+        grow = rest & adj[low.bit_length() - 1]
         while grow:
-            w = (grow & -grow).bit_length() - 1
-            clique_members |= 1 << w
-            grow &= adj[w]
-        rest &= ~clique_members
-        bound += 1
-    return bound
+            low = grow & -grow
+            rest ^= low
+            grow &= adj[low.bit_length() - 1]
+        if not rest:
+            return False
+    return True
 
 
 def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                         initial=None) -> MISResult:
     """Exact maximum independent set by bitset branch-and-bound.
 
-    Branches on a maximum-degree candidate vertex (least index breaks
-    ties), including it first; the bound is a greedy clique cover of the
-    candidate set.  The search keeps its open nodes on an explicit stack,
-    so the graph size is not limited by the recursion limit.
+    Branches on a maximum-degree candidate vertex v, including it first.
+    The degree scan runs from the highest candidate index down and keeps
+    ties, so the least index wins.  A node is pruned when the greedy
+    clique cover of its candidates (`_cover_exceeds`) needs no more than
+    best - |chosen| cliques; the cover stops early once it needs more.
+    The include child is searched in place, diving until a leaf, a prune
+    or the budget ends the dive; only the exclude children wait on an
+    explicit stack, so the graph size is not limited by the recursion
+    limit.  Every visited node counts against the budget, so max_nodes = k
+    reports k + 1 nodes when the budget runs out.
     Deterministic: identical inputs give identical outputs.  `initial`
     seeds the incumbent with a known independent set.
     """
@@ -279,32 +294,34 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     max_nodes = budget.max_nodes
     nodes = 0
     exhausted = False
-    stack = [(0, 0, full)]  # open nodes: (chosen, its size, candidates)
-    while stack:
+    stack = [(0, 0, full)]  # (chosen, its size, candidates) of dives to start
+    while stack and not exhausted:
         chosen, csize, cand = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            exhausted = True
-            break
-        if not cand:
-            if csize > best:
-                best, best_set = csize, chosen
-            continue
-        if csize + _clique_cover_bound(adj, cand) <= best:
-            continue
-        # max-degree candidate (degree within cand), least index on ties
-        v, vdeg = -1, -1
-        rest = cand
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (adj[u] & cand).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-        # exclude v is pushed first, so include v is searched first
-        stack.append((chosen, csize, cand & ~(1 << v)))
-        stack.append((chosen | (1 << v), csize + 1,
-                      cand & ~(adj[v] | (1 << v))))
+        while True:  # dive through include children
+            nodes += 1
+            if nodes > max_nodes:
+                exhausted = True
+                break
+            if not cand:
+                if csize > best:
+                    best, best_set = csize, chosen
+                break
+            if not _cover_exceeds(adj, cand, best - csize):
+                break
+            # max-degree candidate (degree within cand), least index on ties
+            v, vdeg = -1, -1
+            rest = cand
+            while rest:
+                u = rest.bit_length() - 1
+                rest ^= 1 << u
+                d = (adj[u] & cand).bit_count()
+                if d >= vdeg:
+                    v, vdeg = u, d
+            bit = 1 << v
+            stack.append((chosen, csize, cand ^ bit))
+            chosen |= bit
+            csize += 1
+            cand &= ~(adj[v] | bit)
     status = "budget_exhausted" if exhausted else "optimal"
     return MISResult(best, sorted(bits(best_set)), status, nodes)
 

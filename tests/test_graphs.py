@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erpg import constructions as cons
 from erpg import graphs as gr
+from erpg.field import field_for_order
 from erpg.graphs import Graph, SolveBudget, max_independent_set
+from erpg.plane import ProjectivePlane
+from erpg.polarity import build_er_graph
+
+from reference import greedy_cover_count, max_independent_set_reference
 
 
 def random_graph(n, p, rng):
@@ -319,6 +325,57 @@ def test_solver_deterministic():
 def test_invalid_budget():
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=0)
+
+
+TREE_BUDGETS = [None, 1, 2, 5, 17, 60]
+
+
+def assert_same_tree(g, initial):
+    """The solver and the reference visit the same nodes in the same order:
+    same size, vertices, status and node count, under every budget."""
+    for max_nodes in TREE_BUDGETS:
+        budget = SolveBudget(max_nodes) if max_nodes else None
+        res = max_independent_set(g, budget, initial)
+        ref = max_independent_set_reference(g, budget, initial)
+        assert (res.size, res.vertices, res.status, res.nodes) == (
+            ref.size, ref.vertices, ref.status, ref.nodes), (max_nodes, initial)
+
+
+def test_solver_tree_matches_reference_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 45)
+        g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]), rng)
+        greedy = gr.greedy_extend(g, [], rng.sample(range(n), n))
+        for initial in (None, greedy[:rng.randint(0, len(greedy))]):
+            assert_same_tree(g, initial)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_solver_tree_matches_reference_on_er(q):
+    plane = ProjectivePlane(field_for_order(q))
+    g = build_er_graph(plane)
+    assert_same_tree(g, None)
+    try:
+        cert = cons.build_coclique(q, "auto")
+    except ValueError:
+        return  # no construction for this q
+    assert_same_tree(g, [plane.index[pt] for pt in cert.points])
+
+
+@st.composite
+def graphs_and_candidates(draw):
+    g = draw(random_graphs(max_n=20))
+    return g, draw(st.integers(0, (1 << g.n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_candidates())
+def test_cover_exceeds_matches_greedy_cover_count(case):
+    g, cand = case
+    count = greedy_cover_count(g.adj, cand)
+    for limit in range(-1, cand.bit_count() + 2):
+        assert gr._cover_exceeds(g.adj, cand, limit) == (count > limit)
 
 
 # -- greedy extension --------------------------------------------------------
