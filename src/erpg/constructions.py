@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .field import field_for_order
 from .graphs import Graph, greedy_extend
-from .plane import (Collineation, ProjectivePlane, baer_stabilizer_generators,
+from .plane import (ProjectivePlane, baer_stabilizer_generators,
                     conic_stabilizer_lift, orbit)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity
 
@@ -199,7 +199,7 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     """Decompose PG(2,q) minus the Baer subplane under the lifted
     PGL(2, sqrt q) and label each orbit by its conic point class."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    perms = [g.permutation() for g in baer_stabilizer_generators(plane)]
+    perms = baer_stabilizer_generators(plane)
     points, index = plane.points, plane.index
     baer = {index[pt] for pt in plane.baer_points()}
     # Tangent lines to the Baer conic: polars of the conic points inside B.
@@ -245,8 +245,7 @@ def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
     base = plane.normalize((1, 0, w))
     if pol.classify(base) != INTERNAL:
         raise VerificationError("base point (1,0,w) must be internal")
-    perms = [g.permutation() for g in generators(plane)]
-    orb = arrange(orbit(perms, plane.index[base]))
+    orb = arrange(orbit(generators(plane), plane.index[base]))
     if len(orb) != expected_orbit:
         raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
     cert = Certificate(
@@ -269,9 +268,9 @@ def coclique_odd_sq_neg(q) -> Certificate:
 
 
 def k_generators(plane) -> list:
-    """Generators of the group K of order q(sqrt q + 1): the lifts of
-    t -> a*t + c with a of norm 1, i.e. the conic stabilizers
-    [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
+    """Generators of the group K of order q(sqrt q + 1), as point
+    permutations: the lifts of t -> a*t + c with a of norm 1, i.e. the
+    conic stabilizers [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
 
     Two generators suffice: t -> zeta*t, zeta = g^(sqrt q - 1), and
     t -> t + 1.  Conjugating the translation by the k-th power of the
@@ -301,7 +300,7 @@ def coclique_odd_sq_pos(q) -> Certificate:
 def internal_k_orbits(q):
     """All K-orbits on internal points, as point lists in index order."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    perms = [g.permutation() for g in k_generators(plane)]
+    perms = k_generators(plane)
     points = plane.points
     seen = set()
     orbits = []
@@ -489,46 +488,6 @@ def even_square_arc_coclique(q) -> Certificate:
         points=arc.points,
         claimed_size=(arc.degree - 1) * q + arc.degree)
     return _certify(cert, arc.plane)
-
-
-def conic_polar_disjointness(q, lam) -> bool:
-    """Whether every point of the pencil conic with parameter lam^2 has a
-    polar line disjoint from that conic.  Holds exactly when Tr(lam) = 0."""
-    ctx, plane, pol = _plane_context(_even_field(q))
-    alpha = ctx.find_trace_one()
-    pts = conic_points(plane, alpha, ctx.mul(lam, lam))
-    counts, index = _line_counts(plane, pts), plane.index
-    return not any(counts[index[pol.polar_line(R)]] for R in pts)
-
-
-def cyclic_pencil_group(q):
-    """Generator of the cyclic order-(q+1) collineation group stabilizing
-    the pencil; its orbits off the absolute line are the pencil conics."""
-    ctx = _even_field(q)
-    plane = ProjectivePlane(ctx)
-    alpha = ctx.find_trace_one()
-    sols = []
-    for a in ctx.elements():
-        for b in ctx.elements():
-            v = ctx.add(ctx.add(ctx.mul(a, a), ctx.mul(a, b)),
-                        ctx.mul(alpha, ctx.mul(b, b)))
-            if v == 1:
-                sols.append(Collineation(
-                    plane, ((1, 0, 0),
-                            (0, a, ctx.mul(alpha, b)),
-                            (0, b, ctx.add(a, b)))))
-    if len(sols) != q + 1:
-        raise VerificationError(
-            f"pencil group has {len(sols)} elements, expected {q + 1}")
-    identity = Collineation.identity(plane)
-    for g in sols:
-        order, acc = 1, g
-        while acc != identity:
-            acc = acc.compose(g)
-            order += 1
-        if order == q + 1:
-            return g
-    raise VerificationError("pencil group has no element of order q+1")
 
 
 @dataclass

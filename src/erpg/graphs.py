@@ -274,8 +274,13 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     limit.  Every visited node counts against the budget, so max_nodes = k
     reports k + 1 nodes when the budget runs out.
     Deterministic: identical inputs give identical outputs.  `initial`
-    seeds the incumbent with a known independent set.
+    seeds the incumbent with a known independent set.  Rows with a loop,
+    an out-of-range neighbour or an asymmetric pair raise ValueError.
     """
+    try:
+        g.check_symmetric()
+    except AssertionError as e:
+        raise ValueError(f"not a simple graph: {e}") from None
     if budget is None:
         budget = SolveBudget()
     adj = g.adj

@@ -100,8 +100,3 @@ def mw_bound_report(q):
         raise AssertionError("lower bound exceeds the upper-bound envelope")
     return {"q": q, "lower": lower, "upper_leading": upper_leading}
 
-
-def edges_csv(h: TriangleHypergraph) -> bytes:
-    lines = ["u,v,w"]
-    lines.extend(f"{u},{v},{w}" for u, v, w in h.edges)
-    return ("\n".join(lines) + "\n").encode()

@@ -8,9 +8,9 @@ stable integer index: 0, 1 + z and 1 + q + q*y + z.
 
 ``line_point_indices`` solves a line's equation directly in these index
 coordinates, so listing the points of a line needs no per-point
-normalization.  A collineation acts as a permutation of the point
-indices (``Collineation.permutation``), built the same way, and
-``orbit`` is a BFS over such permutations.
+normalization.  A collineation is a permutation of the point indices
+(``collineation`` builds it from a matrix the same way), and ``orbit``
+is a BFS over such permutations.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class ProjectivePlane:
         if z:
             return (0, 0, 1)
         raise ValueError("cannot normalize the zero triple")
-
-    def incident(self, point, line) -> bool:
-        f = self.ctx
-        s = f.add(f.add(f.mul(line[0], point[0]), f.mul(line[1], point[1])),
-                  f.mul(line[2], point[2]))
-        return s == 0
 
     def line_point_indices(self, line):
         """Ascending indices of the q+1 points of a*x + b*y + c*z = 0.
@@ -113,115 +107,46 @@ class ProjectivePlane:
                 if all(self.ctx.in_subfield(c) for c in pt))
         return self._baer
 
-    def in_baer_subplane(self, point) -> bool:
-        return point in self.baer_points()
 
+def collineation(plane: ProjectivePlane, m) -> list:
+    """The collineation of the 3x3 matrix m as a point permutation:
+    perm[i] = index of m times point i (column vectors).
 
-class Collineation:
-    """An element of PGL(3,q): an invertible 3x3 matrix modulo scalars.
-
-    The matrix is normalized so that its first nonzero entry in row-major
-    order equals 1, which makes equality and hashing well defined.
+    Along each enumeration block -- (0,0,1), then (0,1,z), then each
+    row (1,y,z) -- every image coordinate is affine in z, so
+    affine_values lists it for the whole block; dividing by the first
+    nonzero coordinate then gives the index directly.  A singular m maps
+    the plane into a line or a point (a zero image counts as index 0),
+    so it is rejected as the map is not a bijection.
     """
+    f, q = plane.ctx, plane.q
+    mul = f.mul
+    inv = [0, *map(f.inv, range(1, q))]
+    perm = []
 
-    __slots__ = ("plane", "m")
+    def emit(xs, ys, zs):
+        for x, y, z in zip(xs, ys, zs):
+            if x:
+                s = inv[x]
+                perm.append(q + 1 + q * mul(y, s) + mul(z, s))
+            elif y:
+                perm.append(1 + mul(z, inv[y]))
+            else:
+                perm.append(0)
 
-    def __init__(self, plane: ProjectivePlane, matrix):
-        self.plane = plane
-        self.m = self._normalize(matrix)
-        if self._det() == 0:
-            raise ValueError("singular matrix does not define a collineation")
-
-    def _normalize(self, m):
-        f = self.plane.ctx
-        flat = [m[i][j] for i in range(3) for j in range(3)]
-        lead = next((v for v in flat if v), None)
-        if lead is None:
-            raise ValueError("zero matrix")
-        if lead != 1:
-            s = f.inv(lead)
-            flat = [f.mul(s, v) for v in flat]
-        return (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-
-    def _det(self):
-        f = self.plane.ctx
-        m = self.m
-        t = 0
-        for (j, k, l), sign in ((( 0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                                ((2, 1, 0), -1), ((1, 0, 2), -1), ((0, 2, 1), -1)):
-            term = f.mul(f.mul(m[0][j], m[1][k]), m[2][l])
-            t = f.add(t, term if sign == 1 else f.neg(term))
-        return t
-
-    def __eq__(self, other):
-        return isinstance(other, Collineation) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-    def __repr__(self):
-        return f"Collineation({self.m})"
-
-    def apply(self, point):
-        """Image of a point (matrix acting on the left on column vectors)."""
-        f = self.plane.ctx
-        m = self.m
-        img = tuple(
-            f.add(f.add(f.mul(m[i][0], point[0]), f.mul(m[i][1], point[1])),
-                  f.mul(m[i][2], point[2]))
-            for i in range(3))
-        return self.plane.normalize(img)
-
-    def permutation(self):
-        """perm[i] = index of the image of point i.
-
-        Along each enumeration block -- (0,0,1), then (0,1,z), then each
-        row (1,y,z) -- every image coordinate is affine in z, so
-        affine_values lists it for the whole block; dividing by the first
-        nonzero coordinate then gives the index directly.
-        """
-        f, q = self.plane.ctx, self.plane.q
-        mul = f.mul
-        inv = [0, *map(f.inv, range(1, q))]
-        perm = []
-
-        def emit(xs, ys, zs):
-            for x, y, z in zip(xs, ys, zs):
-                if x:
-                    s = inv[x]
-                    perm.append(q + 1 + q * mul(y, s) + mul(z, s))
-                elif y:
-                    perm.append(1 + mul(z, inv[y]))
-                else:
-                    perm.append(0)
-
-        rows = self.m
-        emit(*([r[2]] for r in rows))                             # (0, 0, 1)
-        emit(*(f.affine_values(r[1], r[2]) for r in rows))        # (0, 1, z)
-        starts = [f.affine_values(r[0], r[1]) for r in rows]      # at (1, y, 0)
-        for y in range(q):
-            emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, rows)))
-        return perm
-
-    def compose(self, other: "Collineation") -> "Collineation":
-        """self after other (matrix product self.m @ other.m)."""
-        f = self.plane.ctx
-        a, b = self.m, other.m
-        prod = tuple(
-            tuple(
-                f.add(f.add(f.mul(a[i][0], b[0][j]), f.mul(a[i][1], b[1][j])),
-                      f.mul(a[i][2], b[2][j]))
-                for j in range(3))
-            for i in range(3))
-        return Collineation(self.plane, prod)
-
-    @classmethod
-    def identity(cls, plane):
-        return cls(plane, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    emit(*([r[2]] for r in m))                                # (0, 0, 1)
+    emit(*(f.affine_values(r[1], r[2]) for r in m))           # (0, 1, z)
+    starts = [f.affine_values(r[0], r[1]) for r in m]         # at (1, y, 0)
+    for y in range(q):
+        emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, m)))
+    if len(set(perm)) != len(perm):
+        raise ValueError("singular matrix does not define a collineation")
+    return perm
 
 
-def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> Collineation:
-    """3x3 lift of an invertible 2x2 matrix into the conic/polarity stabilizer.
+def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
+    """Point permutation of the 3x3 lift of an invertible 2x2 matrix into
+    the conic/polarity stabilizer.
 
     For odd q the lift stabilizes the conic X2^2 - X1*X3 = 0.  For even q
     it is diag(sqrt(det), [[a, b], [c, d]]); then M^T A M = det * A for
@@ -233,7 +158,7 @@ def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> Collineation:
     if det == 0:
         raise ValueError("degenerate 2x2 matrix")
     if f.p == 2:
-        return Collineation(plane, ((f.pow(det, f.q // 2), 0, 0),
+        return collineation(plane, ((f.pow(det, f.q // 2), 0, 0),
                                     (0, a, b), (0, c, d)))
     two = f.add(1, 1)
     # symmetric square of [[a,b],[c,d]] in the basis (x^2, x*y, y^2);
@@ -243,7 +168,7 @@ def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> Collineation:
         (f.mul(a, c), f.add(f.mul(a, d), f.mul(b, c)), f.mul(b, d)),
         (f.mul(c, c), f.mul(two, f.mul(c, d)), f.mul(d, d)),
     )
-    return Collineation(plane, m)
+    return collineation(plane, m)
 
 
 def orbit(perms, start):
@@ -264,7 +189,8 @@ def orbit(perms, start):
 
 
 def baer_stabilizer_generators(plane: ProjectivePlane):
-    """Lifted generators of PGL(2, sqrt q) acting with subfield entries.
+    """Lifted generators of PGL(2, sqrt q) acting with subfield entries,
+    as point permutations.
 
     Uses the standard generating set of GL(2, F): a transvection, a
     diagonal matrix with a generating scalar, and the coordinate swap.

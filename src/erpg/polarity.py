@@ -34,20 +34,6 @@ class Polarity:
             return self.plane.normalize((x3, f.neg(f.add(x2, x2)), x1))
         return self.plane.normalize((x1, x3, x2))
 
-    def polar_point(self, line):
-        """Inverse map line -> pole; polar_line(polar_point(l)) == l."""
-        f = self.ctx
-        a, b, c = line
-        if self.kind == "orthogonal":
-            # Invert (x1,x2,x3) -> (x3, -2 x2, x1).
-            half = f.inv(f.add(1, 1))
-            return self.plane.normalize((c, f.neg(f.mul(half, b)), a))
-        return self.plane.normalize((a, c, b))
-
-    def conjugate(self, P, Q) -> bool:
-        """Whether Q lies on the polar line of P (symmetric relation)."""
-        return self.plane.incident(Q, self.polar_line(P))
-
     def is_absolute(self, point) -> bool:
         f = self.ctx
         x1, x2, x3 = point

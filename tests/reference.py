@@ -4,10 +4,16 @@
 nodes were made cheaper: it recomputes the whole greedy clique cover at
 every node, pushes both children on the stack and scans the candidates for
 a max-degree vertex from the lowest index up.  The package's solver must
-walk exactly the same search tree.
+walk exactly the same search tree.  The geometry here evaluates dot
+products and the polarity's bilinear form directly on coordinate triples.
 """
 
-from erpg.graphs import MISResult, SolveBudget, bits
+import numpy as np
+
+from erpg.constructions import conic_points
+from erpg.field import field_for_order
+from erpg.graphs import Graph, MISResult, SolveBudget, bits
+from erpg.plane import ProjectivePlane, collineation
 
 
 def greedy_cover_count(adj, cand):
@@ -83,3 +89,94 @@ def max_independent_set_reference(g, budget=None, initial=None):
                       cand & ~(adj[v] | (1 << v))))
     status = "budget_exhausted" if exhausted else "optimal"
     return MISResult(best, sorted(bits(best_set)), status, nodes)
+
+
+def random_graph(n, p, rng):
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    return g
+
+
+def alpha_exact(g):
+    """Exact oracle sharing no code with the solver: the recursion
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])), v the lowest vertex
+    of S, memoised over vertex bitmasks."""
+    adj = g.adj
+    memo = {0: 0}
+
+    def alpha(S):
+        a = memo.get(S)
+        if a is None:
+            v = (S & -S).bit_length() - 1
+            rest = S & (S - 1)
+            a = memo[S] = max(alpha(rest), 1 + alpha(rest & ~adj[v]))
+        return a
+
+    return alpha((1 << g.n) - 1)
+
+
+def alpha_subset_scan(g):
+    """Cross-check of alpha_exact for small n: a vectorized scan of all
+    2^n vertex subsets."""
+    n = g.n
+    masks = np.arange(1 << n, dtype=np.uint32)
+    ok = np.ones(1 << n, dtype=bool)
+    for v in range(n):
+        has_v = (masks >> v & 1).astype(bool)
+        conflict = (masks & np.uint32(g.adj[v])) != 0
+        ok &= ~(has_v & conflict)
+    size = np.zeros(1 << n, dtype=np.int8)
+    for v in range(n):
+        size += (masks >> v & 1).astype(np.int8)
+    return int(size[ok].max())
+
+
+def preserves_adjacency(g, perm):
+    """Whether adj[perm[u]] is the image of adj[u] for every vertex u."""
+    return all(g.adj[perm[u]] == sum(1 << perm[v] for v in bits(row))
+               for u, row in enumerate(g.adj))
+
+
+def dot(f, u, v):
+    """u . v over the field f; a point u lies on a line v when it is 0."""
+    return f.add(f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1])), f.mul(u[2], v[2]))
+
+
+def conjugate(f, P, Q):
+    """Whether P^T A Q = 0 for the polarity's matrix A: [[1,0,0],[0,0,1],
+    [0,1,0]] for even q, [[0,0,1],[0,-2,0],[1,0,0]] for odd q."""
+    if f.p == 2:
+        return dot(f, P, (Q[0], Q[2], Q[1])) == 0
+    return dot(f, P, (Q[2], f.neg(f.add(Q[1], Q[1])), Q[0])) == 0
+
+
+def conic_polar_disjointness(q, lam):
+    """Whether every point of the pencil conic with parameter lam^2 has a
+    polar line disjoint from that conic: no two of its points are conjugate
+    (none is absolute).  Holds exactly when Tr(lam) = 0."""
+    f = field_for_order(q)
+    pts = conic_points(ProjectivePlane(f), f.find_trace_one(), f.mul(lam, lam))
+    return not any(conjugate(f, P, R) for P in pts for R in pts)
+
+
+def cyclic_pencil_group(q):
+    """A generator, as a point permutation, of the cyclic order-(q+1) group
+    stabilizing the pencil; its orbits off X1 = 0 are the pencil conics."""
+    f = field_for_order(q)
+    plane, alpha = ProjectivePlane(f), f.find_trace_one()
+    group = [collineation(plane, ((1, 0, 0), (0, a, f.mul(alpha, b)),
+                                  (0, b, f.add(a, b))))
+             for a in range(q) for b in range(q)
+             if f.add(f.mul(a, f.add(a, b)), f.mul(alpha, f.mul(b, b))) == 1]
+    assert len(group) == q + 1, f"pencil group has {len(group)} elements"
+    identity = list(range(len(plane.points)))
+    for g in group:
+        power, order = g, 1
+        while power != identity:
+            power, order = [g[j] for j in power], order + 1
+        if order == q + 1:
+            return g
+    raise AssertionError("pencil group has no element of order q+1")

@@ -17,7 +17,8 @@ from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import Polarity, build_er_graph
 
-from test_graphs import alpha_exact, alpha_subset_scan, random_graph
+from reference import (alpha_exact, alpha_subset_scan,
+                       conic_polar_disjointness, random_graph)
 
 
 def report(criterion, ok, detail):
@@ -144,7 +145,7 @@ def test_criterion_8_algebraic_property_suites():
     for q in (8, 32):
         f = field_for_order(q)
         counterexamples += sum(
-            cons.conic_polar_disjointness(q, lam) != (f.abs_trace(lam) == 0)
+            conic_polar_disjointness(q, lam) != (f.abs_trace(lam) == 0)
             for lam in f.elements())
     report(8, counterexamples == 0,
            f"exhaustive algebraic checks, {counterexamples} counterexamples")

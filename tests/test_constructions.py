@@ -7,11 +7,12 @@ import pytest
 from erpg import constructions as cons
 from erpg.field import factor_prime_power, field_for_order
 from erpg.graphs import greedy_extend
-from erpg.plane import (Collineation, ProjectivePlane,
-                        baer_stabilizer_generators, orbit)
+from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
+                        collineation, orbit)
 from erpg.polarity import INTERNAL, Polarity, build_er_graph
 
-from test_plane import preserves_adjacency
+from reference import (conic_polar_disjointness, conjugate,
+                       cyclic_pencil_group, preserves_adjacency)
 
 
 def setup(q):
@@ -81,7 +82,7 @@ def test_all_good_internal_orbits_q9():
     # avoid their own polar lines
     pl, pol = setup(9)
     f = pl.ctx
-    perms = [g.permutation() for g in baer_stabilizer_generators(pl)]
+    perms = baer_stabilizer_generators(pl)
     line_internals = [pl.index[(1, 0, z)] for z in f.elements()
                       if pol.classify((1, 0, z)) == INTERNAL]
     orbits = []
@@ -125,10 +126,10 @@ def k_group_reference(pl):
     f = pl.ctx
     r = f.sqrt_q()
     two = f.add(1, 1)
-    return {Collineation(pl, ((f.mul(a, a), f.mul(two, f.mul(a, c)),
-                               f.mul(c, c)),
-                              (0, a, c),
-                              (0, 0, 1)))
+    return {tuple(collineation(pl, ((f.mul(a, a), f.mul(two, f.mul(a, c)),
+                                     f.mul(c, c)),
+                                    (0, a, c),
+                                    (0, 0, 1))))
             for a in range(1, pl.q) if f.pow(a, r + 1) == 1
             for c in f.elements()}
 
@@ -136,10 +137,11 @@ def k_group_reference(pl):
 def test_k_generators_and_orbit_split_q25():
     pl, pol = setup(25)
     gens = cons.k_generators(pl)
-    closure = {Collineation.identity(pl)}
+    closure = {tuple(range(len(pl.points)))}
     frontier = list(closure)
     while frontier:
-        frontier = [x for x in {g.compose(h) for h in frontier for g in gens}
+        frontier = [x for x in {tuple(g[j] for j in h)
+                                for h in frontier for g in gens}
                     if x not in closure]
         closure.update(frontier)
     assert len(closure) == 25 * 6
@@ -171,7 +173,7 @@ def test_internal_k_orbits_q81():
 GENERATORS_IN_USE = {
     "baer": baer_stabilizer_generators,
     "k": cons.k_generators,
-    "pencil": lambda pl: [cons.cyclic_pencil_group(pl.q)],
+    "pencil": lambda pl: [cyclic_pencil_group(pl.q)],
 }
 
 
@@ -181,8 +183,8 @@ GENERATORS_IN_USE = {
 def test_generators_in_use_are_er_automorphisms(family, q):
     pl, _ = setup(q)
     g = build_er_graph(pl)
-    for col in GENERATORS_IN_USE[family](pl):
-        assert preserves_adjacency(g, col.permutation())
+    for perm in GENERATORS_IN_USE[family](pl):
+        assert preserves_adjacency(g, perm)
 
 
 @pytest.mark.parametrize("q", [8, 9, 16])
@@ -192,7 +194,7 @@ def test_point_set_independent_witness_is_conjugate_pair(q):
     neighbour = pl.line_points(pol.polar_line(cert.points[-1]))[0]
     for points in (pl.points[::-1], cert.points + [neighbour]):
         P, R = cons.point_set_independent(pl, points)
-        assert P != R and pol.conjugate(P, R)
+        assert P != R and conjugate(pl.ctx, P, R)
 
 
 def test_coclique_pos_wrong_residue():
@@ -376,34 +378,35 @@ def test_greedy_extension_is_independent_and_larger():
 def test_pencil_conic_polar_dichotomy(q):
     ctx = field_for_order(q)
     for lam in ctx.elements():
-        assert cons.conic_polar_disjointness(q, lam) == (ctx.abs_trace(lam) == 0)
+        assert conic_polar_disjointness(q, lam) == (ctx.abs_trace(lam) == 0)
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_cyclic_pencil_group(q):
     pl, _ = setup(q)
-    gen = cons.cyclic_pencil_group(q)
-    ident = Collineation.identity(pl)
+    gen = cyclic_pencil_group(q)
+    ident = list(range(len(pl.points)))
     seen, acc = [], gen
     while acc != ident:
         seen.append(acc)
-        acc = acc.compose(gen)
+        acc = [acc[j] for j in gen]
     assert len(seen) + 1 == q + 1  # cyclic of order q+1
     # U1 is fixed; the absolute line X1 = 0 is stabilized setwise
-    assert gen.apply((1, 0, 0)) == (1, 0, 0)
-    absolute = set(pl.line_points((1, 0, 0)))
-    assert {gen.apply(P) for P in absolute} == absolute
+    u1 = pl.index[(1, 0, 0)]
+    assert gen[u1] == u1
+    absolute = set(pl.line_point_indices((1, 0, 0)))
+    assert {gen[j] for j in absolute} == absolute
 
 
 def test_pencil_orbit_is_conic():
     q = 8
     pl, pol = setup(q)
     ctx = pl.ctx
-    gen = cons.cyclic_pencil_group(q)
+    gen = cyclic_pencil_group(q)
     lam = next(x for x in range(1, q) if ctx.abs_trace(x) == 0)
     alpha = ctx.find_trace_one()
     expected = set(cons.conic_points(pl, alpha, ctx.mul(lam, lam)))
-    orb = orbit([gen.permutation()], pl.index[(1, lam, 0)])
+    orb = orbit([gen], pl.index[(1, lam, 0)])
     assert {pl.points[j] for j in orb} == expected
 
 
@@ -433,10 +436,11 @@ def test_triangle_free_matches_er_induced():
 
 def test_triangle_free_invariant_under_pencil_group():
     q = 8
-    gen = cons.cyclic_pencil_group(q)
+    pl, _ = setup(q)
+    gen = cyclic_pencil_group(q)
     tfs = cons.triangle_free_set(q)
-    pts = set(tfs.points)
-    assert {gen.apply(P) for P in pts} == pts
+    pts = {pl.index[P] for P in tfs.points}
+    assert {gen[j] for j in pts} == pts
 
 
 def drop_one_direction(real):
@@ -562,10 +566,9 @@ def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
 
     def spoiled(q):
         arc = real(q)
-        pol = Polarity(arc.plane)
         P = arc.points[0]
         Q = next(pt for pt in arc.plane.points
-                 if pt not in arc.points and pol.conjugate(P, pt))
+                 if pt not in arc.points and conjugate(arc.plane.ctx, P, pt))
         arc.points = [Q] + arc.points
         return arc
     monkeypatch.setattr(cons, "denniston_arc", spoiled)

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,50 +11,8 @@ from erpg.graphs import Graph, SolveBudget, max_independent_set
 from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph
 
-from reference import greedy_cover_count, max_independent_set_reference
-
-
-def random_graph(n, p, rng):
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
-
-
-def alpha_exact(g):
-    """Exact oracle sharing no code with the solver: the recursion
-    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])), v the lowest vertex
-    of S, memoised over vertex bitmasks."""
-    adj = g.adj
-    memo = {0: 0}
-
-    def alpha(S):
-        a = memo.get(S)
-        if a is None:
-            v = (S & -S).bit_length() - 1
-            rest = S & (S - 1)
-            a = memo[S] = max(alpha(rest), 1 + alpha(rest & ~adj[v]))
-        return a
-
-    return alpha((1 << g.n) - 1)
-
-
-def alpha_subset_scan(g):
-    """Cross-check of alpha_exact for small n: a vectorized scan of all
-    2^n vertex subsets."""
-    n = g.n
-    masks = np.arange(1 << n, dtype=np.uint32)
-    ok = np.ones(1 << n, dtype=bool)
-    for v in range(n):
-        has_v = (masks >> v & 1).astype(bool)
-        conflict = (masks & np.uint32(g.adj[v])) != 0
-        ok &= ~(has_v & conflict)
-    size = np.zeros(1 << n, dtype=np.int8)
-    for v in range(n):
-        size += (masks >> v & 1).astype(np.int8)
-    return int(size[ok].max())
+from reference import (alpha_exact, alpha_subset_scan, greedy_cover_count,
+                       max_independent_set_reference, random_graph)
 
 
 # -- predicates --------------------------------------------------------------
@@ -320,6 +277,18 @@ def test_solver_deterministic():
     r1 = max_independent_set(g)
     r2 = max_independent_set(g)
     assert (r1.size, r1.vertices, r1.nodes) == (r2.size, r2.vertices, r2.nodes)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([0b0011, 0b0001, 0, 0], "loop at vertex 0"),
+    ([0b101100, 0b100, 0b10, 0b110, 0b1, 0b1], r"asymmetric edge \(0,2\)"),
+    ([0b10000, 0, 0, 0], "neighbour out of range"),
+], ids=["loop", "asymmetric", "out-of-range"])
+def test_solver_rejects_rows_that_are_not_a_simple_graph(rows, message):
+    # unchecked, these returned [0, 2, 3] with the looped vertex 0 and the
+    # dependent set [0, 1, 4]
+    with pytest.raises(ValueError, match=message):
+        max_independent_set(Graph(len(rows), rows))
 
 
 def test_invalid_budget():

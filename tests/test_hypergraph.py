@@ -136,11 +136,3 @@ def test_mw_bound_report():
     with pytest.raises(ValueError):
         hg.mw_bound_report(9)
 
-
-def test_edges_csv():
-    h = hg.build_hypergraph(3)
-    data = hg.edges_csv(h).decode().splitlines()
-    assert data[0] == "u,v,w"
-    assert len(data) == 1 + h.num_edges()
-    triples = [tuple(int(x) for x in row.split(",")) for row in data[1:]]
-    assert triples == h.edges

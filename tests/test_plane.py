@@ -3,11 +3,11 @@ import random
 import pytest
 
 from erpg.field import field_for_order
-from erpg.plane import (Collineation, ProjectivePlane,
-                        baer_stabilizer_generators, conic_stabilizer_lift,
-                        orbit)
-from erpg.graphs import bits
+from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
+                        collineation, conic_stabilizer_lift, orbit)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
+
+from reference import dot, preserves_adjacency
 
 
 def plane_for(q):
@@ -41,8 +41,9 @@ def test_normalization_idempotent_and_bijective():
 
 def test_incident_examples():
     pl = plane_for(3)
-    assert pl.incident((1, 0, 0), (0, 0, 1))
-    assert pl.incident((1, 1, 1), (1, 1, 1))  # 1+1+1 = 0 in GF(3)
+    assert (1, 0, 0) in pl.line_points((0, 0, 1))
+    assert dot(pl.ctx, (1, 1, 1), (1, 1, 1)) == 0  # 1+1+1 = 0 in GF(3)
+    assert (1, 1, 1) in pl.line_points((1, 1, 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -51,7 +52,7 @@ def test_every_line_has_q_plus_1_points(q):
     for line in pl.points:
         pts = pl.line_points(line)
         assert len(pts) == q + 1
-        assert all(pl.incident(P, line) for P in pts)
+        assert all(dot(pl.ctx, P, line) == 0 for P in pts)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -59,7 +60,7 @@ def test_line_point_indices_match_incidence(q):
     pl = plane_for(q)
     f = pl.ctx
     for line in pl.points:
-        expected = [j for j, P in enumerate(pl.points) if pl.incident(P, line)]
+        expected = [j for j, P in enumerate(pl.points) if dot(f, P, line) == 0]
         assert pl.line_point_indices(line) == expected
         for s in range(2, q):
             scaled = tuple(f.mul(s, c) for c in line)
@@ -77,35 +78,57 @@ def test_line_through_two_points():
     for _ in range(50):
         P, Q = rng.sample(pl.points, 2)
         line = pl.line_through(P, Q)
-        assert pl.incident(P, line) and pl.incident(Q, line)
+        assert dot(pl.ctx, P, line) == dot(pl.ctx, Q, line) == 0
+
+
+def matrix_action(pl, m):
+    """Index of the image of every point: m times the triple, normalized."""
+    return [pl.index[pl.normalize(tuple(dot(pl.ctx, row, P) for row in m))]
+            for P in pl.points]
 
 
 def test_identity_and_scalar_equivalence():
     pl = plane_for(9)
-    ident = Collineation.identity(pl)
-    for pt in pl.points[:20]:
-        assert ident.apply(pt) == pt
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert collineation(pl, identity) == list(range(len(pl.points)))
     f = pl.ctx
     m = ((1, 2, 0), (0, 1, 1), (1, 0, 2))
     c = 5
     scaled = tuple(tuple(f.mul(c, v) for v in row) for row in m)
-    assert Collineation(pl, m) == Collineation(pl, scaled)
+    assert collineation(pl, m) == collineation(pl, scaled)
 
 
 def test_singular_matrix_rejected():
     pl = plane_for(3)
-    with pytest.raises(ValueError):
-        Collineation(pl, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    for m in [((1, 0, 0), (0, 1, 0), (1, 1, 0)),   # rank 2
+              ((0, 0, 0),) * 3,                      # zero
+              ((1, 2, 0), (2, 1, 0), (1, 2, 0))]:    # rank 1
+        with pytest.raises(ValueError):
+            collineation(pl, m)
+    # exactly the |GL(3,2)| = 168 invertible matrices over GF(2) are kept
+    pl = plane_for(2)
+    kept = 0
+    for bits9 in range(1 << 9):
+        m = [[bits9 >> (3 * i + j) & 1 for j in range(3)] for i in range(3)]
+        try:
+            perm = collineation(pl, m)
+        except ValueError:
+            continue
+        kept += 1
+        assert perm == matrix_action(pl, m)
+    assert kept == 168
 
 
-def random_collineation(pl, rng):
+def random_matrix(pl, rng):
+    """A random invertible 3x3 matrix over the plane's field."""
     q = pl.q
     while True:
         m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
         try:
-            return Collineation(pl, m)
+            collineation(pl, m)
         except ValueError:
             continue
+        return m
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
@@ -113,9 +136,8 @@ def test_permutation_matches_matrix_action(q):
     pl = plane_for(q)
     rng = random.Random(q)
     for _ in range(30):
-        col = random_collineation(pl, rng)
-        assert col.permutation() == [pl.index[col.apply(P)]
-                                     for P in pl.points]
+        m = random_matrix(pl, rng)
+        assert collineation(pl, m) == matrix_action(pl, m)
 
 
 def test_collineation_preserves_incidence():
@@ -124,7 +146,7 @@ def test_collineation_preserves_incidence():
     lines = {frozenset(pl.line_point_indices(l)): l for l in pl.points}
     rng = random.Random(7)
     for _ in range(5):
-        perm = random_collineation(pl, rng).permutation()
+        perm = collineation(pl, random_matrix(pl, rng))
         assert sorted(perm) == list(range(len(pl.points)))
         images = {frozenset(perm[j] for j in pts) for pts in lines}
         assert images == set(lines)
@@ -135,9 +157,10 @@ def test_compose_is_permutation_composition():
     for q in (8, 9):
         pl = plane_for(q)
         for _ in range(5):
-            g, h = random_collineation(pl, rng), random_collineation(pl, rng)
-            pg, ph = g.permutation(), h.permutation()
-            assert g.compose(h).permutation() == [pg[j] for j in ph]
+            g, h = random_matrix(pl, rng), random_matrix(pl, rng)
+            gh = [[dot(pl.ctx, row, col) for col in zip(*h)] for row in g]
+            pg, ph = collineation(pl, g), collineation(pl, h)
+            assert collineation(pl, gh) == [pg[j] for j in ph]
 
 
 def conic_point_set(pl):
@@ -150,7 +173,7 @@ def conic_point_set(pl):
 def test_lift_identity_and_composition():
     pl = plane_for(9)
     f = pl.ctx
-    assert conic_stabilizer_lift(pl, 1, 0, 0, 1) == Collineation.identity(pl)
+    assert conic_stabilizer_lift(pl, 1, 0, 0, 1) == list(range(len(pl.points)))
     sub = f.subfield()
     # composition homomorphism over all invertible 2x2 subfield matrices
     mats = []
@@ -169,7 +192,7 @@ def test_lift_identity_and_composition():
                      sub.add(sub.mul(A[0], B[1]), sub.mul(A[1], B[3])),
                      sub.add(sub.mul(A[2], B[0]), sub.mul(A[3], B[2])),
                      sub.add(sub.mul(A[2], B[1]), sub.mul(A[3], B[3])))
-            assert la.compose(lb) == conic_stabilizer_lift(
+            assert [la[j] for j in lb] == conic_stabilizer_lift(
                 pl, *(e(x) for x in prod2))
 
 
@@ -185,13 +208,7 @@ def test_lift_preserves_conic():
         except ValueError:
             continue
         count += 1
-        assert {col.apply(P) for P in conic} == conic
-
-
-def preserves_adjacency(g, perm):
-    """Whether adj[perm[u]] is the image of adj[u] for every vertex u."""
-    return all(g.adj[perm[u]] == sum(1 << perm[v] for v in bits(row))
-               for u, row in enumerate(g.adj))
+        assert {pl.points[col[pl.index[P]]] for P in conic} == conic
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -208,7 +225,7 @@ def test_even_lifts_are_er_automorphisms(q):
                     except ValueError:
                         continue
                     count += 1
-                    assert preserves_adjacency(g, col.permutation())
+                    assert preserves_adjacency(g, col)
     assert count == (q * q - 1) * (q * q - q)  # |GL(2,q)|
 
 
@@ -225,7 +242,7 @@ def test_orbit_trivial_and_closure():
     assert orbit([], P) == [P]
     # full conic stabilizer (entries from all of GF(9)): orbit of the
     # external point U2 is the whole external class, q(q+1)/2 points
-    perms = [conic_stabilizer_lift(pl, *t).permutation()
+    perms = [conic_stabilizer_lift(pl, *t)
              for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1), (0, 1, 1, 0)]]
     orb = orbit(perms, P)
     pol = Polarity(pl)
@@ -233,8 +250,7 @@ def test_orbit_trivial_and_closure():
     assert all(pol.classify(pl.points[j]) == EXTERNAL for j in orb)
     # the subfield-entry subgroup keeps U2 inside the Baer subplane:
     # its orbit is the 6 points of B external to the Baer conic
-    sub_orb = orbit([g.permutation() for g in baer_stabilizer_generators(pl)],
-                    P)
+    sub_orb = orbit(baer_stabilizer_generators(pl), P)
     assert len(sub_orb) == 6
     assert all(pl.points[j] in pl.baer_points() for j in sub_orb)
 
@@ -250,7 +266,7 @@ def test_orbit_is_breadth_first_in_generator_order():
 def test_orbit_sizes_divide_group_order():
     # |PGL(2, sqrt q)| = sqrt(q) (q - 1) = 3 * 8 = 24 at q = 9
     pl = plane_for(9)
-    perms = [g.permutation() for g in baer_stabilizer_generators(pl)]
+    perms = baer_stabilizer_generators(pl)
     baer = {pl.index[P] for P in pl.baer_points()}
     seen = set()
     for i in range(len(pl.points)):
@@ -264,11 +280,13 @@ def test_orbit_sizes_divide_group_order():
 
 def test_baer_membership():
     pl = plane_for(9)
-    assert pl.in_baer_subplane((1, 0, 0))
-    assert sum(pl.in_baer_subplane(P) for P in pl.points) == 13
     f = pl.ctx
+    baer = pl.baer_points()
+    assert baer == {P for P in pl.points if all(map(f.in_subfield, P))}
+    assert (1, 0, 0) in baer
+    assert sum(P in baer for P in pl.points) == 13
     g = next(a for a in f.elements() if not f.in_subfield(a))
-    assert not pl.in_baer_subplane(pl.normalize((1, g, 0)))
+    assert pl.normalize((1, g, 0)) not in baer
     with pytest.raises(ValueError):
         plane_for(3).baer_points()
 
@@ -283,5 +301,5 @@ def test_unique_secant_baer_line_through_outside_point():
     for P in pl.points:
         if P in baer:
             continue
-        through = sum(1 for l in rich_lines if pl.incident(P, l))
+        through = sum(1 for l in rich_lines if dot(pl.ctx, P, l) == 0)
         assert through == 1
