@@ -263,14 +263,20 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                         initial=None) -> MISResult:
     """Exact maximum independent set by bitset branch-and-bound.
 
-    Branches on a maximum-degree candidate vertex v, including it first.
-    The degree scan runs from the highest candidate index down and keeps
-    ties, so the least index wins.  A node is pruned when the greedy
-    clique cover of its candidates (`_cover_exceeds`) needs no more than
-    best - |chosen| cliques; the cover stops early once it needs more.
-    The include child is searched in place, diving until a leaf, a prune
-    or the budget ends the dive; only the exclude children wait on an
-    explicit stack, so the graph size is not limited by the recursion
+    Branches on a maximum-degree candidate vertex v (degree within the
+    candidates, least index on ties), including it first.  The degrees
+    are kept as bit-sliced counters: bit u of cnt[k] is bit k of
+    |adj[u] & cand|.  From the highest slice down, cand is narrowed to the
+    vertices with that bit set wherever some are left; what remains has
+    the maximum degree, and v is its lowest bit.  A node inherits its
+    parent's counters with the vertices removed since then pending, and
+    only a node that survives the bound subtracts them, one borrow chain
+    of a row through the slices each.  A node is pruned when
+    the greedy clique cover of its candidates (`_cover_exceeds`) needs no
+    more than best - |chosen| cliques; the cover stops early once it needs
+    more.  The include child is searched in place, diving until a leaf, a
+    prune or the budget ends the dive; only the exclude children wait on
+    an explicit stack, so the graph size is not limited by the recursion
     limit.  Every visited node counts against the budget, so max_nodes = k
     reports k + 1 nodes when the budget runs out.
     Deterministic: identical inputs give identical outputs.  `initial`
@@ -296,12 +302,19 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             best_set |= 1 << v
     best = best_set.bit_count()
 
+    degrees = [row.bit_count() for row in adj]
+    slices = range(max(degrees, default=0).bit_length())
+    cnt = [int("".join(str(d >> k & 1) for d in reversed(degrees)), 2)
+           for k in slices]
+
     max_nodes = budget.max_nodes
     nodes = 0
     exhausted = False
-    stack = [(0, 0, full)]  # (chosen, its size, candidates) of dives to start
+    # dives to start: (chosen, its size, candidates, the parent's degree
+    # counters, candidates removed since the parent)
+    stack = [(0, 0, full, cnt, 0)]
     while stack and not exhausted:
-        chosen, csize, cand = stack.pop()
+        chosen, csize, cand, cnt, pending = stack.pop()
         while True:  # dive through include children
             nodes += 1
             if nodes > max_nodes:
@@ -313,20 +326,29 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                 break
             if not _cover_exceeds(adj, cand, best - csize):
                 break
-            # max-degree candidate (degree within cand), least index on ties
-            v, vdeg = -1, -1
-            rest = cand
-            while rest:
-                u = rest.bit_length() - 1
-                rest ^= 1 << u
-                d = (adj[u] & cand).bit_count()
-                if d >= vdeg:
-                    v, vdeg = u, d
-            bit = 1 << v
-            stack.append((chosen, csize, cand ^ bit))
+            if pending:
+                cnt = cnt[:]
+                while pending:
+                    low = pending & -pending
+                    pending ^= low
+                    borrow = adj[low.bit_length() - 1] & cand
+                    k = 0
+                    while borrow:  # counts within cand never go below 0
+                        c = cnt[k] ^ borrow
+                        cnt[k] = c
+                        borrow &= c
+                        k += 1
+            top = cand
+            for c in reversed(cnt):
+                narrowed = top & c
+                if narrowed:
+                    top = narrowed
+            bit = top & -top
+            stack.append((chosen, csize, cand ^ bit, cnt, bit))
             chosen |= bit
             csize += 1
-            cand &= ~(adj[v] | bit)
+            pending = cand & (adj[bit.bit_length() - 1] | bit)
+            cand ^= pending
     status = "budget_exhausted" if exhausted else "optimal"
     return MISResult(best, sorted(bits(best_set)), status, nodes)
 

@@ -117,9 +117,14 @@ def collineation(plane: ProjectivePlane, m) -> list:
     affine_values lists it for the whole block; dividing by the first
     nonzero coordinate then gives the index directly.  A singular m maps
     the plane into a line or a point (a zero image counts as index 0),
-    so it is rejected as the map is not a bijection.
+    so it is rejected as the map is not a bijection, and so is an entry
+    that is not an int in range(q).
     """
     f, q = plane.ctx, plane.q
+    for r in m:
+        for x in r:
+            if not isinstance(x, int) or not 0 <= x < q:
+                raise ValueError(f"matrix entry {x!r} is not in GF({q})")
     mul = f.mul
     inv = [0, *map(f.inv, range(1, q))]
     perm = []

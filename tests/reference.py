@@ -2,10 +2,12 @@
 
 `max_independent_set_reference` is the exact solver as it stood before its
 nodes were made cheaper: it recomputes the whole greedy clique cover at
-every node, pushes both children on the stack and scans the candidates for
-a max-degree vertex from the lowest index up.  The package's solver must
-walk exactly the same search tree.  The geometry here evaluates dot
-products and the polarity's bilinear form directly on coordinate triples.
+every node, pushes both children on the stack and still scans every
+candidate, from the lowest index up, for a max-degree vertex, where the
+package's solver reads it from bit-sliced degree counters.  The package's
+solver must walk exactly the same search tree.  The geometry here
+evaluates dot products and the polarity's bilinear form directly on
+coordinate triples.
 """
 
 import numpy as np

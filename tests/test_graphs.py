@@ -299,10 +299,10 @@ def test_invalid_budget():
 TREE_BUDGETS = [None, 1, 2, 5, 17, 60]
 
 
-def assert_same_tree(g, initial):
+def assert_same_tree(g, initial, budgets=TREE_BUDGETS):
     """The solver and the reference visit the same nodes in the same order:
     same size, vertices, status and node count, under every budget."""
-    for max_nodes in TREE_BUDGETS:
+    for max_nodes in budgets:
         budget = SolveBudget(max_nodes) if max_nodes else None
         res = max_independent_set(g, budget, initial)
         ref = max_independent_set_reference(g, budget, initial)
@@ -330,6 +330,47 @@ def test_solver_tree_matches_reference_on_er(q):
     except ValueError:
         return  # no construction for this q
     assert_same_tree(g, [plane.index[pt] for pt in cert.points])
+
+
+def star(m, center):
+    return Graph.from_edges(m + 1, [(center, v) for v in range(m + 1)
+                                    if v != center])
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 7, 8, 9, 15, 16, 17])
+def test_solver_tree_matches_reference_on_stars(m):
+    # the centre's degree m needs m.bit_length() counter slices, one more
+    # than m - 1 needs when m is a power of two
+    for center in (0, m // 2, m):
+        assert_same_tree(star(m, center), None)
+        assert_same_tree(star(m, center), [v for v in range(m + 1)
+                                           if v != center][:1])
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_solver_tree_matches_reference_on_complete_graphs(n):
+    g = Graph.from_edges(n, [(u, v) for u in range(n)
+                             for v in range(u + 1, n)])
+    assert_same_tree(g, None)
+    assert_same_tree(g, [n - 1] if n else None)
+
+
+def test_solver_tree_matches_reference_on_matching_and_empty_graph():
+    matching = Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    assert_same_tree(matching, None)
+    assert_same_tree(matching, [1, 2, 5])
+    assert_same_tree(Graph(0), None)
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_solver_budget_tree_matches_reference_on_seeded_er(q):
+    """Dives cut by the budget on the pinned ER_8 and ER_9 searches, seeded
+    by the construction as `erpg solve` seeds them."""
+    plane = ProjectivePlane(field_for_order(q))
+    g = build_er_graph(plane)
+    cert = cons.build_coclique(q, "auto")
+    assert_same_tree(g, [plane.index[pt] for pt in cert.points],
+                     budgets=[1, 2, 5, 17, 60, 5000])
 
 
 @st.composite

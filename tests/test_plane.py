@@ -119,6 +119,16 @@ def test_singular_matrix_rejected():
     assert kept == 168
 
 
+@pytest.mark.parametrize("entry", [5, 7, -1, 1.0, "1"])
+def test_matrix_entry_outside_field_rejected(entry):
+    # 5 and 7 lie past the ends of GF(3)'s tables, and -1 would wrap to 2
+    pl = plane_for(3)
+    with pytest.raises(ValueError, match="not in GF"):
+        collineation(pl, ((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="not in GF"):
+        collineation(pl, ((1, 0, 0), (0, 1, 0), (0, 0, entry)))
+
+
 def random_matrix(pl, rng):
     """A random invertible 3x3 matrix over the plane's field."""
     q = pl.q
