@@ -24,11 +24,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .field import field_for_order
+from .field import factor_prime_power, field_for_order
 from .graphs import Graph, greedy_extend
 from .plane import (ProjectivePlane, baer_stabilizer_generators,
                     conic_stabilizer_lift, orbit)
-from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity
+from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity, _polar_rows
 
 CERTIFICATE_VERSION = "v1"
 
@@ -52,15 +52,9 @@ def _line_counts(plane, points):
     Lines are enumerated like points and incidence is the symmetric dot
     product, so the q+1 lines through a point p are
     line_point_indices(p); one pass over the points counts every line at
-    once.  Bytes suffice while a line's q+1 points fit in one; beyond
-    that a 16-bit view of a bytearray holds them (the array module would
-    map its shared library into every process that imports this one).
+    once.
     """
-    n = len(plane.points)
-    if plane.q + 1 <= 255:
-        counts = bytearray(n)
-    else:
-        counts = memoryview(bytearray(2 * n)).cast("H")
+    counts = [0] * len(plane.points)
     for pt in points:
         for j in plane.line_point_indices(pt):
             counts[j] += 1
@@ -71,19 +65,10 @@ def induced_on_points(plane, points):
     """Induced ER_q subgraph on a point list, without the full graph.
 
     Vertex i is points[i]; its row holds the positions of the other listed
-    points on its polar line.
+    points on its polar line.  A point that is not a normalized point of
+    the plane raises ValueError.
     """
-    pol = Polarity(plane)
-    pos = {plane.index[pt]: i for i, pt in enumerate(points)}
-    adj = []
-    for i, pt in enumerate(points):
-        row = 0
-        for j in plane.line_point_indices(pol.polar_line(pt)):
-            k = pos.get(j)
-            if k is not None and k != i:
-                row |= 1 << k
-        adj.append(row)
-    return Graph(len(points), adj)
+    return Graph(len(points), _polar_rows(plane, points))
 
 
 def point_set_independent(plane, points):
@@ -135,15 +120,14 @@ class Certificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _certify(cert, plane, sub=None):
-    """Check cert.points and set cert.verified.  sub, if given, is an
-    induced_on_points subgraph whose first vertices are cert.points."""
+def _certify(cert, plane, extra=()):
+    """Check cert.points and set cert.verified.  Returns the
+    induced_on_points subgraph on cert.points followed by extra."""
     # Duplicates first: a repeated absolute point lies on its own polar
     # line and would otherwise be reported as a conjugate pair.
     if len(set(cert.points)) != len(cert.points):
         raise VerificationError(f"{cert.construction_id}: duplicate points")
-    if sub is None:
-        sub = induced_on_points(plane, cert.points)
+    sub = induced_on_points(plane, cert.points + list(extra))
     witness = sub.is_independent(range(len(cert.points)))
     if witness is not None:
         pair = (cert.points[witness[0]], cert.points[witness[1]])
@@ -154,7 +138,7 @@ def _certify(cert, plane, sub=None):
             f"{cert.construction_id}: built {len(cert.points)} points, "
             f"formula gives {cert.claimed_size}")
     cert.verified = {"independent": True, "size_matches": True}
-    return cert
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +237,8 @@ def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
         parameters={"w": w},
         points=pol.absolute_points() + [plane.points[j] for j in orb],
         claimed_size=expected_orbit + ctx.q + 1)
-    return _certify(cert, plane)
+    _certify(cert, plane)
+    return cert
 
 
 def coclique_odd_sq_neg(q) -> Certificate:
@@ -401,7 +386,7 @@ class MaximalArc:
     alpha: int
     trace_zero_set: list  # N, the pencil parameters are {x^2 : x in N}
     plane: ProjectivePlane = field(repr=False)
-    line_counts: bytearray | memoryview = field(repr=False)  # _line_counts
+    line_counts: list = field(repr=False)  # _line_counts
 
 
 def denniston_arc(q) -> MaximalArc:
@@ -462,8 +447,7 @@ def coclique_even(q) -> Certificate:
     candidates = [pt for pt in plane.points
                   if pt not in on_arc and not counts[index[pol.polar_line(pt)]]]
     k = len(arc.points)
-    sub = induced_on_points(plane, arc.points + candidates)
-    _certify(cert, plane, sub)
+    sub = _certify(cert, plane, candidates)
     extended = greedy_extend(sub, range(k), range(k, sub.n))
     cert.extension = {
         "candidate_count": len(candidates),
@@ -487,7 +471,8 @@ def even_square_arc_coclique(q) -> Certificate:
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points,
         claimed_size=(arc.degree - 1) * q + arc.degree)
-    return _certify(cert, arc.plane)
+    _certify(cert, arc.plane)
+    return cert
 
 
 @dataclass
@@ -553,8 +538,10 @@ def alpha_bounds(q):
 
     upper is floor(q^{3/2} + q^{1/2}) + 1, or q^{3/2} - q + sqrt(q) + 1 for
     even square q; lower is the construction size, or the reported
-    floor(120 q^{3/2} / 73^{3/2}) for odd non-square q.
+    floor(120 q^{3/2} / 73^{3/2}) for odd non-square q.  ValueError if q
+    is not a prime power.
     """
+    factor_prime_power(q)
     r = math.isqrt(q)
     square = r * r == q
     upper = math.isqrt((q + 1) ** 2 * q) + 1

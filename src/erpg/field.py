@@ -189,16 +189,6 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _add_digits(self, a: int, b: int) -> int:
-        """Addition digit by digit in base p; builds the Zech table."""
-        p, v, mult = self.p, 0, 1
-        for _ in range(self.n):
-            v += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return v
-
     def _mul_raw(self, a: int, b: int) -> int:
         pa = _int_to_poly(a, self.p)
         pb = _int_to_poly(b, self.p)
@@ -238,11 +228,12 @@ class FieldCtx:
         return r
 
     def _build_zech(self):
-        """zech[d] = log(1 + g^d), or q - 1 where 1 + g^d = 0."""
-        m, log = self.q - 1, self._log
+        """zech[d] = log(1 + g^d), or q - 1 where 1 + g^d = 0.  Adding 1
+        changes only the lowest base-p digit of the encoding."""
+        m, log, p = self.q - 1, self._log, self.p
         zech = [m] * m
         for d, e in enumerate(self._exp):
-            s = self._add_digits(1, e)
+            s = e - e % p + (e + 1) % p
             if s:
                 zech[d] = log[s]
         self._zech = zech

@@ -56,6 +56,8 @@ class Graph:
     def __init__(self, n: int, adj=None):
         self.n = n
         self.adj = list(adj) if adj is not None else [0] * n
+        if len(self.adj) != n:
+            raise ValueError(f"{len(self.adj)} rows for {n} vertices")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -366,6 +368,7 @@ def greedy_extend(g: Graph, S, candidates):
     for v in chosen:
         blocked |= g.adj[v]
     for v in candidates:
+        g._check_vertex(v)
         b = 1 << v
         if not (mask & b) and not (blocked & b):
             chosen.append(v)

@@ -9,6 +9,8 @@ lies on the polar line of the other.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .field import FieldCtx
 from .plane import ProjectivePlane
 from .graphs import Graph
@@ -35,11 +37,7 @@ class Polarity:
         return self.plane.normalize((x1, x3, x2))
 
     def is_absolute(self, point) -> bool:
-        f = self.ctx
-        x1, x2, x3 = point
-        if self.kind == "orthogonal":
-            return f.sub(f.mul(x2, x2), f.mul(x1, x3)) == 0
-        return x1 == 0
+        return self.classify(point) == ABSOLUTE
 
     def classify(self, point) -> str:
         f = self.ctx
@@ -55,31 +53,48 @@ class Polarity:
         """The q+1 absolute points: the conic (q odd) or the line X1=0."""
         f = self.ctx
         if self.kind == "orthogonal":
-            pts = [self.plane.normalize((1, t, f.mul(t, t))) for t in f.elements()]
+            pts = [(1, t, f.mul(t, t)) for t in f.elements()]
             pts.append((0, 0, 1))
             return pts
         return self.plane.line_points((1, 0, 0))
 
 
+def _polar_rows(plane: ProjectivePlane, points) -> list[int]:
+    """Row i holds the positions of the listed points on the polar line of
+    points[i], except i itself: ER_q induced on the list.
+
+    A list over all point indices holds each listed point's (byte, bit) in
+    a row and None off the list, so a polar line's points off the list are
+    dropped by filter(None, ...) without a Python step each.  Each row is
+    filled as a little-endian byte string and converted to an int once.  A
+    point that is not a normalized point of the plane raises ValueError.
+    """
+    pol = Polarity(plane)
+    slot = [None] * len(plane.points)
+    for i, pt in enumerate(points):
+        j = plane.index.get(pt)
+        if j is None:
+            raise ValueError(
+                f"{pt!r} is not a normalized point of PG(2,{plane.q})")
+        slot[j] = (i >> 3, 1 << (i & 7))
+    nbytes = (len(points) + 7) // 8
+    rows = []
+    for i, pt in enumerate(points):
+        row = bytearray(nbytes)
+        line = plane.line_point_indices(pol.polar_line(pt))
+        for b, m in filter(None, itemgetter(*line)(slot)):
+            row[b] |= m
+        row[i >> 3] &= ~(1 << (i & 7))
+        rows.append(int.from_bytes(row, "little"))
+    return rows
+
+
 def build_er_graph(plane: ProjectivePlane) -> Graph:
     """The polarity graph ER_q as a dense bitset graph.
 
-    Vertex i is the plane's i-th point.
-    Loops at absolute points are dropped (simple graph).  Each row is
-    filled as a little-endian byte string from the polar line's point
-    indices and converted to an int once.
+    Vertex i is the plane's i-th point.  Loops at absolute points are
+    dropped (simple graph).
     """
-    pol = Polarity(plane)
-    points = plane.points
-    n = len(points)
-    nbytes = (n + 7) // 8
-    adj = []
-    for i, pt in enumerate(points):
-        row = bytearray(nbytes)
-        for j in plane.line_point_indices(pol.polar_line(pt)):
-            row[j >> 3] |= 1 << (j & 7)
-        row[i >> 3] &= ~(1 << (i & 7))
-        adj.append(int.from_bytes(row, "little"))
-    g = Graph(n, adj)
+    g = Graph(len(plane.points), _polar_rows(plane, plane.points))
     g.check_symmetric()
     return g

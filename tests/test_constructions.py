@@ -434,6 +434,21 @@ def test_triangle_free_matches_er_induced():
     assert via_big.n == direct.n and via_big.adj == direct.adj
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_er_graph_is_induced_on_all_points(q):
+    pl, _ = setup(q)
+    assert build_er_graph(pl).adj == cons.induced_on_points(pl, pl.points).adj
+
+
+@pytest.mark.parametrize("bad", [(2, 0, 0), (1, 7, 0)])
+def test_point_off_the_plane_raises_value_error(bad):
+    pl, _ = setup(5)
+    with pytest.raises(ValueError, match="not a normalized point"):
+        cons.induced_on_points(pl, [bad])
+    with pytest.raises(ValueError, match="not a normalized point"):
+        cons.point_set_independent(pl, [(1, 0, 0), bad])
+
+
 def test_triangle_free_invariant_under_pencil_group():
     q = 8
     pl, _ = setup(q)
@@ -501,6 +516,12 @@ def test_certificate_points_decode_back():
 def test_alpha_bounds_exact_at_73():
     # the float formula gave 119: 120 * 73^{3/2} / 73^{3/2} is exactly 120
     assert cons.alpha_bounds(73) == (120, 633, "reported, not constructed")
+
+
+@pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100])
+def test_alpha_bounds_rejects_non_prime_powers(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        cons.alpha_bounds(q)
 
 
 def test_alpha_bounds_defining_inequalities():

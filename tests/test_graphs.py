@@ -399,6 +399,8 @@ def test_greedy_extend():
     assert g.is_independent(got) is None and len(got) == 2
     with pytest.raises(ValueError):
         gr.greedy_extend(g, [0, 1], [])
+    with pytest.raises(ValueError, match="out of range"):
+        gr.greedy_extend(Graph(3), [0], [5])
 
 
 # -- formats -----------------------------------------------------------------
@@ -588,3 +590,9 @@ def test_vertex_out_of_range_raises_value_error():
                  lambda: g.induced([0, 5])):
         with pytest.raises(ValueError, match="out of range"):
             call()
+
+
+def test_row_count_must_match_vertex_count():
+    for n, rows in ((3, [0, 0]), (2, [0, 0, 0])):
+        with pytest.raises(ValueError, match="rows for"):
+            Graph(n, rows)
