@@ -226,7 +226,7 @@ def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
     generators(plane); arrange puts the orbit's indices in order."""
     _, plane, pol = _plane_context(ctx)
     w = ctx.find_nonsquare()
-    base = plane.normalize((1, 0, w))
+    base = (1, 0, w)
     if pol.classify(base) != INTERNAL:
         raise VerificationError("base point (1,0,w) must be internal")
     orb = arrange(orbit(generators(plane), plane.index[base]))

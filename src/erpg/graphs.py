@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import binascii
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def bits(x: int):

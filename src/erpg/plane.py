@@ -28,7 +28,6 @@ class ProjectivePlane:
         self.q = ctx.q
         self.points = self._enumerate()
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        self._baer = None
 
     def _enumerate(self):
         q = self.q
@@ -41,8 +40,10 @@ class ProjectivePlane:
 
     def normalize(self, v):
         """Scale a nonzero triple so its first nonzero coordinate is 1."""
-        f = self.ctx
+        f, q = self.ctx, self.q
         x, y, z = v
+        if not (0 <= x < q and 0 <= y < q and 0 <= z < q):
+            raise ValueError(f"coordinates {v!r} are not all in GF({q})")
         if x:
             if x == 1:
                 return (1, y, z)
@@ -66,6 +67,8 @@ class ProjectivePlane:
         """
         f, q = self.ctx, self.q
         a, b, c = line
+        if not (0 <= a < q and 0 <= b < q and 0 <= c < q):
+            raise ValueError(f"coordinates {line!r} are not all in GF({q})")
         if c:
             ic = f.inv(c)
             u, v = f.neg(f.mul(a, ic)), f.neg(f.mul(b, ic))
@@ -88,7 +91,10 @@ class ProjectivePlane:
 
     def line_through(self, P, Q):
         """The unique line through two distinct points (cross product)."""
-        f = self.ctx
+        f, q = self.ctx, self.q
+        for v in (P, Q):
+            if not all(0 <= c < q for c in v):
+                raise ValueError(f"coordinates {v!r} are not all in GF({q})")
         a = f.sub(f.mul(P[1], Q[2]), f.mul(P[2], Q[1]))
         b = f.sub(f.mul(P[2], Q[0]), f.mul(P[0], Q[2]))
         c = f.sub(f.mul(P[0], Q[1]), f.mul(P[1], Q[0]))
@@ -97,15 +103,14 @@ class ProjectivePlane:
     # -- Baer subplane -----------------------------------------------------
 
     def baer_points(self):
-        """Points of the standard Baer subplane (all coords in GF(sqrt q))."""
-        if self.ctx.n % 2:
+        """Points of the standard Baer subplane: the normalized points with
+        every coordinate in GF(sqrt q), built from the embedded subfield."""
+        f = self.ctx
+        if f.n % 2:
             raise ValueError("Baer subplane needs a square field order")
-        if self._baer is None:
-            self.ctx.subfield()
-            self._baer = frozenset(
-                pt for pt in self.points
-                if all(self.ctx.in_subfield(c) for c in pt))
-        return self._baer
+        sub = [f.embed_subfield(a) for a in f.subfield().elements()]
+        return frozenset([(0, 0, 1), *((0, 1, z) for z in sub),
+                          *((1, y, z) for y in sub for z in sub)])
 
 
 def collineation(plane: ProjectivePlane, m) -> list:
@@ -158,7 +163,10 @@ def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
     the pseudo polarity's matrix A, so the lift commutes with the
     polarity, and sqrt(det) = det^(q/2) keeps the map a homomorphism.
     """
-    f = plane.ctx
+    f, q = plane.ctx, plane.q
+    if not all(0 <= x < q for x in (a, b, c, d)):
+        raise ValueError(f"matrix entries {(a, b, c, d)!r} are not all "
+                         f"in GF({q})")
     det = f.sub(f.mul(a, d), f.mul(b, c))
     if det == 0:
         raise ValueError("degenerate 2x2 matrix")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .field import FieldCtx
 from .plane import ProjectivePlane
 from .graphs import Graph
 
@@ -30,8 +29,10 @@ class Polarity:
         self.kind = "pseudo" if self.ctx.p == 2 else "orthogonal"
 
     def polar_line(self, point):
-        f = self.ctx
+        f, q = self.ctx, self.plane.q
         x1, x2, x3 = point
+        if not (0 <= x1 < q and 0 <= x2 < q and 0 <= x3 < q):
+            raise ValueError(f"coordinates {point!r} are not all in GF({q})")
         if self.kind == "orthogonal":
             return self.plane.normalize((x3, f.neg(f.add(x2, x2)), x1))
         return self.plane.normalize((x1, x3, x2))
@@ -40,8 +41,10 @@ class Polarity:
         return self.classify(point) == ABSOLUTE
 
     def classify(self, point) -> str:
-        f = self.ctx
+        f, q = self.ctx, self.plane.q
         x1, x2, x3 = point
+        if not (0 <= x1 < q and 0 <= x2 < q and 0 <= x3 < q):
+            raise ValueError(f"coordinates {point!r} are not all in GF({q})")
         if self.kind == "pseudo":
             return ABSOLUTE if x1 == 0 else NONABSOLUTE
         d = f.sub(f.mul(x2, x2), f.mul(x1, x3))

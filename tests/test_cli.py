@@ -245,6 +245,21 @@ def test_optimized_interpreter_gives_identical_output(argv):
     assert outs[0] == outs[1]
 
 
+def test_importing_a_module_loads_only_its_own_imports():
+    """The package itself loads no module; erpg.plane needs only field."""
+    src = str(Path(erpg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, erpg, erpg.field, erpg.plane; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'erpg'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == str(["erpg", "erpg.field",
+                                                "erpg.plane"])
+
+
 @pytest.mark.parametrize("q", ["65537", str(2 ** 21)])
 @pytest.mark.parametrize("argv", [["graph", "--format", "graph6"], ["solve"],
                                   ["build"], ["orbits"]])

@@ -129,6 +129,32 @@ def test_matrix_entry_outside_field_rejected(entry):
         collineation(pl, ((1, 0, 0), (0, 1, 0), (0, 0, entry)))
 
 
+@pytest.mark.parametrize("q,bad", [(5, 7), (5, -1), (9, 11), (9, -1)])
+def test_coordinate_outside_field_rejected(q, bad):
+    # q + 2 lies past the ends of GF(q)'s tables, and -1 would wrap to
+    # another element
+    pl = plane_for(q)
+    pol = Polarity(pl)
+    calls = [
+        lambda: pl.normalize((bad, 1, 1)),
+        lambda: pl.normalize((1, bad, 1)),
+        lambda: pl.line_point_indices((0, 0, bad)),
+        lambda: pl.line_point_indices((1, bad, 0)),
+        lambda: pl.line_points((0, 0, bad)),
+        lambda: pl.line_through((1, 0, bad), (0, 1, 0)),
+        lambda: pl.line_through((0, 1, 0), (1, 0, bad)),
+        lambda: conic_stabilizer_lift(pl, bad, 0, 0, 1),
+        lambda: conic_stabilizer_lift(pl, 1, 0, 0, bad),
+        lambda: pol.polar_line((1, bad, 0)),
+        lambda: pol.classify((1, bad, 0)),
+        lambda: pol.classify((bad, 1, 0)),
+        lambda: pol.is_absolute((1, bad, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not all in GF"):
+            call()
+
+
 def random_matrix(pl, rng):
     """A random invertible 3x3 matrix over the plane's field."""
     q = pl.q
@@ -288,13 +314,15 @@ def test_orbit_sizes_divide_group_order():
     assert len(seen) == len(pl.points) - len(baer)
 
 
-def test_baer_membership():
-    pl = plane_for(9)
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 64])
+def test_baer_membership(q):
+    pl = plane_for(q)
     f = pl.ctx
     baer = pl.baer_points()
     assert baer == {P for P in pl.points if all(map(f.in_subfield, P))}
     assert (1, 0, 0) in baer
-    assert sum(P in baer for P in pl.points) == 13
+    r = f.sqrt_q()
+    assert sum(P in baer for P in pl.points) == r * r + r + 1
     g = next(a for a in f.elements() if not f.in_subfield(a))
     assert pl.normalize((1, g, 0)) not in baer
     with pytest.raises(ValueError):
