@@ -7,7 +7,7 @@ within its node budget.
 
 from erpg import constructions as cons
 from erpg import graphs as gr
-from erpg.cli import alpha_bounds
+from erpg.constructions import alpha_bounds
 from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph

@@ -33,16 +33,6 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 EXIT_BOUND = 4
 
-_CONSTRUCTION_FLAGS = {
-    "auto": "auto",
-    "odd-neg": "odd_sq_neg",
-    "odd-pos": "odd_sq_pos",
-    "even-arc": "even_arc",
-    "even-sq-arc": "even_sq_subfield_arc",
-    "triangle-free": "triangle_free",
-}
-
-
 class BoundViolation(Exception):
     """A solved value contradicts the known bounds on alpha(ER_q)."""
 
@@ -63,17 +53,27 @@ def _report(args, parameters, summary, outputs=()):
 
 # ---------------------------------------------------------------------------
 
+def _has_coclique(q):
+    """Whether q selects a coclique construction.  Only the selection's
+    ValueError means no; a failing build reaches main's error mapping."""
+    try:
+        cons.auto_construction_id(q)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_build(args):
     q = args.q
-    construction = _CONSTRUCTION_FLAGS[args.construction]
-    if construction == "triangle_free":
+    triangle_free = args.construction == "triangle-free"
+    if triangle_free:
         cert, girth = cons.triangle_free_certificate(q)
     else:
-        cert = cons.build_coclique(q, construction)
+        cert = cons.build_coclique(q)
     if not all(cert.verified.values()):
         raise VerificationError("certificate verification failed")
     summary = {"construction": cert.construction_id, "q": q, "size": cert.size}
-    if construction == "triangle_free":
+    if triangle_free:
         summary.update(regular=q // 2, girth=girth)
     else:
         summary.update(claimed_size=cert.claimed_size, verified=cert.verified)
@@ -117,11 +117,8 @@ def cmd_solve(args):
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
     initial = None
-    try:
-        cert = cons.build_coclique(q, "auto")
-        initial = [plane.index[pt] for pt in cert.points]
-    except ValueError:
-        pass  # no construction for this q; solve unseeded
+    if _has_coclique(q):
+        initial = [plane.index[pt] for pt in cons.build_coclique(q).points]
     res = gr.max_independent_set(g, budget, initial=initial)
     lower, upper, note = alpha_bounds(q)
     violation = None
@@ -159,12 +156,7 @@ def cmd_table(args):
     rows = []
     for q in TABLE_Q:
         lower, upper, note = alpha_bounds(q)
-        built = ""
-        try:
-            cert = cons.build_coclique(q, "auto")
-            built = cert.size
-        except ValueError:
-            pass
+        built = cons.build_coclique(q).size if _has_coclique(q) else ""
         rows.append({"q": q, "lower": lower, "upper": upper,
                      "constructed": built, "note": note})
     if args.json:
@@ -188,7 +180,7 @@ def make_parser():
 
     b = sub.add_parser("build", help="construct and certify a point set")
     b.add_argument("--q", type=int, required=True)
-    b.add_argument("--construction", choices=sorted(_CONSTRUCTION_FLAGS),
+    b.add_argument("--construction", choices=["auto", "triangle-free"],
                    default="auto")
     b.add_argument("--out")
     b.add_argument("--json", action="store_true")

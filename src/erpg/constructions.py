@@ -219,11 +219,12 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     return OrbitCensus(q, sorted(entries))
 
 
-def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
-                      arrange):
+def _conic_plus_orbit(ctx, construction_id, generators, arrange):
     """Certificate for the conic plus the orbit of the internal point
     (1, 0, w), w the first nonsquare, under the group generated by
     generators(plane); arrange puts the orbit's indices in order."""
+    claimed = alpha_bounds(ctx.q)[0]
+    expected_orbit = claimed - ctx.q - 1
     _, plane, pol = _plane_context(ctx)
     w = ctx.find_nonsquare()
     base = (1, 0, w)
@@ -236,7 +237,7 @@ def _conic_plus_orbit(ctx, construction_id, generators, expected_orbit,
         construction_id=construction_id, q=ctx.q,
         parameters={"w": w},
         points=pol.absolute_points() + [plane.points[j] for j in orb],
-        claimed_size=expected_orbit + ctx.q + 1)
+        claimed_size=claimed)
     _certify(cert, plane)
     return cert
 
@@ -249,7 +250,7 @@ def coclique_odd_sq_neg(q) -> Certificate:
     if r % 4 != 3:
         raise ValueError(f"sqrt(q) = {r} is not -1 mod 4")
     return _conic_plus_orbit(ctx, "odd_sq_neg", baer_stabilizer_generators,
-                             (q * r - r) // 2, list)
+                             list)
 
 
 def k_generators(plane) -> list:
@@ -278,8 +279,7 @@ def coclique_odd_sq_pos(q) -> Certificate:
     r = ctx.sqrt_q()
     if r % 4 != 1:
         raise ValueError(f"sqrt(q) = {r} is not 1 mod 4")
-    return _conic_plus_orbit(ctx, "odd_sq_pos", k_generators,
-                             q * (r + 1) // 2, sorted)
+    return _conic_plus_orbit(ctx, "odd_sq_pos", k_generators, sorted)
 
 
 def internal_k_orbits(q):
@@ -436,12 +436,11 @@ def coclique_even(q) -> Certificate:
     arc = denniston_arc(q)
     plane, pol = arc.plane, Polarity(arc.plane)
     half = arc.degree  # sqrt(q/2)
-    claimed = (half - 1) * q + half
     cert = Certificate(
         construction_id="even_arc", q=q,
         parameters={"trace_zero_set": arc.trace_zero_set,
                     "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
-        points=arc.points, claimed_size=claimed)
+        points=arc.points, claimed_size=alpha_bounds(q)[0])
     on_arc = set(arc.points)
     counts, index = arc.line_counts, plane.index
     candidates = [pt for pt in plane.points
@@ -469,8 +468,7 @@ def even_square_arc_coclique(q) -> Certificate:
     cert = Certificate(
         construction_id="even_sq_subfield_arc", q=q,
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
-        points=arc.points,
-        claimed_size=(arc.degree - 1) * q + arc.degree)
+        points=arc.points, claimed_size=alpha_bounds(q)[0])
     _certify(cert, arc.plane)
     return cert
 
@@ -569,12 +567,18 @@ def alpha_bounds(q):
 # ---------------------------------------------------------------------------
 
 def auto_construction_id(q):
-    """Construction selected for q by parity and squareness."""
+    """Construction selected for q by parity and squareness.
+
+    ValueError for the q without a coclique construction: odd non-square
+    q, and q = 2.
+    """
     ctx = field_for_order(q)
     r = math.isqrt(q)
     if ctx.p == 2:
         if r * r == q:
             return "even_sq_subfield_arc"
+        if q == 2:
+            raise ValueError(f"q = {q} is not an odd power of 2 with n >= 3")
         return "even_arc"
     if r * r != q:
         raise ValueError(
@@ -590,11 +594,6 @@ BUILDERS = {
 }
 
 
-def build_coclique(q, construction="auto") -> Certificate:
-    if construction == "auto":
-        construction = auto_construction_id(q)
-    try:
-        builder = BUILDERS[construction]
-    except KeyError:
-        raise ValueError(f"unknown construction {construction!r}")
-    return builder(q)
+def build_coclique(q) -> Certificate:
+    """The certified coclique of the family that q selects."""
+    return BUILDERS[auto_construction_id(q)](q)

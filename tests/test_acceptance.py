@@ -160,7 +160,7 @@ def test_criterion_9_solver_oracle():
         res = gr.max_independent_set(g)
         ok &= res.status == "optimal"
         ok &= g.is_independent(res.vertices) is None
-        from erpg.cli import alpha_bounds
+        from erpg.constructions import alpha_bounds
         lower, upper, note = alpha_bounds(q)
         ok &= res.size <= upper
         if not note:

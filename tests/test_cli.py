@@ -11,7 +11,8 @@ import pytest
 import erpg
 from erpg import cli
 from erpg import graphs as gr
-from erpg.cli import alpha_bounds, main
+from erpg.cli import main
+from erpg.constructions import alpha_bounds
 
 
 def run(capsys, *argv):
@@ -34,8 +35,7 @@ def test_build_q9(capsys, tmp_path):
 
 
 def test_build_even_arc_extension(capsys):
-    code, out, _ = run(capsys, "build", "--q", "8", "--construction",
-                       "even-arc", "--json")
+    code, out, _ = run(capsys, "build", "--q", "8", "--json")
     assert code == 0
     result = json.loads(out)["result"]
     assert result["size"] == 10
@@ -72,6 +72,18 @@ def test_even_arc_certificate_bytes(capsys, tmp_path, q, digest):
     out_file = tmp_path / "cert.json"
     code, _, _ = run(capsys, "build", "--q", str(q), "--json",
                      "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q,digest", [
+    (4, "2f266e9d5bc683a7725708ef6c0e327f0ed7c2a594baec78015e639265b76f14"),
+    (16, "33e6fe46e6172b1fcaffbf1ac6ab35841390129305d81ab34aa2fb0e9e5fcfc2"),
+    (64, "6f83167da8b410715fc679c586bfccac9a8cf16e064e5d831b166773f227497e"),
+])
+def test_even_square_arc_certificate_bytes(capsys, tmp_path, q, digest):
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "build", "--q", str(q), "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
@@ -341,8 +353,8 @@ def test_orbits_census_mismatch_exits_3(capsys, monkeypatch):
 def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path):
     build = cli.cons.build_coclique
 
-    def unverified(q, construction):
-        cert = build(q, construction)
+    def unverified(q):
+        cert = build(q)
         cert.verified["independent"] = False
         return cert
 
@@ -367,7 +379,21 @@ def test_build_wrong_family_for_q_exits_2(capsys):
     code, out, err = run(capsys, "build", "--q", "9", "--construction",
                          "even-arc")
     assert code == 2 and out == ""
-    assert err == "error: q = 9 is not even\n"
+    assert "invalid choice: 'even-arc'" in err
+
+
+@pytest.mark.parametrize("argv", [["table"], ["solve", "--q", "4"]])
+def test_failed_build_is_not_a_missing_construction(capsys, monkeypatch,
+                                                    argv):
+    """A builder that fails at a q it serves exits 2; it must not leave a
+    blank table cell or an unseeded solve behind."""
+    def broken(q):
+        raise ValueError("builder failed")
+
+    monkeypatch.setitem(cli.cons.BUILDERS, "even_sq_subfield_arc", broken)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: builder failed\n"
 
 
 @pytest.mark.parametrize("argv", [["build", "--q", "9"],

@@ -487,7 +487,7 @@ def test_certificate_json_matches_schema():
     schema_path = Path(erpg.__file__).parent / "schemas" / "certificate_v1.json"
     schema = json.loads(schema_path.read_text())
     for q in (9, 8, 16, 25):
-        cert = cons.build_coclique(q, "auto")
+        cert = cons.build_coclique(q)
         doc = json.loads(cert.to_json())
         jsonschema.validate(doc, schema)
         assert doc["version"] == "v1"
@@ -507,7 +507,7 @@ def test_denniston_arc_carries_trace_zero_set(q):
 def test_certificate_points_decode_back():
     q = 9
     ctx = field_for_order(q)
-    cert = cons.build_coclique(q, "auto")
+    cert = cons.build_coclique(q)
     doc = json.loads(cert.to_json())
     decoded = [tuple(ctx.from_coeffs(c) for c in pt) for pt in doc["points"]]
     assert decoded == cert.points
@@ -554,8 +554,10 @@ def test_auto_dispatch():
     assert cons.auto_construction_id(16) == "even_sq_subfield_arc"
     with pytest.raises(ValueError):
         cons.auto_construction_id(7)  # odd non-square: nothing to build
+    with pytest.raises(ValueError, match="not an odd power of 2"):
+        cons.auto_construction_id(2)
     with pytest.raises(ValueError):
-        cons.build_coclique(9, "bogus")
+        cons.build_coclique(7)
 
 
 def test_build_deterministic():

@@ -326,7 +326,7 @@ def test_solver_tree_matches_reference_on_er(q):
     g = build_er_graph(plane)
     assert_same_tree(g, None)
     try:
-        cert = cons.build_coclique(q, "auto")
+        cert = cons.build_coclique(q)
     except ValueError:
         return  # no construction for this q
     assert_same_tree(g, [plane.index[pt] for pt in cert.points])
@@ -368,7 +368,7 @@ def test_solver_budget_tree_matches_reference_on_seeded_er(q):
     by the construction as `erpg solve` seeds them."""
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
-    cert = cons.build_coclique(q, "auto")
+    cert = cons.build_coclique(q)
     assert_same_tree(g, [plane.index[pt] for pt in cert.points],
                      budgets=[1, 2, 5, 17, 60, 5000])
 
