@@ -536,8 +536,9 @@ def alpha_bounds(q):
 
     upper is floor(q^{3/2} + q^{1/2}) + 1, or q^{3/2} - q + sqrt(q) + 1 for
     even square q; lower is the construction size, or the reported
-    floor(120 q^{3/2} / 73^{3/2}) for odd non-square q.  ValueError if q
-    is not a prime power.
+    floor(120 q^{3/2} / 73^{3/2}) for odd non-square q.  note is empty
+    where lower is constructed, and says why where it is not: odd
+    non-square q, and q = 2.  ValueError if q is not a prime power.
     """
     factor_prime_power(q)
     r = math.isqrt(q)
@@ -551,6 +552,8 @@ def alpha_bounds(q):
         else:
             h = math.isqrt(q // 2)  # q / 2 is an even power of 2
             lower = h * q - q + h
+            if q == 2:  # Denniston's formula gives 1; there is no arc
+                note = "trivial, not constructed"
     elif square:
         if r % 4 == 3:
             lower = (q * r - r) // 2 + q + 1

@@ -235,11 +235,31 @@ class MISResult:
     nodes: int = 0
 
 
-def _cover_exceeds(adj, cand, limit):
+def _mirror(x, n):
+    """x with bit v moved to bit n - 1 - v, for 0 <= x < 2**n."""
+    return int(format(x, f"0{n}b")[::-1], 2)
+
+
+def _mirrored_rows(adj):
+    """The rows of `adj` in mirrored bit order, and their one-bit masks.
+
+    Vertex v is bit n - 1 - v, so the least vertex of a nonempty set x is
+    its top bit.  Both lists are indexed by k = x.bit_length(): rows[k] is
+    that vertex's mirrored row and masks[k] = 1 << (k - 1) its bit; entry
+    0 of each is 0.
+    """
+    n = len(adj)
+    return ([0] + [_mirror(row, n) for row in reversed(adj)],
+            [0] + [1 << k for k in range(n)])
+
+
+def _cover_exceeds(rows, masks, cand, limit):
     """True iff the greedy clique cover of cand has more than limit cliques.
 
-    The cover takes the least remaining vertex and grows its clique by the
-    least common neighbour, as long as one is left.  The count bounds the
+    rows, masks and cand are in mirrored bit order (`_mirrored_rows`).  The
+    cover takes the least remaining vertex, the top bit of what is left,
+    and grows its clique by the least common neighbour, the top bit of
+    their common neighbours, as long as one is left.  The count bounds the
     independence number of cand from above, so a node with limit = best -
     |chosen| is pruned iff this returns False.  A cover never has more
     cliques than vertices, so |cand| <= limit answers False at once, and
@@ -249,13 +269,13 @@ def _cover_exceeds(adj, cand, limit):
         return False
     rest = cand
     for _ in range(limit):
-        low = rest & -rest
-        rest ^= low
-        grow = rest & adj[low.bit_length() - 1]
+        k = rest.bit_length()
+        rest ^= masks[k]
+        grow = rest & rows[k]
         while grow:
-            low = grow & -grow
-            rest ^= low
-            grow &= adj[low.bit_length() - 1]
+            k = grow.bit_length()
+            rest ^= masks[k]
+            grow &= rows[k]
         if not rest:
             return False
     return True
@@ -265,12 +285,16 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                         initial=None) -> MISResult:
     """Exact maximum independent set by bitset branch-and-bound.
 
+    The search runs on mirrored bitsets (`_mirrored_rows`): vertex v is
+    bit n - 1 - v, so the least vertex of a set is its top bit, found by
+    one `bit_length()`, and rows and masks are indexed by that bit length.
+    `initial` is mapped into this order and the witness back out of it.
     Branches on a maximum-degree candidate vertex v (degree within the
     candidates, least index on ties), including it first.  The degrees
-    are kept as bit-sliced counters: bit u of cnt[k] is bit k of
+    are kept as bit-sliced counters: bit n - 1 - u of cnt[k] is bit k of
     |adj[u] & cand|.  From the highest slice down, cand is narrowed to the
     vertices with that bit set wherever some are left; what remains has
-    the maximum degree, and v is its lowest bit.  A node inherits its
+    the maximum degree, and v is its top bit.  A node inherits its
     parent's counters with the vertices removed since then pending, and
     only a node that survives the bound subtracts them, one borrow chain
     of a row through the slices each.  A node is pruned when
@@ -291,8 +315,8 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
         raise ValueError(f"not a simple graph: {e}") from None
     if budget is None:
         budget = SolveBudget()
-    adj = g.adj
     n = g.n
+    rows, masks = _mirrored_rows(g.adj)
     full = (1 << n) - 1
 
     best_set = 0
@@ -301,13 +325,12 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
         if witness is not None:
             raise ValueError(f"initial set is not independent: edge {witness}")
         for v in initial:
-            best_set |= 1 << v
+            best_set |= masks[n - v]
     best = best_set.bit_count()
 
-    degrees = [row.bit_count() for row in adj]
+    degrees = [row.bit_count() for row in g.adj]
     slices = range(max(degrees, default=0).bit_length())
-    cnt = [int("".join(str(d >> k & 1) for d in reversed(degrees)), 2)
-           for k in slices]
+    cnt = [int("".join(str(d >> k & 1) for d in degrees), 2) for k in slices]
 
     max_nodes = budget.max_nodes
     nodes = 0
@@ -326,33 +349,34 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                 if csize > best:
                     best, best_set = csize, chosen
                 break
-            if not _cover_exceeds(adj, cand, best - csize):
+            if not _cover_exceeds(rows, masks, cand, best - csize):
                 break
             if pending:
                 cnt = cnt[:]
                 while pending:
-                    low = pending & -pending
-                    pending ^= low
-                    borrow = adj[low.bit_length() - 1] & cand
-                    k = 0
+                    k = pending.bit_length()
+                    pending ^= masks[k]
+                    borrow = rows[k] & cand
+                    i = 0
                     while borrow:  # counts within cand never go below 0
-                        c = cnt[k] ^ borrow
-                        cnt[k] = c
+                        c = cnt[i] ^ borrow
+                        cnt[i] = c
                         borrow &= c
-                        k += 1
+                        i += 1
             top = cand
             for c in reversed(cnt):
                 narrowed = top & c
                 if narrowed:
                     top = narrowed
-            bit = top & -top
+            k = top.bit_length()
+            bit = masks[k]
             stack.append((chosen, csize, cand ^ bit, cnt, bit))
             chosen |= bit
             csize += 1
-            pending = cand & (adj[bit.bit_length() - 1] | bit)
+            pending = cand & (rows[k] | bit)
             cand ^= pending
     status = "budget_exhausted" if exhausted else "optimal"
-    return MISResult(best, sorted(bits(best_set)), status, nodes)
+    return MISResult(best, list(bits(_mirror(best_set, n))), status, nodes)
 
 
 def greedy_extend(g: Graph, S, candidates):

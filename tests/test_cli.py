@@ -194,6 +194,9 @@ def test_table(capsys):
     assert rows[16]["lower"] == 52 and rows[16]["upper"] == 53
     assert rows[8]["lower"] == 10
     assert rows[9]["constructed"] == 22
+    assert rows[2] == {"q": 2, "lower": 1, "upper": 5, "constructed": "",
+                       "note": "trivial, not constructed"}
+    assert all(r["note"] for r in rows.values() if r["constructed"] == "")
 
 
 def test_json_outputs_deterministic(capsys):
@@ -208,6 +211,7 @@ def test_alpha_bounds_spot_values():
     assert (lower, upper) == (22, 31)
     assert alpha_bounds(8)[0] == 10
     assert alpha_bounds(7)[2] == "reported, not constructed"
+    assert alpha_bounds(2)[2] == "trivial, not constructed"
 
 
 def test_graph_edge_count_mismatch_exits_3(capsys, monkeypatch, tmp_path):

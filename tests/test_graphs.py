@@ -384,8 +384,28 @@ def graphs_and_candidates(draw):
 def test_cover_exceeds_matches_greedy_cover_count(case):
     g, cand = case
     count = greedy_cover_count(g.adj, cand)
+    rows, masks = gr._mirrored_rows(g.adj)
+    mirrored = gr._mirror(cand, g.n)
     for limit in range(-1, cand.bit_count() + 2):
-        assert gr._cover_exceeds(g.adj, cand, limit) == (count > limit)
+        assert gr._cover_exceeds(rows, masks, mirrored, limit) == (
+            count > limit)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 63, 64, 65, 91, 130])
+def test_mirrored_rows_match_bit_by_bit_reversal(n):
+    def reverse(x):
+        return sum(1 << (n - 1 - v) for v in range(n) if x >> v & 1)
+
+    rng = random.Random(n)
+    g = random_graph(n, 0.3, rng)
+    for x in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+        assert gr._mirror(x, n) == reverse(x)
+    rows, masks = gr._mirrored_rows(g.adj)
+    assert rows[0] == masks[0] == 0
+    for v in range(n):
+        assert rows[n - v] == reverse(g.adj[v])
+        assert masks[n - v] == reverse(1 << v)
+        assert masks[n - v].bit_length() == n - v
 
 
 # -- greedy extension --------------------------------------------------------
