@@ -11,7 +11,8 @@ Subcommands:
 Exit codes, the same for every command: 0 success, 2 invalid arguments
 (any ValueError), 3 verification failure (any AssertionError, such as a
 VerificationError), 4 bound violation (3 and 4 indicate an
-implementation bug).
+implementation bug), 141 stdout closed by its reader (as in
+``erpg graph ... | head``), with nothing printed to stderr.
 Identical inputs produce byte-identical outputs.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -32,6 +34,7 @@ from .polarity import build_er_graph
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 EXIT_BOUND = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 class BoundViolation(Exception):
     """A solved value contradicts the known bounds on alpha(ER_q)."""
@@ -226,6 +229,15 @@ def main(argv=None):
         if hasattr(args, "q"):
             field_for_order(args.q)
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush
+        # at exit cannot fail again (see the SIGPIPE note in Python's
+        # `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BoundViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BOUND

@@ -320,6 +320,7 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     full = (1 << n) - 1
 
     best_set = 0
+    initial = list(initial or ())  # read once: it may be an iterator
     if initial:
         witness = g.is_independent(initial)
         if witness is not None:
@@ -403,6 +404,11 @@ def greedy_extend(g: Graph, S, candidates):
 
 # -- interchange formats -----------------------------------------------------
 
+# Bits of graph6, or characters of DIMACS or CSV text, that a codec holds
+# in one piece: no string spans the whole graph.
+_CHUNK = 1 << 16
+
+
 def _graph6_size_bytes(n):
     if n <= 62:
         return bytes([n + 63])
@@ -424,22 +430,37 @@ _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
 
+def _pack6(stream):
+    """graph6 bytes of a bit string whose length is a multiple of 24."""
+    raw = int(stream, 2).to_bytes(len(stream) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+
+
 def to_graph6(g: Graph) -> bytes:
     """Header-less graph6: upper triangle column-wise, 6 bits per byte.
 
-    Column v is bits 0..v-1 of row v, written lowest vertex first; the
-    columns are joined into one bit string and packed 24 bits at a time.
+    Column v is bits 0..v-1 of row v, written lowest vertex first.  The
+    columns are gathered until about _CHUNK bits are waiting; the longest
+    prefix that is a multiple of 24 bits is packed, and the rest carried
+    into the next piece.  Only the last piece is padded, and trimmed to
+    (nbits + 5) // 6 bytes of body in all.
     """
-    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
-                     for v in range(1, g.n))
-    nbits = len(stream)
-    body = b""
-    if nbits:
-        pad = -nbits % 24
-        raw = int(stream + "0" * pad, 2).to_bytes((nbits + pad) // 8, "big")
-        body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
-        body = body[:(nbits + 5) // 6]
-    return _graph6_size_bytes(g.n) + body
+    pieces = [_graph6_size_bytes(g.n)]
+    columns, waiting = [], 0
+    for v in range(1, g.n):
+        columns.append(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1])
+        waiting += v
+        if waiting >= _CHUNK:
+            stream = "".join(columns)
+            cut = waiting - waiting % 24
+            if cut:
+                pieces.append(_pack6(stream[:cut]))
+            columns, waiting = [stream[cut:]], waiting - cut
+    if waiting:
+        stream = "".join(columns)
+        pieces.append(_pack6(stream + "0" * (-waiting % 24))
+                      [:(waiting + 5) // 6])
+    return b"".join(pieces)
 
 
 def _graph6_size(data):
@@ -463,41 +484,81 @@ def _graph6_size(data):
 def from_graph6(data: bytes) -> Graph:
     """Parse header-less graph6; ValueError if the string is malformed.
 
-    The body is unpacked 24 bits at a time into one bit string.  Column v
-    of it is bits 0..v-1 of row v, as `to_graph6` reads them; these lower
-    rows are ORed with their transpose.
+    The body is checked and unpacked in pieces of a multiple of 4 bytes
+    (24 bits), about _CHUNK bits each.  Column v is bits 0..v-1 of row v,
+    as `to_graph6` writes them; a column cut by the end of a piece is
+    carried into the next.  The bits left after the last column are
+    padding and must be 0.  The lower rows are ORed with their transpose.
     """
     data = bytes(data).strip()
     n, start = _graph6_size(data)
-    body = data[start:]
-    nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
-        raise ValueError(f"graph6 body has {len(body)} bytes, "
+    size, nbits = len(data) - start, n * (n - 1) // 2
+    if size != (nbits + 5) // 6:
+        raise ValueError(f"graph6 body has {size} bytes, "
                          f"n = {n} needs {(nbits + 5) // 6}")
-    if body.translate(None, _G6):
-        raise ValueError("invalid graph6 byte")
-    stream = ""
-    if body:
-        raw = binascii.a2b_base64(body.translate(_G6_TO_B64)
-                                  + b"A" * (-len(body) % 4))
-        stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-        if "1" in stream[nbits:]:
-            raise ValueError("nonzero graph6 padding bits")
-    low = [int(stream[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2)
-           for v in range(n)]
+    low, v, stream = [0] * min(n, 1), 1, ""  # column 0 has no bits
+    step = 4 * max(1, _CHUNK // 24)
+    for i in range(start, len(data), step):
+        piece = data[i:i + step]
+        if piece.translate(None, _G6):
+            raise ValueError("invalid graph6 byte")
+        raw = binascii.a2b_base64(piece.translate(_G6_TO_B64)
+                                  + b"A" * (-len(piece) % 4))
+        stream += format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+        pos = 0
+        while v < n and pos + v <= len(stream):
+            low.append(int(stream[pos:pos + v][::-1], 2))
+            pos += v
+            v += 1
+        stream = stream[pos:]
+    if "1" in stream:
+        raise ValueError("nonzero graph6 padding bits")
     return Graph(n, [a | b for a, b in zip(low, transpose(low))])
 
 
+def _lines(data):
+    """The lines of UTF-8 `data` as `str.splitlines` gives them.
+
+    The text is decoded once and split a block of about _CHUNK characters
+    at a time.  Each block ends right after a "\\n", so no "\\r\\n" is cut
+    in two and every block ends a line.
+    """
+    text = bytes(data).decode()
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK)
+        stop = end if cut < 0 else cut + 1
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
+def _edge_rows(g, head, names):
+    """One chunk of text per vertex u with a higher neighbour: a line
+    head(u) + names[v] for each such neighbour v, ascending."""
+    for u, row in enumerate(g.adj):
+        higher = row >> (u + 1) << (u + 1)
+        if higher:
+            h = head(u)
+            yield (h + ("\n" + h).join([names[v] for v in bits(higher)])
+                   + "\n").encode()
+
+
 def to_dimacs(g: Graph) -> bytes:
-    lines = [f"p edge {g.n} {g.num_edges()}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return ("\n".join(lines) + "\n").encode()
+    """DIMACS edge format: the problem line, then "e u v" 1-based, u < v,
+    written one row at a time."""
+    names = [str(v + 1) for v in range(g.n)]
+    return b"".join([f"p edge {g.n} {g.num_edges()}\n".encode(),
+                     *_edge_rows(g, lambda u: f"e {u + 1} ", names)])
 
 
 def from_dimacs(data: bytes) -> Graph:
-    """Parse DIMACS edge format; ValueError if the text is malformed."""
+    """Parse DIMACS edge format; ValueError if the text is malformed.
+
+    The lines are read a block at a time (`_lines`), and each edge is
+    added to the graph as it is read.
+    """
     g = None
-    for raw in bytes(data).decode().splitlines():
+    for raw in _lines(data):
         tok = raw.split()
         if not tok or tok[0] == "c":
             continue
@@ -519,21 +580,42 @@ def from_dimacs(data: bytes) -> Graph:
 
 
 def to_edgelist_csv(g: Graph) -> bytes:
-    lines = ["u,v"]
-    lines.extend(f"{u},{v}" for u, v in g.edges())
-    return ("\n".join(lines) + "\n").encode()
+    """A "u,v" header, then one "u,v" line per edge, u < v, written one
+    row at a time."""
+    names = [str(v) for v in range(g.n)]
+    return b"".join([b"u,v\n", *_edge_rows(g, lambda u: f"{u},", names)])
 
 
 def from_edgelist_csv(data: bytes, n=None) -> Graph:
-    """Parse a "u,v" edge list; ValueError if the text is malformed."""
-    edges = []
-    for r in bytes(data).decode().splitlines()[1:]:
+    """Parse a "u,v" edge list; ValueError if the text is malformed.
+
+    n defaults to 1 + the largest vertex, and the rows grow with it.  Each
+    edge is ORed into the rows as it is read.  A loop or an out-of-range
+    vertex is raised only once the whole text has parsed, for the first
+    such edge, so a line that does not parse wins over it wherever it is.
+    """
+    lines = _lines(data)
+    next(lines, None)  # the header
+    adj = [] if n is None else [0] * n
+    top, fault = -1, None
+    for r in lines:
         if r.strip():
             u, v = r.split(",")  # ValueError unless exactly two fields
-            edges.append((int(u), int(v)))
-    if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
-    return Graph.from_edges(n, edges)
+            u, v = int(u), int(v)
+            if u > top or v > top:
+                top = max(u, v)
+                if n is None:
+                    adj.extend([0] * (top + 1 - len(adj)))
+            if fault is None:
+                if u == v or (u | v) < 0 or top >= len(adj):
+                    fault = (u, v)  # the first edge add_edge would reject
+                else:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+    g = Graph(top + 1 if n is None else n, adj)
+    if fault is not None:
+        g.add_edge(*fault)  # raises
+    return g
 
 
 _EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs, "csv": to_edgelist_csv}

@@ -7,14 +7,20 @@ candidate, from the lowest index up, for a max-degree vertex, where the
 package's solver reads it from bit-sliced degree counters.  The package's
 solver must walk exactly the same search tree.  The geometry here
 evaluates dot products and the polarity's bilinear form directly on
-coordinate triples.
+coordinate triples.  The `*_reference` codecs build each file, or parse it,
+as one string; the package's codecs must give the same bytes, graphs and
+errors while holding a row or a block at a time.
 """
+
+import binascii
 
 import numpy as np
 
 from erpg.constructions import conic_points
 from erpg.field import field_for_order
-from erpg.graphs import Graph, MISResult, SolveBudget, bits
+from erpg.graphs import (_B64_TO_G6, _G6, _G6_TO_B64, Graph, MISResult,
+                         SolveBudget, _graph6_size, _graph6_size_bytes, bits,
+                         transpose)
 from erpg.plane import ProjectivePlane, collineation
 
 
@@ -182,3 +188,88 @@ def cyclic_pencil_group(q):
         if order == q + 1:
             return g
     raise AssertionError("pencil group has no element of order q+1")
+
+
+# -- interchange formats: the whole-string codecs the package streams -------
+
+def to_graph6_reference(g):
+    """graph6 with every column joined into one bit string, then packed."""
+    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                     for v in range(1, g.n))
+    nbits = len(stream)
+    body = b""
+    if nbits:
+        pad = -nbits % 24
+        raw = int(stream + "0" * pad, 2).to_bytes((nbits + pad) // 8, "big")
+        body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+        body = body[:(nbits + 5) // 6]
+    return _graph6_size_bytes(g.n) + body
+
+
+def from_graph6_reference(data):
+    """graph6 parsed through one bit string of the whole body."""
+    data = bytes(data).strip()
+    n, start = _graph6_size(data)
+    body = data[start:]
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise ValueError(f"graph6 body has {len(body)} bytes, "
+                         f"n = {n} needs {(nbits + 5) // 6}")
+    if body.translate(None, _G6):
+        raise ValueError("invalid graph6 byte")
+    stream = ""
+    if body:
+        raw = binascii.a2b_base64(body.translate(_G6_TO_B64)
+                                  + b"A" * (-len(body) % 4))
+        stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+        if "1" in stream[nbits:]:
+            raise ValueError("nonzero graph6 padding bits")
+    low = [int(stream[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2)
+           for v in range(n)]
+    return Graph(n, [a | b for a, b in zip(low, transpose(low))])
+
+
+def to_dimacs_reference(g):
+    lines = [f"p edge {g.n} {g.num_edges()}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    return ("\n".join(lines) + "\n").encode()
+
+
+def from_dimacs_reference(data):
+    g = None
+    for raw in bytes(data).decode().splitlines():
+        tok = raw.split()
+        if not tok or tok[0] == "c":
+            continue
+        if tok[0] == "p":
+            if g is not None or len(tok) != 4 or int(tok[2]) < 0:
+                raise ValueError(f"bad DIMACS problem line {raw!r}")
+            g = Graph(int(tok[2]))
+        elif tok[0] == "e":
+            if g is None:
+                raise ValueError("DIMACS edge line before the problem line")
+            try:
+                g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
+            except (IndexError, ValueError):
+                raise ValueError(f"bad DIMACS edge line {raw!r} "
+                                 f"for n = {g.n}") from None
+    if g is None:
+        raise ValueError("missing DIMACS problem line")
+    return g
+
+
+def to_edgelist_csv_reference(g):
+    lines = ["u,v"]
+    lines.extend(f"{u},{v}" for u, v in g.edges())
+    return ("\n".join(lines) + "\n").encode()
+
+
+def from_edgelist_csv_reference(data, n=None):
+    edges = []
+    for r in bytes(data).decode().splitlines()[1:]:
+        if r.strip():
+            u, v = r.split(",")
+            edges.append((int(u), int(v)))
+    if n is None:
+        n = 1 + max((max(e) for e in edges), default=-1)
+    return Graph.from_edges(n, edges)

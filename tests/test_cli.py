@@ -261,6 +261,29 @@ def test_optimized_interpreter_gives_identical_output(argv):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [["graph", "--q", "16", "--format", "dimacs"],
+                                  ["graph", "--q", "3", "--format", "csv",
+                                   "--json"],
+                                  ["table"]])
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that closes the pipe (`erpg graph ... | head`) ends the
+    command with exit 141 and nothing on stderr, not a traceback."""
+    src = str(Path(erpg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the first write, so every write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "erpg.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_importing_a_module_loads_only_its_own_imports():
     """The package itself loads no module; erpg.plane needs only field."""
     src = str(Path(erpg.__file__).resolve().parents[1])

@@ -271,6 +271,14 @@ def test_solver_initial_seed():
         max_independent_set(c5, initial=[0, 1])
 
 
+def test_solver_reads_a_one_shot_initial_iterator_once():
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    res = max_independent_set(c5, SolveBudget(max_nodes=1),
+                              initial=iter([0, 2]))
+    assert (res.size, res.vertices, res.status, res.nodes) == (
+        2, [0, 2], "budget_exhausted", 2)
+
+
 def test_solver_deterministic():
     rng = random.Random(8)
     g = random_graph(20, 0.3, rng)
