@@ -555,28 +555,33 @@ def from_dimacs(data: bytes) -> Graph:
     """Parse DIMACS edge format; ValueError if the text is malformed.
 
     The lines are read a block at a time (`_lines`), and each edge is
-    added to the graph as it is read.
+    ORed into the rows as it is read.
     """
-    g = None
+    adj = None
     for raw in _lines(data):
         tok = raw.split()
         if not tok or tok[0] == "c":
             continue
         if tok[0] == "p":
-            if g is not None or len(tok) != 4 or int(tok[2]) < 0:
+            if adj is not None or len(tok) != 4 or int(tok[2]) < 0:
                 raise ValueError(f"bad DIMACS problem line {raw!r}")
-            g = Graph(int(tok[2]))
+            n = int(tok[2])
+            adj = [0] * n
         elif tok[0] == "e":
-            if g is None:
+            if adj is None:
                 raise ValueError("DIMACS edge line before the problem line")
-            try:  # a missing, non-integer or out-of-range endpoint, or a loop
-                g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
+            try:
+                u, v = int(tok[1]) - 1, int(tok[2]) - 1
             except (IndexError, ValueError):
-                raise ValueError(f"bad DIMACS edge line {raw!r} "
-                                 f"for n = {g.n}") from None
-    if g is None:
+                u = v = -1
+            # a missing, non-integer or out-of-range endpoint, or a loop
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"bad DIMACS edge line {raw!r} for n = {n}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if adj is None:
         raise ValueError("missing DIMACS problem line")
-    return g
+    return Graph(n, adj)
 
 
 def to_edgelist_csv(g: Graph) -> bytes:

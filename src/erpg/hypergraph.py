@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .field import field_for_order
-from .graphs import Graph
+from .graphs import Graph, bits
 from .plane import ProjectivePlane
 from .polarity import Polarity, build_er_graph
 
@@ -29,7 +29,7 @@ class TriangleHypergraph:
 
 
 def build_hypergraph(q) -> TriangleHypergraph:
-    """All triangles of ER_q, from one pass over its edges.
+    """All triangles of ER_q, from one pass over its edges, row by row.
 
     Two points share at most one neighbour, the pole of their line, so H_q
     is linear (no two edges share two vertices).  Aborts on an edge with
@@ -40,17 +40,20 @@ def build_hypergraph(q) -> TriangleHypergraph:
     pol = Polarity(plane)
     g = build_er_graph(plane)
     absolute = {plane.index[pt] for pt in pol.absolute_points()}
-    edges = []
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        if common & (common - 1):
-            raise AssertionError(f"points {u}, {v} share {common.bit_count()}"
-                                 " neighbours: H_q is not linear")
-        w = common.bit_length() - 1
-        if w > v:
-            if absolute.intersection((u, v, w)):
-                raise AssertionError(f"absolute point in triangle {u, v, w}")
-            edges.append((u, v, w))
+    adj, edges = g.adj, []
+    for u, row in enumerate(adj):
+        for v in bits(row >> (u + 1) << (u + 1)):
+            common = row & adj[v]
+            if common & (common - 1):
+                raise AssertionError(f"points {u}, {v} share "
+                                     f"{common.bit_count()} neighbours: "
+                                     "H_q is not linear")
+            w = common.bit_length() - 1
+            if w > v:
+                if absolute.intersection((u, v, w)):
+                    raise AssertionError(
+                        f"absolute point in triangle {u, v, w}")
+                edges.append((u, v, w))
     expected = q * (q * q - 1) // 6
     if len(edges) != expected:
         raise AssertionError(

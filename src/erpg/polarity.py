@@ -5,6 +5,14 @@ For odd q this is the orthogonal polarity of the conic X2^2 - X1*X3 = 0
 polarity whose absolute points form the line X1 = 0 (polar line
 [x1, x3, x2]).  The polarity graph joins two distinct points whenever one
 lies on the polar line of the other.
+
+ER_q rows have two builders, which a test keeps equal.  `_plane_rows`
+builds all q^2 + q + 1 rows a whole line at a time, moving the bitset of
+one line to the next by field translations; `build_er_graph` (and so
+export, solve and the hypergraph) uses it.  `_polar_rows(plane, points)`
+builds the subgraph induced on a point list, one polar line per listed
+point, which is cheaper when the list is a small part of the plane; the
+certificates use it through `constructions.induced_on_points`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,20 @@ class Polarity:
         if self.kind == "orthogonal":
             return self.plane.normalize((x3, f.neg(f.add(x2, x2)), x1))
         return self.plane.normalize((x1, x3, x2))
+
+    def pole(self, line):
+        """The point whose polar line is `line`: the inverse of polar_line.
+
+        [a, b, c] is the polar of (c, -b/2, a) for odd q, of (a, c, b) for
+        even q.
+        """
+        f, q = self.ctx, self.plane.q
+        a, b, c = line
+        if not (0 <= a < q and 0 <= b < q and 0 <= c < q):
+            raise ValueError(f"coordinates {line!r} are not all in GF({q})")
+        if self.kind == "orthogonal":
+            return self.plane.normalize((c, f.neg(f.div(b, f.add(1, 1))), a))
+        return self.plane.normalize((a, c, b))
 
     def is_absolute(self, point) -> bool:
         return self.classify(point) == ABSOLUTE
@@ -92,12 +114,70 @@ def _polar_rows(plane: ProjectivePlane, points) -> list[int]:
     return rows
 
 
+def _translations(ctx):
+    """(up, s, down, t) for each s = p^i < q: on a q-by-q bit chart whose
+    rows are q-bit blocks indexed by z, the masked move
+    (x & up) << s | (x & down) >> t maps bit z of every block to z + p^i
+    in GF(q).  Field addition is digit-wise mod p, so the move shifts the
+    bits whose digit i is below p - 1 up by s and those whose digit i is
+    p - 1 down by t = (p - 1) * s.
+    """
+    p, q = ctx.p, ctx.q
+    blocks = sum(1 << (q * y) for y in range(q))  # bit 0 of every block
+    moves, s = [], 1
+    while s < q:
+        down = sum(1 << z for z in range(q) if z // s % p == p - 1)
+        up = ((1 << q) - 1) ^ down
+        moves.append((up * blocks, s, down * blocks, (p - 1) * s))
+        s *= p
+    return moves
+
+
+def _plane_rows(plane: ProjectivePlane) -> list[int]:
+    """ER_q over the whole plane: the rows _polar_rows(plane, plane.points)
+    gives, built a whole line at a time.
+
+    Line [-u, -v, 1] holds (0, 1, v) and the points (1, y, u + v*y), one
+    in each q-bit block (1, y, *) of the x = 1 chart.  The chart for u = 0
+    comes from affine_values; stepping u to u + 1 in integer order changes
+    digit i of u exactly when p^i divides u + 1, and adds p^i to every z
+    for each such digit, one masked move of the whole chart each
+    (`_translations`).  The q + 1 lines with c = 0 are contiguous index
+    blocks, plus (0, 0, 1) for [a, 1, 0].  Each line is stored at its pole
+    with the pole's own bit cleared, so each row costs O(log_p q) big-int
+    operations instead of q + 1 Python steps.
+    """
+    f, q, index = plane.ctx, plane.q, plane.index
+    pole = Polarity(plane).pole
+    rows = [0] * len(plane.points)
+
+    def place(line, row):
+        j = index[pole(line)]
+        rows[j] = row & ~(1 << j)
+
+    moves = _translations(f)
+    for v in range(q):
+        x = sum(1 << (q * y + z) for y, z in enumerate(f.affine_values(0, v)))
+        for u in range(q):
+            place((f.neg(u), f.neg(v), 1), x << (q + 1) | 2 << v)
+            for up, s, down, t in moves:
+                if (u + 1) % s:
+                    break
+                x = (x & up) << s | (x & down) >> t
+    block = (1 << q) - 1
+    for a in range(q):
+        place((a, 1, 0), 1 | block << (q + 1 + q * f.neg(a)))
+    place((1, 0, 0), (1 << (q + 1)) - 1)
+    return rows
+
+
 def build_er_graph(plane: ProjectivePlane) -> Graph:
     """The polarity graph ER_q as a dense bitset graph.
 
     Vertex i is the plane's i-th point.  Loops at absolute points are
-    dropped (simple graph).
+    dropped (simple graph).  The rows come from the whole-plane builder
+    `_plane_rows`; `check_symmetric` checks them.
     """
-    g = Graph(len(plane.points), _polar_rows(plane, plane.points))
+    g = Graph(len(plane.points), _plane_rows(plane))
     g.check_symmetric()
     return g

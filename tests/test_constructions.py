@@ -434,8 +434,10 @@ def test_triangle_free_matches_er_induced():
     assert via_big.n == direct.n and via_big.adj == direct.adj
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32,
+                               49, 64, 81])
 def test_er_graph_is_induced_on_all_points(q):
+    # the whole-plane builder against the point-list one
     pl, _ = setup(q)
     assert build_er_graph(pl).adj == cons.induced_on_points(pl, pl.points).adj
 

@@ -545,8 +545,9 @@ def test_graph6_bad_byte_and_padding_raise_value_error():
 
 
 def test_dimacs_edge_before_problem_line_raises_value_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         gr.from_dimacs(b"e 1 2\np edge 2 1\n")
+    assert str(err.value) == "DIMACS edge line before the problem line"
 
 
 def test_dimacs_endpoint_out_of_range_raises_value_error():
@@ -606,10 +607,24 @@ def test_transpose_matches_bitwise_reference(n):
         assert gr.transpose(rows) == transpose_bitwise(rows)
 
 
-@pytest.mark.parametrize("line", [b"e 1", b"e 1 4", b"e 0 2"])
+@pytest.mark.parametrize("line", [b"e 1", b"e 1 x", b"e 1 4", b"e 4 1",
+                                  b"e 0 2", b"e 2 2"])
 def test_dimacs_bad_edge_line_is_named(line):
-    with pytest.raises(ValueError, match="bad DIMACS edge line"):
+    # a missing or non-integer endpoint, vertex n + 1 or 0, a loop
+    with pytest.raises(ValueError) as err:
         gr.from_dimacs(b"p edge 3 1\n" + line + b"\n")
+    assert str(err.value) == (f"bad DIMACS edge line {line.decode()!r} "
+                              "for n = 3")
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"p edge 2 0\np edge 2 0\n", "bad DIMACS problem line 'p edge 2 0'"),
+    (b"c only\n", "missing DIMACS problem line"),
+])
+def test_dimacs_problem_line_errors(data, message):
+    with pytest.raises(ValueError) as err:
+        gr.from_dimacs(data)
+    assert str(err.value) == message
 
 
 def test_vertex_out_of_range_raises_value_error():

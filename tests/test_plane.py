@@ -146,6 +146,8 @@ def test_coordinate_outside_field_rejected(q, bad):
         lambda: conic_stabilizer_lift(pl, bad, 0, 0, 1),
         lambda: conic_stabilizer_lift(pl, 1, 0, 0, bad),
         lambda: pol.polar_line((1, bad, 0)),
+        lambda: pol.pole((1, bad, 0)),
+        lambda: pol.pole((0, 1, bad)),
         lambda: pol.classify((1, bad, 0)),
         lambda: pol.classify((bad, 1, 0)),
         lambda: pol.is_absolute((1, bad, 0)),

@@ -5,7 +5,7 @@ import pytest
 from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, NONABSOLUTE,
-                           Polarity, build_er_graph)
+                           Polarity, _translations, build_er_graph)
 
 from reference import conjugate, dot
 
@@ -128,14 +128,38 @@ def test_er_graph_shape(q):
 
 
 def test_er_graph_edges_are_conjugate_pairs():
-    pl, pol = setup(3)
-    g = build_er_graph(pl)
-    for u, v in g.edges():
-        assert conjugate(pl.ctx, pl.points[u], pl.points[v])
-    nonedges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                if not g.has_edge(u, v)]
-    for u, v in nonedges:
-        assert not conjugate(pl.ctx, pl.points[u], pl.points[v])
+    # every pair of points, by the bilinear form: the edges are exactly
+    # the conjugate pairs
+    for q in (3, 4, 5, 8, 9):
+        pl, _ = setup(q)
+        g = build_er_graph(pl)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                assert g.has_edge(u, v) == conjugate(pl.ctx, pl.points[u],
+                                                     pl.points[v])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 25])
+def test_pole_inverts_polar_line(q):
+    pl, pol = setup(q)
+    for P in pl.points:
+        assert pol.pole(pol.polar_line(P)) == P
+    assert pol.pole((0, 0, q - 1)) == pol.pole((0, 0, 1))  # a multiple
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_chart_translation_is_field_addition(q):
+    # the masked move for p^i sends bit z of every q-bit block to
+    # z + p^i in GF(q), whatever the block
+    f = field_for_order(q)
+    moves = _translations(f)
+    assert [s for _, s, _, _ in moves] == [f.p ** i for i in range(f.n)]
+    for up, s, down, t in moves:
+        for y in range(q):
+            for z in range(q):
+                x = 1 << (q * y + z)
+                moved = (x & up) << s | (x & down) >> t
+                assert moved == 1 << (q * y + f.add(z, s))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
