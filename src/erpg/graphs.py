@@ -8,7 +8,9 @@ single machine operations per word.
 from __future__ import annotations
 
 import binascii
+import json
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -516,20 +518,61 @@ def from_graph6(data: bytes) -> Graph:
     return Graph(n, [a | b for a, b in zip(low, transpose(low))])
 
 
-def _lines(data):
-    """The lines of UTF-8 `data` as `str.splitlines` gives them.
-
-    The text is decoded once and split a block of about _CHUNK characters
-    at a time.  Each block ends right after a "\\n", so no "\\r\\n" is cut
-    in two and every block ends a line.
-    """
+def _blocks(data):
+    """UTF-8 `data` decoded once and cut into blocks: the first line, then
+    blocks of about _CHUNK characters.  Each block ends right after a
+    "\\n" or at the end of the text, so no "\\r\\n" is cut in two and
+    every block ends a line."""
     text = bytes(data).decode()
-    start, end = 0, len(text)
+    start, end, size = 0, len(text), 0
     while start < end:
-        cut = text.find("\n", start + _CHUNK)
+        cut = text.find("\n", start + size)
         stop = end if cut < 0 else cut + 1
-        yield from text[start:stop].splitlines()
-        start = stop
+        yield text[start:stop]
+        start, size = stop, _CHUNK
+
+
+# str.translate table that deletes the ASCII digits.
+_NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
+
+
+def _canonical_edges(block, head, sep, to_json):
+    """The endpoints [u0, v0, u1, v1, ...] of a block made only of
+    canonical edge lines head + u + sep + v + "\\n", where u != v are
+    decimal integers without sign or leading zero; else None.
+
+    Deleting the digits must leave head + sep + "\\n" once per line, and
+    every line must start with head, so each line has two digit fields.
+    The block translated by `to_json`, less the commas at its ends, must
+    then read with one `json.loads` as a list of two integers per line:
+    JSON rejects an empty field inside the list, a leading zero and two
+    numbers with no comma between them, and a field emptied at either end
+    leaves the list short.
+    """
+    shape = head + sep + "\n"
+    digitless = block.translate(_NO_DIGITS)
+    lines = len(digitless) // len(shape)
+    if (not block.endswith("\n") or digitless != shape * lines
+            or not block.startswith(head)
+            or head and block.count("\n" + head, 0, -1) != lines - 1):
+        return None
+    try:
+        ends = json.loads("[" + block.translate(to_json).strip(",") + "]")
+    except ValueError:
+        return None
+    pairs = iter(ends)
+    if len(ends) != 2 * lines or any(map(operator.eq, pairs, pairs)):
+        return None  # an empty field at either end, or a loop
+    return ends
+
+
+def _or_edges(adj, ends):
+    """OR the edges (ends[0], ends[1]), (ends[2], ends[3]), ... into the
+    rows."""
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
 
 def _edge_rows(g, head, names):
@@ -551,37 +594,68 @@ def to_dimacs(g: Graph) -> bytes:
                      *_edge_rows(g, lambda u: f"e {u + 1} ", names)])
 
 
-def from_dimacs(data: bytes) -> Graph:
-    """Parse DIMACS edge format; ValueError if the text is malformed.
+_DIMACS_TO_JSON = str.maketrans({"e": None, " ": ",", "\n": None})  # ",u,v"
 
-    The lines are read a block at a time (`_lines`), and each edge is
-    ORed into the rows as it is read.
+
+def _dimacs_lines(lines, adj):
+    """The DIMACS line loop, which defines the format: read `lines` into
+    the rows, which are None until the problem line, and return them.
+
+    Vertex v (1-based) is row v and bit v; row 0 and bit 0 stay 0.
     """
-    adj = None
-    for raw in _lines(data):
+    for raw in lines:
         tok = raw.split()
         if not tok or tok[0] == "c":
             continue
         if tok[0] == "p":
             if adj is not None or len(tok) != 4 or int(tok[2]) < 0:
                 raise ValueError(f"bad DIMACS problem line {raw!r}")
-            n = int(tok[2])
-            adj = [0] * n
+            adj = [0] * (int(tok[2]) + 1)
         elif tok[0] == "e":
             if adj is None:
                 raise ValueError("DIMACS edge line before the problem line")
+            n = len(adj) - 1
             try:
-                u, v = int(tok[1]) - 1, int(tok[2]) - 1
+                u, v = int(tok[1]), int(tok[2])
             except (IndexError, ValueError):
-                u = v = -1
+                u = v = 0
             # a missing, non-integer or out-of-range endpoint, or a loop
-            if u == v or not (0 <= u < n and 0 <= v < n):
+            if u == v or not (0 < u <= n and 0 < v <= n):
                 raise ValueError(f"bad DIMACS edge line {raw!r} for n = {n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+    return adj
+
+
+def from_dimacs(data: bytes) -> Graph:
+    """Parse DIMACS edge format; ValueError if the text is malformed.
+
+    The text is read a block at a time (`_blocks`), the first line on its
+    own.  Once the problem line has been read, a block made only of lines
+    "e u v\\n" as `to_dimacs` writes them, with 1 <= u, v <= n, is read by
+    one `json.loads` (`_canonical_edges`) and its edges are ORed into the
+    rows.  Every other block (the problem line, comments, blank lines, CR
+    or other line separators, other spacing, signs, leading zeros, a bad
+    edge) goes through the line loop `_dimacs_lines`.  The line loop is
+    the definition of the format: a block takes the fast path only if the
+    line loop would read the same edges from it without error, and the
+    line loop raises on the first bad line.
+    """
+    adj = None
+    for block in _blocks(data):
+        if adj is not None:
+            ends = _canonical_edges(block, "e ", " ", _DIMACS_TO_JSON)
+            if ends is not None and 0 not in ends and max(ends) < len(adj):
+                _or_edges(adj, ends)
+                del ends  # before the next block is parsed
+                continue
+        adj = _dimacs_lines(block.splitlines(), adj)
     if adj is None:
         raise ValueError("missing DIMACS problem line")
-    return Graph(n, adj)
+    adj.pop(0)
+    for v, row in enumerate(adj):
+        adj[v] = row >> 1
+    return Graph(len(adj), adj)
 
 
 def to_edgelist_csv(g: Graph) -> bytes:
@@ -591,18 +665,13 @@ def to_edgelist_csv(g: Graph) -> bytes:
     return b"".join([b"u,v\n", *_edge_rows(g, lambda u: f"{u},", names)])
 
 
-def from_edgelist_csv(data: bytes, n=None) -> Graph:
-    """Parse a "u,v" edge list; ValueError if the text is malformed.
+_CSV_TO_JSON = str.maketrans({"\n": ","})  # "u,v,"
 
-    n defaults to 1 + the largest vertex, and the rows grow with it.  Each
-    edge is ORed into the rows as it is read.  A loop or an out-of-range
-    vertex is raised only once the whole text has parsed, for the first
-    such edge, so a line that does not parse wins over it wherever it is.
-    """
-    lines = _lines(data)
-    next(lines, None)  # the header
-    adj = [] if n is None else [0] * n
-    top, fault = -1, None
+
+def _csv_lines(lines, adj, top, fault, n):
+    """The CSV line loop, which defines the format: read `lines` into the
+    rows; returns the largest vertex seen and the first loop or
+    out-of-range edge, which stops the ORs."""
     for r in lines:
         if r.strip():
             u, v = r.split(",")  # ValueError unless exactly two fields
@@ -617,6 +686,43 @@ def from_edgelist_csv(data: bytes, n=None) -> Graph:
                 else:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
+    return top, fault
+
+
+def from_edgelist_csv(data: bytes, n=None) -> Graph:
+    """Parse a "u,v" edge list; ValueError if the text is malformed.
+
+    n defaults to 1 + the largest vertex, and the rows grow with it.  The
+    text is read a block at a time (`_blocks`), the first line, the
+    header, on its own.  After it, a block made only of lines "u,v\\n" as
+    `to_edgelist_csv` writes them, with u, v < n, is read by one
+    `json.loads` (`_canonical_edges`) and its edges are ORed into the
+    rows.  Every other block (the header, blank lines, CR or other line
+    separators, spaces, signs, leading zeros, extra fields, a loop or an
+    out-of-range vertex) goes through the line loop `_csv_lines`.  The
+    line loop is the definition of the format: a block takes the fast
+    path only if the line loop would read the same edges from it without
+    error.  A loop or an out-of-range vertex is raised only once the
+    whole text has parsed, for the first such edge, so a line that does
+    not parse wins over it wherever it is; once one is found, the rows
+    are never returned.
+    """
+    adj = [] if n is None else [0] * n
+    blocks = _blocks(data)
+    after_header = next(blocks, "").splitlines()[1:]
+    top, fault = _csv_lines(after_header, adj, -1, None, n)
+    for block in blocks:
+        ends = _canonical_edges(block, "", ",", _CSV_TO_JSON)
+        if ends is not None:
+            high = max(ends)
+            if n is None or high < n:
+                top = max(top, high)
+                if n is None:
+                    adj.extend([0] * (top + 1 - len(adj)))
+                _or_edges(adj, ends)
+                del ends  # before the next block is parsed
+                continue
+        top, fault = _csv_lines(block.splitlines(), adj, top, fault, n)
     g = Graph(top + 1 if n is None else n, adj)
     if fault is not None:
         g.add_edge(*fault)  # raises

@@ -32,15 +32,24 @@ def build_hypergraph(q) -> TriangleHypergraph:
     """All triangles of ER_q, from one pass over its edges, row by row.
 
     Two points share at most one neighbour, the pole of their line, so H_q
-    is linear (no two edges share two vertices).  Aborts on an edge with
-    two common neighbours, on a triangle through an absolute point (none
-    can exist) or if the count differs from q(q^2-1)/6.
+    is linear (no two edges share two vertices).  Aborts on a triangle
+    through an absolute point (none can exist: no two neighbours of an
+    absolute point are adjacent, checked once per absolute point), on an
+    edge with two common neighbours or if the count differs from
+    q(q^2-1)/6.
     """
     plane = ProjectivePlane(field_for_order(q))
     pol = Polarity(plane)
     g = build_er_graph(plane)
     absolute = {plane.index[pt] for pt in pol.absolute_points()}
     adj, edges = g.adj, []
+    for a in sorted(absolute):
+        for b in bits(adj[a]):
+            common = adj[a] & adj[b]
+            if common:
+                triangle = tuple(sorted((a, b, common.bit_length() - 1)))
+                raise AssertionError(
+                    f"absolute point in triangle {triangle}")
     for u, row in enumerate(adj):
         for v in bits(row >> (u + 1) << (u + 1)):
             common = row & adj[v]
@@ -48,12 +57,8 @@ def build_hypergraph(q) -> TriangleHypergraph:
                 raise AssertionError(f"points {u}, {v} share "
                                      f"{common.bit_count()} neighbours: "
                                      "H_q is not linear")
-            w = common.bit_length() - 1
-            if w > v:
-                if absolute.intersection((u, v, w)):
-                    raise AssertionError(
-                        f"absolute point in triangle {u, v, w}")
-                edges.append((u, v, w))
+            if common >> v > 1:  # the common neighbour w is above v
+                edges.append((u, v, common.bit_length() - 1))
     expected = q * (q * q - 1) // 6
     if len(edges) != expected:
         raise AssertionError(

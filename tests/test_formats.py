@@ -106,6 +106,33 @@ DIMACS_INPUTS = [
     b"",
     b"p edge 4 1\re 1 2\r\re 3 4\n",
     b"p edge 4 1\ve 1 2\x0ce 3 4\x1ce 2 3\n",
+    # Lines that the block path must leave to the line loop.  The first
+    # two have as many spaces and newlines as canonical lines.
+    b"p edge 4 2\ne 1 2 3\ne 4\n",
+    b"p edge 4 2\ne 1 2\ne 3\ne 3 4 1\n",
+    b"p edge 3 1\ne 01 2\n",
+    b"p edge 3 1\ne 1  2\n",
+    b"p edge 3 1\ne 1,2 3\n",
+    b"p edge 3 1\ne 2 2\n",
+    b"p edge 3 1\ne 0 1\n",
+    b"p edge 3 1\ne 1 4\n",
+    b"p edge 3 1\ne +1 2\n",
+    b"p edge 3 1\ne  2\n",
+    b"p edge 3 1\ne 1 \n",
+    b"p edge 3 1\ne 1 2\ne 1 99999999999999999999999\n",
+    b"p edge 3 1\ne 1 2\n3e 2 3\n",
+    b"p edge 3 1\n1e 2 3\n",
+    b"p edge 3 1\ne1 2 3\n",
+    b"p edge 9999 1\ne 1 \n5e3 3 4\n",
+    b"p edge 3 2\ne 1 2\ne 2 3",
+    b"p edge 3 2\ne 1 2\n23",
+    b"p edge 300 1\ne 1 2\n23",
+    b"p edge 3 1\ne1 2 \n",
+    b"p edge 3 1\n1e 2 \n",
+    b"p edge 3 1\ne 1 2\np edge 3 1\n",
+    b"p edge 3 1\n" + b"e 1 2\n" * 12000 + b"p edge 3 1\ne 2 3\n",
+    b"p edge 3 1\n" + b"e 1 2\n" * 12000 + b"e 2 3\ne 3 4\n",
+    b"p edge 3 1\n" + b"e 1 2\n" * 12000 + b"c x\n" + b"e 2 3\n" * 12000,
 ]
 
 CSV_INPUTS = [
@@ -126,6 +153,22 @@ CSV_INPUTS = [
     b"u,v\n",
     b"",
     b"u,v\n1\n",
+    b"u,v\n1,2,3\n4\n",
+    b"u,v\n0,1\n1,2,3\n2\n",
+    b"u,v\n01,2\n",
+    b"u,v\n1,2 \n",
+    b"u,v\n,1\n",
+    b"u,v\n1,\n",
+    b"u,v\n0,1\n1,\n",
+    b"u,v\n0,1\n2,2\n",
+    b"u,v\n0,1\n1,99999999999999999999999\n",
+    b"u,v\n0,1\n1,2",
+    b"u,v\n0,1\n12",
+    b"u,v\n0,1\n1,1\n0,2\n1,2\n0,x\n",
+    b"u,v\n0,1\n0,7\n0,2\n1,2\n0,x\n",
+    b"u,v\n1,1\n" + b"0,1\n" * 20000 + b"1,2\n" * 20000 + b"0,x\n",
+    b"u,v\n" + b"0,1\n" * 20000 + b"0,7\n" + b"1,2\n" * 20000,
+    b"u,v\n" + b"0,1\n" * 20000 + b"\n" + b"1,2\n" * 20000,
 ]
 
 
@@ -196,6 +239,51 @@ def test_text_decoders_match_oracles_on_arbitrary_text(text, head, chunk, n):
             from_dimacs_reference, data)
         assert outcome(gr.from_edgelist_csv, data, n=n) == outcome(
             from_edgelist_csv_reference, data, n=n)
+
+
+# Whole lines as `to_dimacs` and `to_edgelist_csv` write them, for n = 4
+# and beyond it, mixed with the characters a block must hold to take the
+# block path, so that most blocks come near it.
+NEAR_CANONICAL_TEXT = st.lists(st.sampled_from(
+    ["e 1 2\n", "e 2 4\n", "e 3 3\n", "e 0 1\n", "e 5 1\n", "e 10 2\n",
+     "0,1\n", "1,3\n", "2,2\n", "4,1\n", "10,2\n", "01,2\n",
+     "e", " ", ",", "\n", "0", "1", "3"]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=NEAR_CANONICAL_TEXT, chunk=st.sampled_from([1, 5, 9, 24]),
+       n=st.sampled_from([None, 4, 11]))
+def test_text_decoders_match_oracles_near_canonical_lines(text, chunk, n):
+    dimacs, csv = ("p edge 4 2\n" + text).encode(), ("u,v\n" + text).encode()
+    with mock.patch.object(gr, "_CHUNK", chunk):
+        assert outcome(gr.from_dimacs, dimacs) == outcome(
+            from_dimacs_reference, dimacs)
+        assert outcome(gr.from_edgelist_csv, csv, n=n) == outcome(
+            from_edgelist_csv_reference, csv, n=n)
+
+
+@pytest.mark.parametrize("chunk", [gr._CHUNK, 1000])
+@pytest.mark.parametrize("fmt, line_loop", [("dimacs", "_dimacs_lines"),
+                                            ("csv", "_csv_lines")])
+def test_canonical_text_takes_the_block_path(fmt, line_loop, chunk):
+    """Of what `to_dimacs` and `to_edgelist_csv` write for ER_27, the
+    line loop reads only the first line, the problem line or header;
+    every later block is read in one step."""
+    g = er(27)
+    data = CODECS[fmt][0](g)
+    real = getattr(gr, line_loop)
+    seen = []
+
+    def counting(lines, *state):
+        seen.extend(lines)
+        return real(lines, *state)
+
+    with mock.patch.object(gr, "_CHUNK", chunk), \
+            mock.patch.object(gr, line_loop, counting):
+        assert decode(fmt, data, g) == g
+    assert len(data) > chunk + 100  # two blocks or more after the first
+    assert seen == (["p edge 757 10584"] if fmt == "dimacs" else [])
 
 
 # -- ER_64 -------------------------------------------------------------------

@@ -109,6 +109,27 @@ def test_build_rejects_non_linear_graph(monkeypatch):
         hg.build_hypergraph(5)
 
 
+def test_build_rejects_a_triangle_through_an_absolute_point(monkeypatch):
+    """Joining two neighbours b < c of an absolute point a makes the
+    triangle {a, b, c}, which the check of a's neighbourhood reports."""
+    real = hg.build_er_graph
+    joined = []
+
+    def with_absolute_triangle(plane):
+        g = real(plane)
+        a = plane.index[Polarity(plane).absolute_points()[0]]
+        b, c = g.neighbors(a)[:2]
+        g.add_edge(b, c)
+        joined.append(tuple(sorted((a, b, c))))
+        return g
+
+    monkeypatch.setattr(hg, "build_er_graph", with_absolute_triangle)
+    with pytest.raises(AssertionError, match="absolute point in triangle") \
+            as caught:
+        hg.build_hypergraph(5)
+    assert str(joined[0]) in str(caught.value)
+
+
 @pytest.mark.parametrize("q", [4, 8])
 def test_triangle_free_set_is_hypergraph_independent(q):
     h = hg.build_hypergraph(q)
