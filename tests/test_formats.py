@@ -106,8 +106,9 @@ DIMACS_INPUTS = [
     b"",
     b"p edge 4 1\re 1 2\r\re 3 4\n",
     b"p edge 4 1\ve 1 2\x0ce 3 4\x1ce 2 3\n",
-    # Lines that the block path must leave to the line loop.  The first
-    # two have as many spaces and newlines as canonical lines.
+    # Lines that the block path must leave to the line loop, and faults
+    # after blocks it reads.  The first two have as many spaces and
+    # newlines as canonical lines.
     b"p edge 4 2\ne 1 2 3\ne 4\n",
     b"p edge 4 2\ne 1 2\ne 3\ne 3 4 1\n",
     b"p edge 3 1\ne 01 2\n",
