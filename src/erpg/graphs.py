@@ -12,6 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 
 def bits(x: int):
@@ -50,6 +51,27 @@ def transpose(rows):
         w >>= 1
         mask ^= mask << w
     return m[:n]
+
+
+# Width of the tiles `Graph.check_symmetric` compares: _TILE bits, or the
+# largest power of two <= n/3 if that is wider.  A tile then holds at most
+# a ninth of the matrix, and the check at most two tiles at once.
+_TILE = 1 << 10
+
+
+def _cut(rows, shift, mask):
+    """The bits shift, shift + 1, ... of each row that mask keeps."""
+    return map(operator.and_, map(operator.rshift, rows, repeat(shift)),
+               repeat(mask))
+
+
+def _tile_width(n):
+    """The tile width for n vertices; below _TILE vertices, the power of
+    two >= n, so that one tile is the whole matrix."""
+    w = _TILE
+    while 6 * w <= n:
+        w *= 2
+    return min(w, 1 << (n - 1).bit_length())
 
 
 class Graph:
@@ -102,20 +124,55 @@ class Graph:
 
     def check_symmetric(self):
         """Raise AssertionError on a loop, a neighbour outside 0..n-1 or
-        an asymmetric pair.  Loops and out-of-range bits do not move under
-        `transpose`, so they are checked before comparing with it."""
+        an asymmetric pair.  Loops and out-of-range bits are checked first,
+        by one scan of the rows.
+
+        The pairs are then compared tile by tile, so no transposed copy of
+        the whole matrix is made.  The rows fall into bands of w rows
+        (`_tile_width`), and tile (I, J) is the bits of columns J*w..J*w+w-1
+        in the rows of band I.  For I <= J, tile (I, J) is cut out of its
+        rows with a shift and a mask, transposed with `transpose` and
+        compared with tile (J, I).  The last band may be narrower, c < w
+        columns: its tiles are packed side by side, s bits apart for the
+        power of two s >= c, and transposed w // s at a time.  Each tile
+        with a mismatch gives its least pair (u, v), u in band I and v in
+        band J; the least of these pairs is the first asymmetric pair of
+        the matrix, the one a comparison with the whole transpose finds.
+        """
         n, adj = self.n, self.adj
         for u, row in enumerate(adj):
             if row.bit_length() > n:
                 raise AssertionError(f"vertex {u} has a neighbour out of range")
             if row >> u & 1:
                 raise AssertionError(f"loop at vertex {u}")
-        for u, (row, col) in enumerate(zip(adj, transpose(adj))):
-            if row != col:
-                v = next(bits(row ^ col))
-                if not row >> v & 1:
-                    u, v = v, u
-                raise AssertionError(f"asymmetric edge ({u},{v})")
+        w = _tile_width(n)
+        band_mask, pairs = (1 << w) - 1, []
+        for hi in range(0, n, w):  # band J
+            s = 1 << (min(w, n - hi) - 1).bit_length()
+            los = range(0, hi + 1, w)  # the bands I <= J
+            for first in range(0, len(los), w // s):
+                group = list(enumerate(los[first:first + w // s]))
+                packed = [0] * w
+                for k, lo in group:
+                    rows = adj[lo:lo + w]
+                    packed[:len(rows)] = map(operator.or_, packed, map(
+                        operator.lshift, _cut(rows, hi, (1 << s) - 1),
+                        repeat(k * s)))
+                # row k*s + v - hi: row v - hi of tile (I, J) transposed
+                packed = transpose(packed)
+                for k, lo in group:
+                    # row v - hi: the u - lo with bit (u, v) != bit (v, u)
+                    diff = list(map(operator.xor, packed[k * s:k * s + s],
+                                    _cut(adj[hi:hi + w], lo, band_mask)))
+                    if any(diff):
+                        diff = transpose(diff + [0] * (w - len(diff)))
+                        i = next(i for i, d in enumerate(diff) if d)
+                        pairs.append((lo + i, hi + next(bits(diff[i]))))
+        if pairs:
+            u, v = min(pairs)
+            if not adj[u] >> v & 1:
+                u, v = v, u
+            raise AssertionError(f"asymmetric edge ({u},{v})")
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -410,6 +467,19 @@ def greedy_extend(g: Graph, S, candidates):
 # in one piece: no string spans the whole graph.
 _CHUNK = 1 << 16
 
+# The most vertices the DIMACS and CSV decoders accept, checked before
+# the rows are allocated, so that a dozen bytes naming 10^9 vertices
+# cannot ask for 10^9 rows.  ER_1024 has 1,049,601 vertices.
+_MAX_VERTICES = 1 << 21
+
+
+def _vertex_count(n):
+    """n, or ValueError if it is above _MAX_VERTICES."""
+    if n > _MAX_VERTICES:
+        raise ValueError(f"{n} vertices, more than the limit of "
+                         f"{_MAX_VERTICES}")
+    return n
+
 
 def _graph6_size_bytes(n):
     if n <= 62:
@@ -438,16 +508,18 @@ def _pack6(stream):
     return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
 
 
-def to_graph6(g: Graph) -> bytes:
-    """Header-less graph6: upper triangle column-wise, 6 bits per byte.
+def _graph6_pieces(g):
+    """Header-less graph6 in pieces: upper triangle column-wise, 6 bits
+    per byte.
 
-    Column v is bits 0..v-1 of row v, written lowest vertex first.  The
-    columns are gathered until about _CHUNK bits are waiting; the longest
-    prefix that is a multiple of 24 bits is packed, and the rest carried
-    into the next piece.  Only the last piece is padded, and trimmed to
-    (nbits + 5) // 6 bytes of body in all.
+    The size field is the first piece.  Column v is bits 0..v-1 of row v,
+    written lowest vertex first.  The columns are gathered until about
+    _CHUNK bits are waiting; the longest prefix that is a multiple of 24
+    bits is packed as the next piece, and the rest carried into the one
+    after.  Only the last piece is padded, and trimmed to (nbits + 5) // 6
+    bytes of body in all.
     """
-    pieces = [_graph6_size_bytes(g.n)]
+    yield _graph6_size_bytes(g.n)
     columns, waiting = [], 0
     for v in range(1, g.n):
         columns.append(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1])
@@ -456,13 +528,16 @@ def to_graph6(g: Graph) -> bytes:
             stream = "".join(columns)
             cut = waiting - waiting % 24
             if cut:
-                pieces.append(_pack6(stream[:cut]))
+                yield _pack6(stream[:cut])
             columns, waiting = [stream[cut:]], waiting - cut
     if waiting:
         stream = "".join(columns)
-        pieces.append(_pack6(stream + "0" * (-waiting % 24))
-                      [:(waiting + 5) // 6])
-    return b"".join(pieces)
+        yield _pack6(stream + "0" * (-waiting % 24))[:(waiting + 5) // 6]
+
+
+def to_graph6(g: Graph) -> bytes:
+    """Header-less graph6 (`_graph6_pieces` joined)."""
+    return b"".join(_graph6_pieces(g))
 
 
 def _graph6_size(data):
@@ -519,16 +594,24 @@ def from_graph6(data: bytes) -> Graph:
 
 
 def _blocks(data):
-    """UTF-8 `data` decoded once and cut into blocks: the first line, then
-    blocks of about _CHUNK characters.  Each block ends right after a
-    "\\n" or at the end of the text, so no "\\r\\n" is cut in two and
-    every block ends a line."""
-    text = bytes(data).decode()
-    start, end, size = 0, len(text), 0
+    """UTF-8 `data` cut into blocks, each decoded on its own: the first
+    line, then blocks of about _CHUNK bytes.  Each block ends right after
+    a b"\\n" or at the end of the data, so no "\\r\\n" is cut in two and
+    every block ends a line.  The byte 0x0A occurs in UTF-8 only as "\\n",
+    never inside a multi-byte character, so no character is cut either.
+    A byte that is not UTF-8 raises the UnicodeDecodeError that decoding
+    the whole data would raise, with its position in the whole data."""
+    data = bytes(data)
+    start, end, size = 0, len(data), 0
     while start < end:
-        cut = text.find("\n", start + size)
+        cut = data.find(b"\n", start + size)
         stop = end if cut < 0 else cut + 1
-        yield text[start:stop]
+        try:
+            block = data[start:stop].decode()
+        except UnicodeDecodeError as e:
+            raise UnicodeDecodeError(e.encoding, data, start + e.start,
+                                     start + e.end, e.reason) from None
+        yield block
         start, size = stop, _CHUNK
 
 
@@ -586,12 +669,17 @@ def _edge_rows(g, head, names):
                    + "\n").encode()
 
 
+def _dimacs_pieces(g):
+    """DIMACS edge format in pieces: the problem line, then "e u v"
+    1-based, u < v, one piece per row."""
+    yield f"p edge {g.n} {g.num_edges()}\n".encode()
+    yield from _edge_rows(g, lambda u: f"e {u + 1} ",
+                          [str(v + 1) for v in range(g.n)])
+
+
 def to_dimacs(g: Graph) -> bytes:
-    """DIMACS edge format: the problem line, then "e u v" 1-based, u < v,
-    written one row at a time."""
-    names = [str(v + 1) for v in range(g.n)]
-    return b"".join([f"p edge {g.n} {g.num_edges()}\n".encode(),
-                     *_edge_rows(g, lambda u: f"e {u + 1} ", names)])
+    """DIMACS edge format (`_dimacs_pieces` joined)."""
+    return b"".join(_dimacs_pieces(g))
 
 
 _DIMACS_TO_JSON = str.maketrans({"e": None, " ": ",", "\n": None})  # ",u,v"
@@ -610,7 +698,7 @@ def _dimacs_lines(lines, adj):
         if tok[0] == "p":
             if adj is not None or len(tok) != 4 or int(tok[2]) < 0:
                 raise ValueError(f"bad DIMACS problem line {raw!r}")
-            adj = [0] * (int(tok[2]) + 1)
+            adj = [0] * (_vertex_count(int(tok[2])) + 1)
         elif tok[0] == "e":
             if adj is None:
                 raise ValueError("DIMACS edge line before the problem line")
@@ -639,7 +727,8 @@ def from_dimacs(data: bytes) -> Graph:
     edge) goes through the line loop `_dimacs_lines`.  The line loop is
     the definition of the format: a block takes the fast path only if the
     line loop would read the same edges from it without error, and the
-    line loop raises on the first bad line.
+    line loop raises on the first bad line.  A problem line with more
+    than _MAX_VERTICES vertices raises before any row is allocated.
     """
     adj = None
     for block in _blocks(data):
@@ -658,11 +747,16 @@ def from_dimacs(data: bytes) -> Graph:
     return Graph(len(adj), adj)
 
 
+def _csv_pieces(g):
+    """A "u,v" header, then one "u,v" line per edge, u < v, one piece per
+    row."""
+    yield b"u,v\n"
+    yield from _edge_rows(g, lambda u: f"{u},", [str(v) for v in range(g.n)])
+
+
 def to_edgelist_csv(g: Graph) -> bytes:
-    """A "u,v" header, then one "u,v" line per edge, u < v, written one
-    row at a time."""
-    names = [str(v) for v in range(g.n)]
-    return b"".join([b"u,v\n", *_edge_rows(g, lambda u: f"{u},", names)])
+    """A "u,v" edge list (`_csv_pieces` joined)."""
+    return b"".join(_csv_pieces(g))
 
 
 _CSV_TO_JSON = str.maketrans({"\n": ","})  # "u,v,"
@@ -678,7 +772,7 @@ def _csv_lines(lines, adj, top, fault, n):
             u, v = int(u), int(v)
             if u > top or v > top:
                 top = max(u, v)
-                if n is None:
+                if n is None and top < _MAX_VERTICES:
                     adj.extend([0] * (top + 1 - len(adj)))
             if fault is None:
                 if u == v or (u | v) < 0 or top >= len(adj):
@@ -692,22 +786,26 @@ def _csv_lines(lines, adj, top, fault, n):
 def from_edgelist_csv(data: bytes, n=None) -> Graph:
     """Parse a "u,v" edge list; ValueError if the text is malformed.
 
-    n defaults to 1 + the largest vertex, and the rows grow with it.  The
-    text is read a block at a time (`_blocks`), the first line, the
-    header, on its own.  After it, a block made only of lines "u,v\\n" as
-    `to_edgelist_csv` writes them, with u, v < n, is read by one
-    `json.loads` (`_canonical_edges`) and its edges are ORed into the
-    rows.  Every other block (the header, blank lines, CR or other line
-    separators, spaces, signs, leading zeros, extra fields, a loop or an
-    out-of-range vertex) goes through the line loop `_csv_lines`.  The
-    line loop is the definition of the format: a block takes the fast
-    path only if the line loop would read the same edges from it without
-    error.  A loop or an out-of-range vertex is raised only once the
-    whole text has parsed, for the first such edge, so a line that does
-    not parse wins over it wherever it is; once one is found, the rows
-    are never returned.
+    n defaults to 1 + the largest vertex, and the rows grow with it.  An
+    n above _MAX_VERTICES raises before the text is read; with n = None,
+    the rows do not grow past _MAX_VERTICES, and a larger vertex raises
+    once the whole text has parsed, before a loop or an out-of-range
+    vertex would.  The text is read a block at a time (`_blocks`), the
+    first line, the header, on its own.  After it, a block made only of
+    lines "u,v\\n" as `to_edgelist_csv` writes them, with u, v < n, is
+    read by one `json.loads` (`_canonical_edges`) and its edges are ORed
+    into the rows.  Every other block (the header, blank lines, CR or
+    other line separators, spaces, signs, leading zeros, extra fields, a
+    loop or an out-of-range vertex) goes through the line loop
+    `_csv_lines`.  The line loop is the definition of the format: a
+    block takes the fast path only if the line loop would read the same
+    edges from it without error.  A loop or an out-of-range vertex is
+    raised only once the whole text has parsed, for the first such edge,
+    so a line that does not parse wins over it wherever it is; once one
+    is found, the rows are never returned.
     """
-    adj = [] if n is None else [0] * n
+    adj = [] if n is None else [0] * _vertex_count(n)
+    limit = _MAX_VERTICES if n is None else n
     blocks = _blocks(data)
     after_header = next(blocks, "").splitlines()[1:]
     top, fault = _csv_lines(after_header, adj, -1, None, n)
@@ -715,7 +813,7 @@ def from_edgelist_csv(data: bytes, n=None) -> Graph:
         ends = _canonical_edges(block, "", ",", _CSV_TO_JSON)
         if ends is not None:
             high = max(ends)
-            if n is None or high < n:
+            if high < limit:
                 top = max(top, high)
                 if n is None:
                     adj.extend([0] * (top + 1 - len(adj)))
@@ -723,19 +821,27 @@ def from_edgelist_csv(data: bytes, n=None) -> Graph:
                 del ends  # before the next block is parsed
                 continue
         top, fault = _csv_lines(block.splitlines(), adj, top, fault, n)
-    g = Graph(top + 1 if n is None else n, adj)
+    g = Graph(_vertex_count(top + 1) if n is None else n, adj)
     if fault is not None:
         g.add_edge(*fault)  # raises
     return g
 
 
-_EXPORTERS = {"graph6": to_graph6, "dimacs": to_dimacs, "csv": to_edgelist_csv}
+_EXPORTERS = {"graph6": _graph6_pieces, "dimacs": _dimacs_pieces,
+              "csv": _csv_pieces}
 
 
-def export(g: Graph, fmt: str) -> bytes:
+def export_pieces(g: Graph, fmt: str):
+    """The bytes of `export(g, fmt)` as an iterator of the pieces the
+    encoder builds, so that a writer holds one piece at a time.  An
+    unknown format raises ValueError at once."""
     try:
-        fn = _EXPORTERS[fmt]
+        pieces = _EXPORTERS[fmt]
     except KeyError:
         raise ValueError(f"unsupported format {fmt!r}; "
                          f"choose from {sorted(_EXPORTERS)}")
-    return fn(g)
+    return pieces(g)
+
+
+def export(g: Graph, fmt: str) -> bytes:
+    return b"".join(export_pieces(g, fmt))

@@ -5,7 +5,9 @@ nodes were made cheaper: it recomputes the whole greedy clique cover at
 every node, pushes both children on the stack and still scans every
 candidate, from the lowest index up, for a max-degree vertex, where the
 package's solver reads it from bit-sliced degree counters.  The package's
-solver must walk exactly the same search tree.  The geometry here
+solver must walk exactly the same search tree.  `check_symmetric_reference`
+compares the rows with the transpose of the whole matrix, where the
+package compares them tile by tile.  The geometry here
 evaluates dot products and the polarity's bilinear form directly on
 coordinate triples.  The `*_reference` codecs build each file, or parse it,
 as one string; the package's codecs must give the same bytes, graphs and
@@ -18,9 +20,9 @@ import numpy as np
 
 from erpg.constructions import conic_points
 from erpg.field import field_for_order
-from erpg.graphs import (_B64_TO_G6, _G6, _G6_TO_B64, Graph, MISResult,
-                         SolveBudget, _graph6_size, _graph6_size_bytes, bits,
-                         transpose)
+from erpg.graphs import (_B64_TO_G6, _G6, _G6_TO_B64, _MAX_VERTICES, Graph,
+                         MISResult, SolveBudget, _graph6_size,
+                         _graph6_size_bytes, bits, transpose)
 from erpg.plane import ProjectivePlane, collineation
 
 
@@ -97,6 +99,24 @@ def max_independent_set_reference(g, budget=None, initial=None):
                       cand & ~(adj[v] | (1 << v))))
     status = "budget_exhausted" if exhausted else "optimal"
     return MISResult(best, sorted(bits(best_set)), status, nodes)
+
+
+def check_symmetric_reference(g):
+    """`Graph.check_symmetric` as a comparison of the rows with the
+    transpose of the whole matrix: the first row that differs from its
+    column gives u, and the least bit of their difference gives v."""
+    n, adj = g.n, g.adj
+    for u, row in enumerate(adj):
+        if row.bit_length() > n:
+            raise AssertionError(f"vertex {u} has a neighbour out of range")
+        if row >> u & 1:
+            raise AssertionError(f"loop at vertex {u}")
+    for u, (row, col) in enumerate(zip(adj, transpose(adj))):
+        if row != col:
+            v = next(bits(row ^ col))
+            if not row >> v & 1:
+                u, v = v, u
+            raise AssertionError(f"asymmetric edge ({u},{v})")
 
 
 def random_graph(n, p, rng):
@@ -229,6 +249,14 @@ def from_graph6_reference(data):
     return Graph(n, [a | b for a, b in zip(low, transpose(low))])
 
 
+def vertex_count(n):
+    """n; the text decoders reject more than _MAX_VERTICES vertices."""
+    if n > _MAX_VERTICES:
+        raise ValueError(f"{n} vertices, more than the limit of "
+                         f"{_MAX_VERTICES}")
+    return n
+
+
 def to_dimacs_reference(g):
     lines = [f"p edge {g.n} {g.num_edges()}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
@@ -244,7 +272,7 @@ def from_dimacs_reference(data):
         if tok[0] == "p":
             if g is not None or len(tok) != 4 or int(tok[2]) < 0:
                 raise ValueError(f"bad DIMACS problem line {raw!r}")
-            g = Graph(int(tok[2]))
+            g = Graph(vertex_count(int(tok[2])))
         elif tok[0] == "e":
             if g is None:
                 raise ValueError("DIMACS edge line before the problem line")
@@ -265,11 +293,13 @@ def to_edgelist_csv_reference(g):
 
 
 def from_edgelist_csv_reference(data, n=None):
+    if n is not None:
+        vertex_count(n)
     edges = []
     for r in bytes(data).decode().splitlines()[1:]:
         if r.strip():
             u, v = r.split(",")
             edges.append((int(u), int(v)))
     if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
+        n = vertex_count(1 + max((max(e) for e in edges), default=-1))
     return Graph.from_edges(n, edges)

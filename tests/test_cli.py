@@ -13,6 +13,9 @@ from erpg import cli
 from erpg import graphs as gr
 from erpg.cli import main
 from erpg.constructions import alpha_bounds
+from erpg.field import field_for_order
+from erpg.plane import ProjectivePlane
+from erpg.polarity import build_er_graph
 
 
 def run(capsys, *argv):
@@ -136,6 +139,32 @@ def test_graph_export(capsys, tmp_path):
     assert report["result"] == {"n": 7, "m": 9}
     g = gr.from_graph6(out_file.read_bytes())
     assert g.n == 7 and g.num_edges() == 9
+
+
+@pytest.fixture(scope="module")
+def er_graphs():
+    return {q: build_er_graph(ProjectivePlane(field_for_order(q)))
+            for q in (27, 64)}
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "dimacs", "csv"])
+@pytest.mark.parametrize("q", [27, 64])
+def test_graph_writes_the_exported_bytes(capsysbinary, tmp_path, er_graphs,
+                                         q, fmt):
+    """The pieces written to --out and to stdout are `export(g, fmt)`;
+    on stdout graph6, the one format without a final newline, gets
+    exactly one."""
+    g = er_graphs[q]
+    data = gr.export(g, fmt)
+    out_file = tmp_path / f"er{q}.{fmt}"
+    assert main(["graph", "--q", str(q), "--format", fmt,
+                 "--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == data
+    capsysbinary.readouterr()
+    assert main(["graph", "--q", str(q), "--format", fmt]) == 0
+    newline = b"\n" if fmt == "graph6" else b""
+    assert capsysbinary.readouterr().out == (
+        data + newline + f"n: {g.n}\nm: {g.num_edges()}\n".encode())
 
 
 @pytest.mark.parametrize("q,n,m", [(3, 13, 24), (4, 21, 50)])

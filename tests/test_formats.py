@@ -311,13 +311,19 @@ def test_encoders_match_oracles_on_er64(er64, fmt):
 
 @pytest.mark.parametrize("fmt", CODECS)
 def test_codec_peak_memory_is_a_small_multiple_of_its_data(er64, fmt):
-    """At ER_64 an encoder's traced peak is at most 3 times its output,
-    and a decoder's at most 4 times its input plus the rows it returns.
-    The whole-string codecs took 7.9-12.2 and 2.9-6.7 times."""
+    """At ER_64 an encoder's traced peak is at most 3 times its output.
+    The graph6 decoder's is at most 4 times its input plus the rows it
+    returns.  The DIMACS and CSV decoders, which decode a block at a time,
+    hold at most half their input beyond the rows: 0.28 and 0.40 times,
+    where decoding the whole text took 1.28 and 1.40 times.  The
+    whole-string codecs took 7.9-12.2 and 2.9-6.7 times data plus rows."""
     encode, _, decode = CODECS[fmt]
     data, peak = traced_peak(encode, er64)
     assert peak <= 3 * len(data), peak / len(data)
     g, peak = traced_peak(decode, data)
     assert g == er64
     rows = sum(sys.getsizeof(row) for row in g.adj)
-    assert peak <= 4 * (len(data) + rows), peak / (len(data) + rows)
+    if fmt == "graph6":
+        assert peak <= 4 * (len(data) + rows), peak / (len(data) + rows)
+    else:
+        assert peak - rows <= len(data) / 2, (peak - rows) / len(data)

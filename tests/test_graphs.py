@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from erpg.graphs import Graph, SolveBudget, max_independent_set
 from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph
 
-from reference import (alpha_exact, alpha_subset_scan, greedy_cover_count,
+from reference import (alpha_exact, alpha_subset_scan,
+                       check_symmetric_reference, greedy_cover_count,
                        max_independent_set_reference, random_graph)
 
 
@@ -591,6 +593,68 @@ def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
         out_of_range = Graph(3, [row, 0, 0])
         with pytest.raises(AssertionError, match="out of range"):
             out_of_range.check_symmetric()
+
+
+def check_outcome(check, g):
+    """None, or the message of the AssertionError that check(g) raises."""
+    try:
+        check(g)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+def planted(n, kind, rng):
+    """A random simple graph on n vertices with asymmetric pairs, a loop
+    or a neighbour out of range planted in its rows."""
+    g = random_graph(n, rng.random(), rng)
+    if kind == "pairs" and n > 1:
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            g.adj[u] ^= 1 << v
+    elif kind == "loop" and n:
+        u = rng.randrange(n)
+        g.adj[u] |= 1 << u
+    elif kind == "out of range" and n:
+        g.adj[rng.randrange(n)] |= 1 << (n + rng.randrange(3))
+    return g
+
+
+@pytest.mark.parametrize("tile", [8, 16])
+@pytest.mark.parametrize("kind", ["none", "pairs", "loop", "out of range"])
+def test_tiled_check_symmetric_matches_whole_transpose(tile, kind):
+    """Many tiles and a narrow last band, whose tiles are transposed side
+    by side (8 * tile + 3 vertices: 4 bands of twice the tile and 3
+    vertices): the same message as comparing with the transpose of the
+    whole matrix, down to the pair it names."""
+    rng = random.Random(f"{tile} {kind}")
+    with mock.patch.object(gr, "_TILE", tile):
+        for n in (tile - 1, tile, tile + 1, 2 * tile + 3, 8 * tile + 3):
+            for _ in range(25):
+                g = planted(n, kind, rng)
+                expected = check_outcome(check_symmetric_reference, g)
+                assert check_outcome(Graph.check_symmetric, g) == expected
+                assert (expected is None) == (kind == "none")
+
+
+@pytest.mark.parametrize("flips", [[(9, 20), (9, 12)], [(20, 9), (12, 9)],
+                                   [(13, 2), (2, 20)], [(10, 12), (2, 20)],
+                                   [(3, 17), (17, 3), (4, 18)]])
+def test_tiled_check_symmetric_names_the_least_pair_across_bands(flips):
+    """Asymmetric pairs in several tiles (tile 8, 21 vertices): the least
+    vertex of any pair is named, and its least partner, even where a tile
+    read earlier holds a pair of larger vertices."""
+    g = Graph(21)
+    for u, v in flips:
+        g.adj[u] ^= 1 << v
+    with mock.patch.object(gr, "_TILE", 8):
+        assert check_outcome(Graph.check_symmetric, g) == check_outcome(
+            check_symmetric_reference, g)
+
+
+def test_tile_width_grows_to_a_third_of_the_vertices():
+    assert [gr._tile_width(n) for n in (1, 91, 1024, 6143, 6144, 65793)] \
+        == [1, 128, 1024, 1024, 2048, 16384]
 
 
 def transpose_bitwise(rows):
