@@ -1,9 +1,9 @@
 """The polarity graph ER_q.
 
 Vertices are the points of PG(2,q); two distinct points are adjacent when
-one lies on the polar line of the other.  The graph has q(q+1)^2/2 edges,
-is C4-free, and the q+1 absolute points are exactly the vertices of
-degree q.
+one lies on the polar line of the other.  The graph has q(q+1)^2/2 edges
+and q(q^2-1)/6 triangles, is C4-free, and the q+1 absolute points are
+exactly the vertices of degree q.
 """
 
 from collections import Counter
@@ -20,7 +20,7 @@ for q in (3, 4, 9):
     degs = Counter(g.degree(v) for v in range(g.n))
     print(f"q={q:>2} ({pol.kind:>10} polarity): n={g.n}, m={g.num_edges()}, "
           f"degrees {dict(degs)}, "
-          f"max common neighbours {g.max_common_neighbors()}")
+          f"triangles {g.triangle_count()} (= q(q^2-1)/6)")
 
 plane = ProjectivePlane(field_for_order(3))
 g = build_er_graph(plane)

@@ -56,16 +56,6 @@ def _report(args, parameters, summary, outputs=()):
 
 # ---------------------------------------------------------------------------
 
-def _has_coclique(q):
-    """Whether q selects a coclique construction.  Only the selection's
-    ValueError means no; a failing build reaches main's error mapping."""
-    try:
-        cons.auto_construction_id(q)
-    except ValueError:
-        return False
-    return True
-
-
 def cmd_build(args):
     q = args.q
     triangle_free = args.construction == "triangle-free"
@@ -126,11 +116,11 @@ def cmd_solve(args):
     budget = gr.SolveBudget(max_nodes=args.budget)
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
+    lower, upper, note = alpha_bounds(q)
     initial = None
-    if _has_coclique(q):
+    if not note:  # q has a coclique construction
         initial = [plane.index[pt] for pt in cons.build_coclique(q).points]
     res = gr.max_independent_set(g, budget, initial=initial)
-    lower, upper, note = alpha_bounds(q)
     violation = None
     if res.size > upper:
         violation = f"value {res.size} exceeds upper bound {upper}"
@@ -166,7 +156,7 @@ def cmd_table(args):
     rows = []
     for q in TABLE_Q:
         lower, upper, note = alpha_bounds(q)
-        built = cons.build_coclique(q).size if _has_coclique(q) else ""
+        built = "" if note else cons.build_coclique(q).size
         rows.append({"q": q, "lower": lower, "upper": upper,
                      "constructed": built, "note": note})
     if args.json:

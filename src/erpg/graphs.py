@@ -108,6 +108,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v) -> int:
+        self._check_vertex(v)
         return self.adj[v].bit_count()
 
     def num_edges(self) -> int:
@@ -120,6 +121,7 @@ class Graph:
                 yield (u, v)
 
     def neighbors(self, v):
+        self._check_vertex(v)
         return list(bits(self.adj[v]))
 
     def check_symmetric(self):
@@ -195,27 +197,7 @@ class Graph:
         return None
 
     def is_regular(self, k) -> bool:
-        return all(self.degree(v) == k for v in range(self.n))
-
-    def induced(self, S) -> "Graph":
-        """Induced subgraph; vertex i of the result is the i-th vertex of S.
-
-        Each row is masked to S before its bits are read, so it costs one
-        step per neighbour inside S, not one per neighbour.
-        """
-        S = sorted(set(S))
-        mask = 0
-        for v in S:
-            self._check_vertex(v)
-            mask |= 1 << v
-        pos = {v: i for i, v in enumerate(S)}
-        g = Graph(len(S))
-        for i, v in enumerate(S):
-            row = 0
-            for w in bits(self.adj[v] & mask):
-                row |= 1 << pos[w]
-            g.adj[i] = row
-        return g
+        return all(row.bit_count() == k for row in self.adj)
 
     # -- triangles and girth -----------------------------------------------
 
@@ -225,21 +207,6 @@ class Graph:
             common = self.adj[u] & self.adj[v]
             total += (common >> (v + 1) << (v + 1)).bit_count()
         return total
-
-    def triangles(self):
-        """All triangles as sorted triples u < v < w, lexicographic order."""
-        for u, v in self.edges():
-            common = self.adj[u] & self.adj[v]
-            for w in bits(common >> (v + 1) << (v + 1)):
-                yield (u, v, w)
-
-    def max_common_neighbors(self) -> int:
-        """Largest number of common neighbors over all vertex pairs."""
-        best = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                best = max(best, (self.adj[u] & self.adj[v]).bit_count())
-        return best
 
     def girth(self):
         """Length of a shortest cycle; math.inf for forests.

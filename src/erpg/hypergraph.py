@@ -1,18 +1,21 @@
 """The 3-uniform hypergraph of triangles of ER_q.
 
 Vertices are the non-absolute points; edges are the vertex triples of the
-triangles of ER_q.  The edge count is q(q^2-1)/6.  Queries read the
-triangles of induced subgraphs of the ER_q graph that H_q keeps.
+triangles of ER_q.  The edge count is q(q^2-1)/6.  H_q is linear, which
+`build_hypergraph` checks, and has girth five: linearity rules out Berge
+cycles of length 2 and, as every triangle of ER_q is an edge, of length 3;
+ER_q has no C4, which rules out length 4.  A set S of non-absolute points
+contains no edge exactly when ER_q[S] is triangle-free, which
+`constructions.triangle_free_certificate` certifies for its sets.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from .field import field_for_order
-from .graphs import Graph, bits
+from .field import factor_prime_power, field_for_order
+from .graphs import bits
 from .plane import ProjectivePlane
 from .polarity import Polarity, build_er_graph
 
@@ -22,7 +25,6 @@ class TriangleHypergraph:
     q: int
     vertices: list   # indices into the plane's point list
     edges: list      # sorted triples of point indices, lexicographic
-    graph: Graph     # ER_q; vertex i is the plane's i-th point
 
     def num_edges(self):
         return len(self.edges)
@@ -64,41 +66,15 @@ def build_hypergraph(q) -> TriangleHypergraph:
         raise AssertionError(
             f"{len(edges)} triangles found, expected {expected}")
     vertices = [i for i in range(g.n) if i not in absolute]
-    return TriangleHypergraph(q=q, vertices=vertices, edges=edges, graph=g)
-
-
-def hyper_independent(h: TriangleHypergraph, S):
-    """None if no edge of h lies inside S, else the lexicographically
-    first one: the first triangle of the subgraph induced on S."""
-    S = sorted(set(S))
-    outside = set(S).difference(h.vertices)
-    if outside:
-        raise ValueError(f"vertex {min(outside)} is not a hypergraph vertex")
-    tri = next(h.graph.induced(S).triangles(), None)
-    return None if tri is None else tuple(S[i] for i in tri)
-
-
-def sample_girth_five(h: TriangleHypergraph, samples=10_000, seed=0):
-    """Sample 8-subsets of the vertex set and raise if one spans 4+ edges.
-
-    Returns the max edge count seen over all samples; a value >= 4 would
-    contradict the girth-five structure and raises.  A sampled check
-    proves nothing; build_hypergraph checks linearity exactly.
-    """
-    rng = random.Random(seed)
-    worst = 0
-    for _ in range(samples):
-        sub = set(rng.sample(h.vertices, 8))
-        inside = h.graph.induced(sub).triangle_count()
-        worst = max(worst, inside)
-        if inside >= 4:
-            raise AssertionError(
-                f"8-subset {sorted(sub)} spans {inside} triangle edges")
-    return worst
+    return TriangleHypergraph(q=q, vertices=vertices, edges=edges)
 
 
 def mw_bound_report(q):
-    """Lower bound achieved for even q and the leading upper-bound terms."""
+    """Lower bound achieved for even q and the leading upper-bound terms.
+
+    ValueError if q is not a prime power or is odd.
+    """
+    factor_prime_power(q)
     if q % 2:
         raise ValueError("report applies to even q")
     lower = q * (q + 1) // 2

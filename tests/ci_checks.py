@@ -1,0 +1,57 @@
+"""Checks the CI workflow runs outside pytest, under python and python -O.
+
+    erpg graph --q 27 --format FMT --out er27.FMT  # FMT: graph6, dimacs, csv
+    python tests/ci_checks.py round-trip
+    python tests/ci_checks.py builder-oracle
+
+A failed check raises SystemExit, not an assert, so each one also holds
+under python -O.  The file name does not match test_*.py, so pytest does
+not collect it.
+"""
+
+import sys
+
+from erpg import graphs as gr
+from erpg.field import field_for_order
+from erpg.plane import ProjectivePlane
+from erpg.polarity import _plane_rows, _polar_rows, build_er_graph
+
+
+def round_trip():
+    """Each er27.* file in the working directory must decode to ER_27 and
+    encode again to the same bytes.  Copies of the DIMACS and CSV files
+    with CRLF line ends, or with a comment or blank line put in halfway,
+    must decode to ER_27 too: their blocks are read by the line loop, not
+    in one step."""
+    g = build_er_graph(ProjectivePlane(field_for_order(27)))
+    for fmt, read in (("graph6", gr.from_graph6), ("dimacs", gr.from_dimacs),
+                      ("csv", lambda d: gr.from_edgelist_csv(d, n=g.n))):
+        with open(f"er27.{fmt}", "rb") as fh:
+            data = fh.read()
+        if read(data) != g or gr.export(g, fmt) != data:
+            raise SystemExit(f"er27.{fmt} does not round-trip")
+        if fmt != "graph6":
+            half = data.index(b"\n", len(data) // 2) + 1
+            extra = b"c put in\n" if fmt == "dimacs" else b"\n"
+            for copy in (data.replace(b"\n", b"\r\n"),
+                         data[:half] + extra + data[half:]):
+                if read(copy) != g:
+                    raise SystemExit(f"a rewritten er27.{fmt} reads wrong")
+
+
+def builder_oracle():
+    """The whole-plane builder of ER_q rows against the point-list builder
+    at q too large for Tier-1 (the point-list one takes seconds at
+    q = 256)."""
+    for q in (125, 128, 243, 256):
+        pl = ProjectivePlane(field_for_order(q))
+        if _plane_rows(pl) != _polar_rows(pl, pl.points):
+            raise SystemExit(f"the two ER_{q} row builders differ")
+
+
+CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:
+        raise SystemExit(f"usage: ci_checks.py {{{','.join(CHECKS)}}}")
+    CHECKS[sys.argv[1]]()

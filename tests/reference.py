@@ -7,9 +7,12 @@ candidate, from the lowest index up, for a max-degree vertex, where the
 package's solver reads it from bit-sliced degree counters.  The package's
 solver must walk exactly the same search tree.  `check_symmetric_reference`
 compares the rows with the transpose of the whole matrix, where the
-package compares them tile by tile.  The geometry here
-evaluates dot products and the polarity's bilinear form directly on
-coordinate triples.  The `*_reference` codecs build each file, or parse it,
+package compares them tile by tile.  `induced` and `triangles` are the
+plain oracles for `induced_on_points` and for the edges of the triangle
+hypergraph.  `c4_pair` checks exactly that a graph has no C4, in
+O(n * max degree) row operations, where a scan of all pairs takes O(n^2).
+The geometry here evaluates dot products and the polarity's bilinear form
+directly on coordinate triples.  The `*_reference` codecs build each file, or parse it,
 as one string; the package's codecs must give the same bytes, graphs and
 errors while holding a row or a block at a time.
 """
@@ -117,6 +120,37 @@ def check_symmetric_reference(g):
             if not row >> v & 1:
                 u, v = v, u
             raise AssertionError(f"asymmetric edge ({u},{v})")
+
+
+def induced(g, S):
+    """The subgraph of g induced on S; vertex i is the i-th least of S."""
+    S = sorted(set(S))
+    pos = {v: i for i, v in enumerate(S)}
+    return Graph(len(S), [sum(1 << pos[w] for w in bits(g.adj[v]) if w in pos)
+                          for v in S])
+
+
+def triangles(g):
+    """All triangles of g as triples u < v < w, in lexicographic order."""
+    for u, v in g.edges():
+        common = g.adj[u] & g.adj[v]
+        for w in bits(common >> (v + 1) << (v + 1)):
+            yield (u, v, w)
+
+
+def c4_pair(g):
+    """The first pair (u, x), x != u, with two common neighbours, in the
+    order of u, or None when g has no C4.  For each u the rows of its
+    neighbours are ORed together, keeping the bits reached twice."""
+    for u, row in enumerate(g.adj):
+        once = twice = 0
+        for v in bits(row):
+            twice |= once & g.adj[v]
+            once |= g.adj[v]
+        twice &= ~(1 << u)
+        if twice:
+            return u, next(bits(twice))
+    return None
 
 
 def random_graph(n, p, rng):

@@ -423,7 +423,8 @@ def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path):
 
 
 def test_solve_bound_violation_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "alpha_bounds", lambda q: (0, 1, ""))
+    real = cli.alpha_bounds  # keeps the note: q = 3 has no coclique
+    monkeypatch.setattr(cli, "alpha_bounds", lambda q: (0, 1, real(q)[2]))
     code, out, err = run(capsys, "solve", "--q", "3")
     assert code == 4
     assert out.splitlines()[:3] == ["q: 3", "alpha: 5", "status: optimal"]

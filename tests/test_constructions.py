@@ -12,7 +12,7 @@ from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
 from erpg.polarity import INTERNAL, Polarity, build_er_graph
 
 from reference import (conic_polar_disjointness, conjugate,
-                       cyclic_pencil_group, preserves_adjacency)
+                       cyclic_pencil_group, induced, preserves_adjacency)
 
 
 def setup(q):
@@ -429,7 +429,7 @@ def test_triangle_free_matches_er_induced():
     pl, pol = setup(q)
     tfs = cons.triangle_free_set(q)
     g = build_er_graph(pl)
-    via_big = g.induced([pl.index[P] for P in tfs.points])
+    via_big = induced(g, [pl.index[P] for P in tfs.points])
     direct = cons.induced_on_points(pl, tfs.points)
     assert via_big.n == direct.n and via_big.adj == direct.adj
 
@@ -560,6 +560,21 @@ def test_auto_dispatch():
         cons.auto_construction_id(2)
     with pytest.raises(ValueError):
         cons.build_coclique(7)
+
+
+def test_alpha_bounds_note_is_empty_exactly_where_a_construction_exists():
+    # the CLI reads the note to decide whether q has a coclique to build
+    for q in range(2, 1025):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        try:
+            cons.auto_construction_id(q)
+            constructed = True
+        except ValueError:
+            constructed = False
+        assert (cons.alpha_bounds(q)[2] == "") == constructed, q
 
 
 def test_build_deterministic():

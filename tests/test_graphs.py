@@ -14,7 +14,8 @@ from erpg.polarity import build_er_graph
 
 from reference import (alpha_exact, alpha_subset_scan,
                        check_symmetric_reference, greedy_cover_count,
-                       max_independent_set_reference, random_graph)
+                       induced, max_independent_set_reference, random_graph,
+                       triangles)
 
 
 # -- predicates --------------------------------------------------------------
@@ -37,11 +38,11 @@ def test_no_self_loops():
 
 def test_induced():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    h = g.induced([1, 2, 4])
+    h = induced(g, [1, 2, 4])
     assert h.n == 3
     assert sorted(h.edges()) == [(0, 1)]
-    assert g.induced(range(5)) == g
-    assert g.induced([]).n == 0
+    assert induced(g, range(5)) == g
+    assert induced(g, []).n == 0
 
 
 def test_is_regular():
@@ -64,7 +65,7 @@ def test_triangle_count_matches_naive():
                 for w in range(v + 1, n)
                 if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w))
             assert g.triangle_count() == naive
-            assert len(list(g.triangles())) == naive
+            assert len(list(triangles(g))) == naive
 
 
 def test_triangle_count_empty():
@@ -693,8 +694,11 @@ def test_dimacs_problem_line_errors(data, message):
 
 def test_vertex_out_of_range_raises_value_error():
     g = Graph(3)
+    # Python lists read a negative index from the end: vertex -1 must not
+    # answer for vertex 2
     for call in (lambda: g.add_edge(0, 3), lambda: g.has_edge(-1, 0),
-                 lambda: g.induced([0, 5])):
+                 lambda: g.degree(-1), lambda: g.degree(3),
+                 lambda: g.neighbors(-1), lambda: g.neighbors(3)):
         with pytest.raises(ValueError, match="out of range"):
             call()
 

@@ -2,40 +2,24 @@ import random
 
 import pytest
 
+from erpg import constructions as cons
 from erpg import hypergraph as hg
 from erpg.constructions import triangle_free_set
 from erpg.field import field_for_order
+from erpg.graphs import Graph
 from erpg.plane import ProjectivePlane
 from erpg.polarity import Polarity, build_er_graph
 
+from reference import c4_pair, induced, triangles
+
 
 def hyper_independent_reference(h, S):
-    """The edge-scan hyper_independent that the induced-subgraph one
-    replaced: the first edge of h, in list order, inside S."""
+    """The first edge of h, in list order, inside S, or None."""
     S = set(S)
-    vs = set(h.vertices)
-    for v in S:
-        if v not in vs:
-            raise IndexError(f"vertex {v} is not a hypergraph vertex")
     for e in h.edges:
         if all(v in S for v in e):
             return e
     return None
-
-
-def sample_girth_five_reference(h, samples=10_000, seed=0):
-    """The edge-scan sample_girth_five: each sample counts the edges of h
-    inside it."""
-    rng = random.Random(seed)
-    worst = 0
-    for _ in range(samples):
-        sub = set(rng.sample(h.vertices, 8))
-        inside = sum(1 for e in h.edges if all(v in sub for v in e))
-        worst = max(worst, inside)
-        if inside >= 4:
-            raise AssertionError(
-                f"8-subset {sorted(sub)} spans {inside} triangle edges")
-    return worst
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
@@ -46,42 +30,50 @@ def test_edge_counts(q):
     for e in h.edges:
         assert e[0] < e[1] < e[2]
         assert all(v in set(h.vertices) for v in e)
-    assert h.graph == build_er_graph(ProjectivePlane(field_for_order(q)))
-    assert h.edges == list(h.graph.triangles())
-
-
-def test_hyper_independent():
-    h = hg.build_hypergraph(4)
-    assert hg.hyper_independent(h, []) is None
-    assert hg.hyper_independent(h, h.vertices[:2]) is None  # edges have size 3
-    first = h.edges[0]
-    assert hg.hyper_independent(h, first) == first
-    with pytest.raises(ValueError):
-        hg.hyper_independent(h, [10 ** 6])
-    absolute = set(range(h.graph.n)) - set(h.vertices)
-    with pytest.raises(ValueError):
-        hg.hyper_independent(h, [h.vertices[0], min(absolute)])
+    g = build_er_graph(ProjectivePlane(field_for_order(q)))
+    assert h.edges == list(triangles(g))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
-def test_hyper_independent_matches_edge_scan(q):
+def test_edges_inside_a_set_are_the_triangles_it_induces(q):
+    """For non-absolute points S, the edges of H_q inside S are the
+    triangles of ER_q[S], so "no edge inside S" is what the triangle-free
+    certificate checks on `induced_on_points`."""
     h = hg.build_hypergraph(q)
+    plane = ProjectivePlane(field_for_order(q))
+    g = build_er_graph(plane)
     rng = random.Random(q)
     found = {True: 0, False: 0}
     for _ in range(300):
-        S = rng.sample(h.vertices, rng.randint(0, 2 * q + 2))
-        witness = hg.hyper_independent(h, S)
-        assert witness == hyper_independent_reference(h, S)
+        S = sorted(rng.sample(h.vertices, rng.randint(0, 2 * q + 2)))
+        witness = hyper_independent_reference(h, S)
+        first = next(triangles(induced(g, S)), None)
+        assert witness == (None if first is None
+                           else tuple(S[i] for i in first))
+        sub = cons.induced_on_points(plane, [plane.points[i] for i in S])
+        assert (sub.triangle_count() == 0) == (witness is None)
         found[witness is None] += 1
     assert found[True] and found[False]
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sample_girth_five_matches_edge_scan(q, seed):
-    h = hg.build_hypergraph(q)
-    assert (hg.sample_girth_five(h, samples=500, seed=seed)
-            == sample_girth_five_reference(h, samples=500, seed=seed))
+def test_hypergraph_has_girth_five(q):
+    """H_q has no Berge cycle of length 2, 3 or 4.  Length 2 would be two
+    edges sharing two vertices, which `build_hypergraph` rules out by
+    checking that H_q is linear.  Length 3 would be three edges pairwise
+    meeting in three distinct vertices.  These form a triangle of ER_q,
+    so an edge of H_q that shares two vertices with each of the three, and
+    linearity makes all four equal.  Length 4 would have its four meeting
+    vertices close a 4-cycle of ER_q, and ER_q has no C4.  Hence no
+    8 vertices span 4 edges: 4 edges with no Berge cycle cover at least
+    12 - 4 + 1 = 9 vertices.  The cross-check: the vertex-edge incidence
+    graph of H_q has girth 10, twice the Berge girth."""
+    h = hg.build_hypergraph(q)  # raises unless H_q is linear
+    assert c4_pair(build_er_graph(ProjectivePlane(field_for_order(q)))) is None
+    n = q * q + q + 1
+    incidence = Graph.from_edges(n + h.num_edges(), [
+        (v, n + i) for i, e in enumerate(h.edges) for v in e])
+    assert incidence.girth() == 10
 
 
 def test_build_rejects_non_linear_graph(monkeypatch):
@@ -137,14 +129,7 @@ def test_triangle_free_set_is_hypergraph_independent(q):
     tfs = triangle_free_set(q)
     S = [plane.index[P] for P in tfs.points]
     assert len(S) == q * (q + 1) // 2
-    assert hg.hyper_independent(h, S) is None
-
-
-@pytest.mark.parametrize("q", [4, 8])
-def test_sampled_girth_five_structure(q):
-    h = hg.build_hypergraph(q)
-    worst = hg.sample_girth_five(h, samples=10_000, seed=0)
-    assert worst < 4
+    assert hyper_independent_reference(h, S) is None
 
 
 def test_mw_bound_report():
@@ -157,3 +142,8 @@ def test_mw_bound_report():
     with pytest.raises(ValueError):
         hg.mw_bound_report(9)
 
+
+@pytest.mark.parametrize("q", [0, 6, 12])
+def test_mw_bound_report_rejects_non_prime_powers(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        hg.mw_bound_report(q)

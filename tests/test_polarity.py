@@ -7,7 +7,7 @@ from erpg.plane import ProjectivePlane
 from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, NONABSOLUTE,
                            Polarity, _translations, build_er_graph)
 
-from reference import conjugate, dot
+from reference import c4_pair, conjugate, dot
 
 
 def setup(q):
@@ -162,11 +162,25 @@ def test_chart_translation_is_field_addition(q):
                 assert moved == 1 << (q * y + f.add(z, s))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 27, 32, 64])
 def test_er_graph_c4_free(q):
     pl, _ = setup(q)
+    assert c4_pair(build_er_graph(pl)) is None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_c4_pair_finds_an_added_edge(q):
+    # joining a to a vertex c at distance 2 gives each other neighbour x
+    # of a a second common neighbour with c: a, beside the pole of xc
+    pl, _ = setup(q)
     g = build_er_graph(pl)
-    assert g.max_common_neighbors() <= 1
+    a, b = 0, g.neighbors(0)[0]
+    c = next(c for c in g.neighbors(b) if c != a and not g.has_edge(a, c))
+    g.add_edge(a, c)
+    pair = c4_pair(g)
+    assert pair is not None
+    u, x = pair
+    assert u != x and (g.adj[u] & g.adj[x]).bit_count() >= 2
 
 
 def test_er_small_edge_counts():
