@@ -19,6 +19,8 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -83,9 +85,9 @@ def cmd_build(args):
 
 
 def cmd_graph(args):
-    """Export ER_q to --out, or to stdout with a final newline added if
-    the format has none.  The encoder's pieces are written as they come,
-    so the whole file is never held in memory."""
+    """Export ER_q to --out, or to stdout with a final newline added to
+    graph6, the one format without one.  The encoder's pieces are written
+    as they come, so the whole file is never held in memory."""
     q = args.q
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
@@ -94,21 +96,18 @@ def cmd_graph(args):
         raise VerificationError(
             f"ER_{q} has {m} edges, expected {q * (q + 1) ** 2 // 2}")
     pieces = gr.export_pieces(g, args.format)
-    outputs = []
     if args.out:
         # DIMACS and CSV pieces are a row each, a few hundred bytes: a
         # 64 KiB buffer makes one system call per 64 KiB, not per 8 KiB.
-        with open(args.out, "wb", buffering=1 << 16) as fh:
-            fh.writelines(pieces)
-        outputs.append(args.out)
+        sink = open(args.out, "wb", buffering=1 << 16)
     else:
-        last = b""
-        for last in pieces:
-            sys.stdout.buffer.write(last)
-        if not last.endswith(b"\n"):
-            sys.stdout.buffer.write(b"\n")
+        sink = contextlib.nullcontext(sys.stdout.buffer)
+        if args.format == "graph6":
+            pieces = itertools.chain(pieces, [b"\n"])
+    with sink as fh:
+        fh.writelines(pieces)
     _report(args, {"q": q, "format": args.format},
-            {"n": g.n, "m": m}, outputs)
+            {"n": g.n, "m": m}, [args.out] if args.out else [])
 
 
 def cmd_solve(args):

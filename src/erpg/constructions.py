@@ -149,6 +149,14 @@ CENSUS_CONIC = "conic"
 CENSUS_EXTERNAL_TANGENT = "external-tangent"
 CENSUS_EXTERNAL = "external"
 CENSUS_INTERNAL = "internal"
+# (point class, on a tangent to the Baer conic) -> census label; conic and
+# internal points off the Baer subplane lie on no such tangent
+_CENSUS_LABELS = {
+    (ABSOLUTE, False): CENSUS_CONIC,
+    (EXTERNAL, True): CENSUS_EXTERNAL_TANGENT,
+    (EXTERNAL, False): CENSUS_EXTERNAL,
+    (INTERNAL, False): CENSUS_INTERNAL,
+}
 
 
 @dataclass
@@ -181,7 +189,10 @@ def _odd_square_field(q):
 
 def orbit_census_odd_square(q) -> OrbitCensus:
     """Decompose PG(2,q) minus the Baer subplane under the lifted
-    PGL(2, sqrt q) and label each orbit by its conic point class."""
+    PGL(2, sqrt q) and label each orbit by the conic point class of its
+    points and, for external points, by whether they lie on a tangent
+    to the Baer conic.  VerificationError unless all members of an
+    orbit have one label."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
     perms = baer_stabilizer_generators(plane)
     points, index = plane.points, plane.index
@@ -193,24 +204,17 @@ def orbit_census_odd_square(q) -> OrbitCensus:
             tangent.update(plane.line_point_indices(pol.polar_line(R)))
     seen = set(baer)
     counts = Counter()
-    for i, pt in enumerate(points):
+    for i in range(len(points)):
         if i in seen:
             continue
         orb = orbit(perms, i)
         seen.update(orb)
-        cls = pol.classify(pt)
-        if cls == ABSOLUTE:
-            label = CENSUS_CONIC
-        elif cls == EXTERNAL:
-            label = (CENSUS_EXTERNAL_TANGENT if i in tangent
-                     else CENSUS_EXTERNAL)
-        else:
-            label = CENSUS_INTERNAL
-        if any(pol.classify(points[j]) != cls for j in orb):
-            raise VerificationError("orbit mixes point classes")
-        if label == CENSUS_EXTERNAL_TANGENT and any(
-                j not in tangent for j in orb):
-            raise VerificationError("orbit mixes tangent membership")
+        # the members' census labels: one (class, on a tangent) pair
+        kinds = {(pol.classify(points[j]), j in tangent) for j in orb}
+        label = _CENSUS_LABELS.get(kinds.pop()) if len(kinds) == 1 else None
+        if label is None:
+            raise VerificationError(
+                f"orbit of {points[i]} has no single census label")
         counts[label, len(orb)] += 1
     entries = [(label, size, mult) for (label, size), mult in counts.items()]
     total = sum(size * mult for _, size, mult in entries)
@@ -219,13 +223,13 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     return OrbitCensus(q, sorted(entries))
 
 
-def _conic_plus_orbit(ctx, construction_id, generators, arrange):
+def _conic_plus_orbit(q, construction_id, generators, arrange):
     """Certificate for the conic plus the orbit of the internal point
     (1, 0, w), w the first nonsquare, under the group generated by
     generators(plane); arrange puts the orbit's indices in order."""
-    claimed = alpha_bounds(ctx.q)[0]
-    expected_orbit = claimed - ctx.q - 1
-    _, plane, pol = _plane_context(ctx)
+    claimed = _claimed_size(q, construction_id)
+    expected_orbit = claimed - q - 1
+    ctx, plane, pol = _plane_context(field_for_order(q))
     w = ctx.find_nonsquare()
     base = (1, 0, w)
     if pol.classify(base) != INTERNAL:
@@ -245,11 +249,7 @@ def _conic_plus_orbit(ctx, construction_id, generators, arrange):
 def coclique_odd_sq_neg(q) -> Certificate:
     """Conic plus a stabilizer orbit of an internal point, in BFS order;
     needs sqrt(q) = -1 mod 4."""
-    ctx = _odd_square_field(q)
-    r = ctx.sqrt_q()
-    if r % 4 != 3:
-        raise ValueError(f"sqrt(q) = {r} is not -1 mod 4")
-    return _conic_plus_orbit(ctx, "odd_sq_neg", baer_stabilizer_generators,
+    return _conic_plus_orbit(q, "odd_sq_neg", baer_stabilizer_generators,
                              list)
 
 
@@ -275,11 +275,7 @@ def k_generators(plane) -> list:
 def coclique_odd_sq_pos(q) -> Certificate:
     """Conic plus a K-orbit of an internal point, in index order; needs
     sqrt(q) = 1 mod 4."""
-    ctx = _odd_square_field(q)
-    r = ctx.sqrt_q()
-    if r % 4 != 1:
-        raise ValueError(f"sqrt(q) = {r} is not 1 mod 4")
-    return _conic_plus_orbit(ctx, "odd_sq_pos", k_generators, sorted)
+    return _conic_plus_orbit(q, "odd_sq_pos", k_generators, sorted)
 
 
 def internal_k_orbits(q):
@@ -430,9 +426,7 @@ def coclique_even(q) -> Certificate:
     arc is certified on the first vertices of the same induced subgraph
     that the extension reads.
     """
-    ctx = _even_field(q)
-    if ctx.n % 2 == 0 or ctx.n < 3:
-        raise ValueError(f"q = {q} is not an odd power of 2 with n >= 3")
+    claimed = _claimed_size(q, "even_arc")
     arc = denniston_arc(q)
     plane, pol = arc.plane, Polarity(arc.plane)
     half = arc.degree  # sqrt(q/2)
@@ -440,7 +434,7 @@ def coclique_even(q) -> Certificate:
         construction_id="even_arc", q=q,
         parameters={"trace_zero_set": arc.trace_zero_set,
                     "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
-        points=arc.points, claimed_size=alpha_bounds(q)[0])
+        points=arc.points, claimed_size=claimed)
     on_arc = set(arc.points)
     counts, index = arc.line_counts, plane.index
     candidates = [pt for pt in plane.points
@@ -461,14 +455,12 @@ def coclique_even(q) -> Certificate:
 
 def even_square_arc_coclique(q) -> Certificate:
     """Degree-sqrt(q) subfield Denniston arc coclique for even square q."""
-    ctx = _even_field(q)
-    if ctx.n % 2:
-        raise ValueError(f"q = {q} is not an even square")
+    claimed = _claimed_size(q, "even_sq_subfield_arc")
     arc = denniston_arc(q)  # over the embedded subfield
     cert = Certificate(
         construction_id="even_sq_subfield_arc", q=q,
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
-        points=arc.points, claimed_size=alpha_bounds(q)[0])
+        points=arc.points, claimed_size=claimed)
     _certify(cert, arc.plane)
     return cert
 
@@ -531,6 +523,28 @@ def triangle_free_certificate(q):
     return cert, girth
 
 
+def _family(q):
+    """(construction id, lower, upper, note) of alpha_bounds, from the one
+    place where q's parity, squareness and sqrt(q) mod 4 pick the
+    coclique family.  The id is None where the note is not empty."""
+    p, n = factor_prime_power(q)
+    r = math.isqrt(q)
+    upper = math.isqrt((q + 1) ** 2 * q) + 1
+    if q == 2:  # Denniston's formula gives 1; there is no arc
+        return None, 1, upper, "trivial, not constructed"
+    if p == 2 and n % 2:
+        h = math.isqrt(q // 2)  # q / 2 is an even power of 2
+        return "even_arc", h * q - q + h, upper, ""
+    if p == 2:  # a maximal arc of degree sqrt q, within 1 of the bound
+        return "even_sq_subfield_arc", r * q - q + r, r * q - q + r + 1, ""
+    if n % 2:
+        lower = math.isqrt(14400 * q ** 3 // 73 ** 3)
+        return None, lower, upper, "reported, not constructed"
+    if r % 4 == 3:
+        return "odd_sq_neg", (q * r - r) // 2 + q + 1, upper, ""
+    return "odd_sq_pos", (q * r + q) // 2 + q + 1, upper, ""
+
+
 def alpha_bounds(q):
     """Known (lower, upper, note) bounds on alpha(ER_q), in integers.
 
@@ -540,53 +554,38 @@ def alpha_bounds(q):
     where lower is constructed, and says why where it is not: odd
     non-square q, and q = 2.  ValueError if q is not a prime power.
     """
-    factor_prime_power(q)
-    r = math.isqrt(q)
-    square = r * r == q
-    upper = math.isqrt((q + 1) ** 2 * q) + 1
-    note = ""
-    if q % 2 == 0:
-        if square:
-            lower = r * q - q + r
-            upper = min(upper, lower + 1)
-        else:
-            h = math.isqrt(q // 2)  # q / 2 is an even power of 2
-            lower = h * q - q + h
-            if q == 2:  # Denniston's formula gives 1; there is no arc
-                note = "trivial, not constructed"
-    elif square:
-        if r % 4 == 3:
-            lower = (q * r - r) // 2 + q + 1
-        else:
-            lower = (q * r + q) // 2 + q + 1
-    else:
-        lower = math.isqrt(14400 * q ** 3 // 73 ** 3)
-        note = "reported, not constructed"
-    return lower, upper, note
+    return _family(q)[1:]
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
+_NOT_BUILT = {  # alpha_bounds note -> why auto_construction_id has no id
+    "trivial, not constructed": "q = {} is not an odd power of 2 with n >= 3",
+    "reported, not constructed":
+        "q = {}: no coclique construction here for odd non-square q",
+}
+
+
 def auto_construction_id(q):
-    """Construction selected for q by parity and squareness.
+    """Construction selected for q by _family.
 
     ValueError for the q without a coclique construction: odd non-square
     q, and q = 2.
     """
-    ctx = field_for_order(q)
-    r = math.isqrt(q)
-    if ctx.p == 2:
-        if r * r == q:
-            return "even_sq_subfield_arc"
-        if q == 2:
-            raise ValueError(f"q = {q} is not an odd power of 2 with n >= 3")
-        return "even_arc"
-    if r * r != q:
-        raise ValueError(
-            f"q = {q}: no coclique construction here for odd non-square q")
-    return "odd_sq_neg" if r % 4 == 3 else "odd_sq_pos"
+    construction_id, _, _, note = _family(q)
+    if construction_id is None:
+        raise ValueError(_NOT_BUILT[note].format(q))
+    return construction_id
+
+
+def _claimed_size(q, construction_id):
+    """Size construction_id claims at q; ValueError if q selects another."""
+    selected = auto_construction_id(q)
+    if selected != construction_id:
+        raise ValueError(f"q = {q} selects {selected}, not {construction_id}")
+    return _family(q)[1]
 
 
 BUILDERS = {

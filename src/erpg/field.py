@@ -326,11 +326,11 @@ class FieldCtx:
     # -- subfield GF(sqrt(q)) ----------------------------------------------
 
     def subfield(self) -> "FieldCtx":
-        """The index-2 subfield GF(p^(n/2)) as its own context."""
+        """The index-2 subfield GF(p^(n/2)), the cached make_field context."""
         if self.n % 2:
             raise ValueError("subfield of index 2 needs an even degree")
         if self._subfield is None:
-            self._subfield = FieldCtx(self.p, self.n // 2)
+            self._subfield = make_field(self.p, self.n // 2)
             self._build_embedding()
         return self._subfield
 

@@ -9,7 +9,7 @@ from erpg.field import factor_prime_power, field_for_order
 from erpg.graphs import greedy_extend
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
                         collineation, orbit)
-from erpg.polarity import INTERNAL, Polarity, build_er_graph
+from erpg.polarity import EXTERNAL, INTERNAL, Polarity, build_er_graph
 
 from reference import (conic_polar_disjointness, conjugate,
                        cyclic_pencil_group, induced, preserves_adjacency)
@@ -44,6 +44,25 @@ def test_census_q25():
         ("internal", 60, 5),
     ]
     assert census.matches_expected()
+
+
+def test_census_rejects_a_spoiled_tangent_set(monkeypatch):
+    # One later member of an external, non-tangent orbit is added to the
+    # tangent set.  The orbit's first point still reads "external", so
+    # only a check of every member's label sees it.
+    q = 25
+    plane, pol = setup(q)
+    baer = plane.baer_points()
+    baer_conic = [R for R in pol.absolute_points() if R in baer]
+    first = next(i for i, pt in enumerate(plane.points)
+                 if pt not in baer and pol.classify(pt) == EXTERNAL
+                 and not any(conjugate(plane.ctx, pt, R) for R in baer_conic))
+    later = max(orbit(baer_stabilizer_generators(plane), first))
+    real = ProjectivePlane.line_point_indices
+    monkeypatch.setattr(ProjectivePlane, "line_point_indices",
+                        lambda self, line: real(self, line) + [later])
+    with pytest.raises(cons.VerificationError, match="census label"):
+        cons.orbit_census_odd_square(q)
 
 
 def test_census_rejects_bad_q():
@@ -589,14 +608,20 @@ def test_q_is_checked_before_any_plane_is_built(monkeypatch):
     N = cons.trace_zero_set(8)
     monkeypatch.setattr(cons, "ProjectivePlane", no_plane)
     assert cons.trace_zero_set(8) == N
-    for builder, q in [(cons.coclique_even, 509), (cons.coclique_even, 16),
+    for builder, q in [(cons.coclique_even, 509),
                        (cons.orbit_census_odd_square, 509),
-                       (cons.coclique_odd_sq_neg, 25),
-                       (cons.coclique_odd_sq_pos, 9),
-                       (cons.even_square_arc_coclique, 8),
                        (cons.triangle_free_set, 509)]:
         with pytest.raises(ValueError):
             builder(q)
+    # every coclique builder refuses each q that selects another family
+    served = {cons.coclique_odd_sq_neg: 9, cons.coclique_odd_sq_pos: 25,
+              cons.coclique_even: 8, cons.even_square_arc_coclique: 16}
+    assert served == {cons.BUILDERS[cons.auto_construction_id(q)]: q
+                      for q in served.values()}
+    for builder, own in served.items():
+        for q in {2, 7, 8, 9, 16, 25} - {own}:
+            with pytest.raises(ValueError):
+                builder(q)
 
 
 def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):

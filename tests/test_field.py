@@ -159,6 +159,11 @@ def test_subfield_embedding_is_ring_embedding():
     assert images == fixed
 
 
+def test_subfield_is_the_cached_field():
+    # GF(9)'s tables are built once, for GF(9) and for GF(81)'s subfield
+    assert field_for_order(81).subfield() is field_for_order(9)
+
+
 def test_subfield_requires_even_degree():
     with pytest.raises(ValueError):
         make_field(3, 1).subfield()
