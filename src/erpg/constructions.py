@@ -103,6 +103,10 @@ class Certificate:
         return len(self.points)
 
     def to_json(self) -> str:
+        """json.dumps(doc, indent=2, sort_keys=True), each point as three
+        coefficient lists.  With an indent json.dumps runs its pure-Python
+        encoder, so the points' text is joined from one block per field
+        element instead and spliced in where doc holds None."""
         ctx = field_for_order(self.q)
         doc = {
             "version": CERTIFICATE_VERSION,
@@ -112,12 +116,20 @@ class Certificate:
             "parameters": self.parameters,
             "size": self.size,
             "claimed_size": self.claimed_size,
-            "points": [[list(ctx.coeffs(c)) for c in pt] for pt in self.points],
+            "points": None,
             "verified": self.verified,
         }
         if self.extension is not None:
             doc["extension"] = self.extension
-        return json.dumps(doc, indent=2, sort_keys=True)
+        head, tail = json.dumps(doc, indent=2, sort_keys=True).split(
+            '\n  "points": null,', 1)
+        cell = ["[\n        " + ",\n        ".join(map(str, ctx.coeffs(c)))
+                + "\n      ]" for c in range(ctx.q)]
+        points = ",\n    ".join([
+            f"[\n      {cell[x]},\n      {cell[y]},\n      {cell[z]}\n    ]"
+            for x, y, z in self.points])
+        points = f"[\n    {points}\n  ]" if points else "[]"
+        return f'{head}\n  "points": {points},{tail}'
 
 
 def _certify(cert, plane, extra=()):
@@ -202,15 +214,20 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     for R in pol.absolute_points():
         if index[R] in baer:
             tangent.update(plane.line_point_indices(pol.polar_line(R)))
-    seen = set(baer)
+    classes = pol.point_classes()
+    # a byte per point: a set of every index took half a megabyte more
+    seen = bytearray(len(points))
+    for j in baer:
+        seen[j] = 1
     counts = Counter()
     for i in range(len(points)):
-        if i in seen:
+        if seen[i]:
             continue
         orb = orbit(perms, i)
-        seen.update(orb)
+        for j in orb:
+            seen[j] = 1
         # the members' census labels: one (class, on a tangent) pair
-        kinds = {(pol.classify(points[j]), j in tangent) for j in orb}
+        kinds = {(classes[j], j in tangent) for j in orb}
         label = _CENSUS_LABELS.get(kinds.pop()) if len(kinds) == 1 else None
         if label is None:
             raise VerificationError(
@@ -285,8 +302,8 @@ def internal_k_orbits(q):
     points = plane.points
     seen = set()
     orbits = []
-    for i, pt in enumerate(points):
-        if i in seen or pol.classify(pt) != INTERNAL:
+    for i, cls in enumerate(pol.point_classes()):
+        if i in seen or cls != INTERNAL:
             continue
         orb = sorted(orbit(perms, i))
         seen.update(orb)
@@ -503,16 +520,15 @@ def triangle_free_certificate(q):
     """(certificate, girth) for triangle_free_set(q).
 
     The induced subgraph must be symmetric (AssertionError otherwise), and
-    triangle-free, q/2-regular and of girth at least 5 (VerificationError
-    otherwise).
+    q/2-regular and of girth at least 5 (VerificationError otherwise).
+    Girth at least 5 carries the triangle-free claim: a triangle is a
+    cycle of length 3, so no triangle count is made besides.
     """
-    if q % 2:
-        raise ValueError(f"q = {q}: triangle-free construction needs even q")
     tfs = triangle_free_set(q)
     sub = induced_on_points(tfs.plane, tfs.points)
     sub.check_symmetric()
     girth = sub.girth()
-    if sub.triangle_count() or not sub.is_regular(q // 2) or girth < 5:
+    if not sub.is_regular(q // 2) or girth < 5:
         raise VerificationError("triangle-free verification failed")
     cert = Certificate(
         construction_id="triangle_free", q=q,

@@ -37,13 +37,19 @@ class Polarity:
         self.kind = "pseudo" if self.ctx.p == 2 else "orthogonal"
 
     def polar_line(self, point):
-        f, q = self.ctx, self.plane.q
+        q = self.plane.q
         x1, x2, x3 = point
         if not (0 <= x1 < q and 0 <= x2 < q and 0 <= x3 < q):
             raise ValueError(f"coordinates {point!r} are not all in GF({q})")
+        return self.plane.normalize(self._polar(point))
+
+    def _polar(self, point):
+        """polar_line(point) unnormalized, without a range check."""
+        x1, x2, x3 = point
         if self.kind == "orthogonal":
-            return self.plane.normalize((x3, f.neg(f.add(x2, x2)), x1))
-        return self.plane.normalize((x1, x3, x2))
+            f = self.ctx
+            return (x3, f.neg(f.add(x2, x2)), x1)
+        return (x1, x3, x2)
 
     def pole(self, line):
         """The point whose polar line is `line`: the inverse of polar_line.
@@ -73,6 +79,21 @@ class Polarity:
         if d == 0:
             return ABSOLUTE
         return EXTERNAL if f.is_square(d) else INTERNAL
+
+    def point_classes(self) -> list:
+        """classify(point) for every point, by index.  On the chart row
+        (1, y, *) the discriminant y^2 - z is affine_values(y^2, -1), so
+        each row is one table map."""
+        f, q = self.ctx, self.plane.q
+        if self.kind == "pseudo":
+            return [ABSOLUTE] * (q + 1) + [NONABSOLUTE] * (q * q)
+        label = [ABSOLUTE] + [EXTERNAL if f.is_square(d) else INTERNAL
+                              for d in range(1, q)]
+        classes = [ABSOLUTE] + [EXTERNAL] * q
+        for y in range(q):
+            classes.extend(map(label.__getitem__,
+                               f.affine_values(f.mul(y, y), f.neg(1))))
+        return classes
 
     def absolute_points(self):
         """The q+1 absolute points: the conic (q odd) or the line X1=0."""
@@ -106,7 +127,7 @@ def _polar_rows(plane: ProjectivePlane, points) -> list[int]:
     rows = []
     for i, pt in enumerate(points):
         row = bytearray(nbytes)
-        line = plane.line_point_indices(pol.polar_line(pt))
+        line = plane.line_point_indices(pol._polar(pt))
         for b, m in filter(None, itemgetter(*line)(slot)):
             row[b] |= m
         row[i >> 3] &= ~(1 << (i & 7))

@@ -3,6 +3,7 @@
     erpg graph --q 27 --format FMT --out er27.FMT  # FMT: graph6, dimacs, csv
     python tests/ci_checks.py round-trip
     python tests/ci_checks.py builder-oracle
+    python tests/ci_checks.py certificate-json
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
@@ -12,9 +13,12 @@ not collect it.
 import sys
 
 from erpg import graphs as gr
+from erpg.constructions import build_coclique
 from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import _plane_rows, _polar_rows, build_er_graph
+
+from reference import certificate_json_reference
 
 
 def round_trip():
@@ -49,7 +53,17 @@ def builder_oracle():
             raise SystemExit(f"the two ER_{q} row builders differ")
 
 
-CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle}
+def certificate_json():
+    """Certificate.to_json against the stdlib json writer at q beyond
+    Tier-1."""
+    for q in (169, 256):
+        cert = build_coclique(q)
+        if cert.to_json() != certificate_json_reference(cert):
+            raise SystemExit(f"the q = {q} certificate JSON differs")
+
+
+CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
+          "certificate-json": certificate_json}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -15,13 +15,16 @@ The geometry here evaluates dot products and the polarity's bilinear form
 directly on coordinate triples.  The `*_reference` codecs build each file, or parse it,
 as one string; the package's codecs must give the same bytes, graphs and
 errors while holding a row or a block at a time.
+`certificate_json_reference` writes a certificate with the stdlib `json`
+encoder alone, where `Certificate.to_json` splices in the points' text.
+Only `alpha_subset_scan` needs numpy, so `tests/ci_checks.py` can import
+this module where the test extras are not installed.
 """
 
 import binascii
+import json
 
-import numpy as np
-
-from erpg.constructions import conic_points
+from erpg.constructions import CERTIFICATE_VERSION, conic_points
 from erpg.field import field_for_order
 from erpg.graphs import (_B64_TO_G6, _G6, _G6_TO_B64, _MAX_VERTICES, Graph,
                          MISResult, SolveBudget, _graph6_size,
@@ -183,6 +186,7 @@ def alpha_exact(g):
 def alpha_subset_scan(g):
     """Cross-check of alpha_exact for small n: a vectorized scan of all
     2^n vertex subsets."""
+    import numpy as np
     n = g.n
     masks = np.arange(1 << n, dtype=np.uint32)
     ok = np.ones(1 << n, dtype=bool)
@@ -194,6 +198,26 @@ def alpha_subset_scan(g):
     for v in range(n):
         size += (masks >> v & 1).astype(np.int8)
     return int(size[ok].max())
+
+
+def certificate_json_reference(cert):
+    """The certificate as json.dumps(doc, indent=2, sort_keys=True), with
+    each point as three coefficient lists."""
+    ctx = field_for_order(cert.q)
+    doc = {
+        "version": CERTIFICATE_VERSION,
+        "construction": cert.construction_id,
+        "q": cert.q,
+        "modulus": list(ctx.modulus),
+        "parameters": cert.parameters,
+        "size": cert.size,
+        "claimed_size": cert.claimed_size,
+        "points": [[list(ctx.coeffs(c)) for c in pt] for pt in cert.points],
+        "verified": cert.verified,
+    }
+    if cert.extension is not None:
+        doc["extension"] = cert.extension
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def preserves_adjacency(g, perm):

@@ -95,6 +95,8 @@ def test_even_square_arc_certificate_bytes(capsys, tmp_path, q, digest):
     (9, "f11b35d1e04692f58d637945a3279cd6af380f6cb55e4f74a50e9890f8300795"),
     (25, "37ad3d7950bf808d83a6ac197f8250d54792a42f9c9deb05ccca40cbc4f768ba"),
     (49, "41a905a27197d64c8f3a51e8b9a6ae6898b1d885b09bd3c4f177263b192795f2"),
+    (81, "36d3f511ec08742f478128d299d25d5eb30f0a80b5def73f5b8c762a009fb786"),
+    (121, "701ae38caeb75ea92d946418fc9e49dd471f4451561d60c93adb8de5a63d220f"),
 ])
 def test_odd_square_certificate_bytes(capsys, tmp_path, q, digest):
     out_file = tmp_path / "cert.json"
@@ -123,6 +125,13 @@ def test_build_invalid_q_exits_2(capsys):
     code, _, err = run(capsys, "build", "--q", "6")
     assert code == 2
     assert "prime power" in err
+
+
+def test_build_triangle_free_odd_q_exits_2(capsys):
+    code, out, err = run(capsys, "build", "--q", "9", "--construction",
+                         "triangle-free")
+    assert code == 2 and out == ""
+    assert err == "error: q = 9 is not even\n"
 
 
 def test_build_odd_nonsquare_exits_2(capsys):

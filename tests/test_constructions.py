@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,13 +7,15 @@ import pytest
 
 from erpg import constructions as cons
 from erpg.field import factor_prime_power, field_for_order
-from erpg.graphs import greedy_extend
+from erpg.graphs import Graph, greedy_extend
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
                         collineation, orbit)
 from erpg.polarity import EXTERNAL, INTERNAL, Polarity, build_er_graph
 
-from reference import (conic_polar_disjointness, conjugate,
-                       cyclic_pencil_group, induced, preserves_adjacency)
+from reference import (c4_pair, certificate_json_reference,
+                       conic_polar_disjointness, conjugate,
+                       cyclic_pencil_group, induced, preserves_adjacency,
+                       triangles)
 
 
 def setup(q):
@@ -495,6 +498,49 @@ def test_triangle_free_certificate_rejects_asymmetric_rows(monkeypatch):
         cons.triangle_free_certificate(8)
 
 
+def swap_two_edges(real, wanted):
+    """induced_on_points with edges {a, b} and {c, d} replaced by {a, c}
+    and {b, d}, for the first pair of edges whose result passes wanted.
+    The rows stay symmetric and every degree stays the same."""
+    def swapped(plane, points):
+        sub = real(plane, points)
+        for (a, b), (c, d) in itertools.combinations(sub.edges(), 2):
+            if len({a, b, c, d}) < 4 or sub.has_edge(a, c) \
+                    or sub.has_edge(b, d):
+                continue
+            adj = list(sub.adj)
+            for u, v in ((a, b), (c, d), (a, c), (b, d)):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            g = Graph(sub.n, adj)
+            if wanted(g):
+                return g
+        raise AssertionError("no swap gives the wanted graph")
+    return swapped
+
+
+def has_triangle(g):
+    return next(triangles(g), None) is not None
+
+
+@pytest.mark.parametrize("wanted,girth", [
+    (has_triangle, 3),
+    (lambda g: not has_triangle(g) and c4_pair(g) is not None, 4),
+])
+def test_triangle_free_certificate_rejects_a_short_cycle(monkeypatch, wanted,
+                                                         girth):
+    # girth >= 5 is the one check that carries the triangle-free claim:
+    # the swapped subgraph is still symmetric and q/2-regular
+    swapped = swap_two_edges(cons.induced_on_points, wanted)
+    tfs = cons.triangle_free_set(8)
+    sub = swapped(tfs.plane, tfs.points)
+    assert sub.is_regular(4) and sub.girth() == girth
+    monkeypatch.setattr(cons, "induced_on_points", swapped)
+    with pytest.raises(cons.VerificationError,
+                       match="triangle-free verification failed"):
+        cons.triangle_free_certificate(8)
+
+
 def test_triangle_free_rejects_bad_input():
     with pytest.raises(ValueError):
         cons.triangle_free_set(9)
@@ -513,6 +559,29 @@ def test_certificate_json_matches_schema():
         jsonschema.validate(doc, schema)
         assert doc["version"] == "v1"
         assert doc["size"] == len(doc["points"])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_certificate_json_is_the_stdlib_writers(q):
+    pl = ProjectivePlane(field_for_order(q))
+    # every point of the plane uses every field element as a coordinate
+    certs = [cons.Certificate("plane", q, {}, pl.points, len(pl.points))]
+    if cons.alpha_bounds(q)[2] == "":  # q has a coclique family
+        certs.append(cons.build_coclique(q))
+    for cert in certs:
+        assert cert.to_json() == certificate_json_reference(cert)
+
+
+def test_certificate_json_is_the_stdlib_writers_beyond_the_families():
+    certs = [cons.triangle_free_certificate(q)[0] for q in (8, 16)]
+    certs.append(cons.Certificate("empty", 9, {}, [], 0))
+    # nested "points" keys must not be taken for the certificate's own
+    certs.append(cons.Certificate(
+        "extended", 5, {"points": None}, [(1, 0, 2), (0, 0, 1)], 2,
+        verified={"independent": True},
+        extension={"points": [], "greedy_size": 3}))
+    for cert in certs:
+        assert cert.to_json() == certificate_json_reference(cert)
 
 
 def test_certificate_json_reads_field_of_its_own_q():

@@ -50,6 +50,12 @@ def test_classification_counts_odd(q, counts):
     assert Counter(pol.classify(P) for P in pl.points) == counts
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 8, 9, 25, 27, 49])
+def test_point_classes_are_classify_by_index(q):
+    pl, pol = setup(q)
+    assert pol.point_classes() == [pol.classify(P) for P in pl.points]
+
+
 def test_classification_counts_even():
     pl, pol = setup(2)
     absolute = [P for P in pl.points if pol.classify(P) == ABSOLUTE]
