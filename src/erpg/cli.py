@@ -8,10 +8,10 @@ Subcommands:
 * ``orbits`` -- orbit census for odd square q
 * ``table``  -- bound table with constructed sizes
 
-Exit codes, the same for every command: 0 success, 2 invalid arguments
-(any ValueError), 3 verification failure (any AssertionError, such as a
-VerificationError), 4 bound violation (3 and 4 indicate an
-implementation bug), 141 stdout closed by its reader (as in
+Exit codes, the same for every command: 0 success, 2 invalid arguments (any
+ValueError, an --out that cannot be opened too), 3 verification failure (any
+AssertionError, such as a VerificationError), 4 bound violation (3 and 4
+indicate an implementation bug), 141 stdout closed by its reader (as in
 ``erpg graph ... | head``), with nothing printed to stderr.
 Identical inputs produce byte-identical outputs.
 """
@@ -56,6 +56,13 @@ def _report(args, parameters, summary, outputs=()):
             print(f"wrote {p}")
 
 
+def _open_out(path, mode, **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise ValueError(f"cannot open --out {path!r}: {e.strerror}") from e
+
+
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
@@ -65,7 +72,7 @@ def cmd_build(args):
         cert, girth = cons.triangle_free_certificate(q)
     else:
         cert = cons.build_coclique(q)
-    if not all(cert.verified.values()):
+    if not cert.verified or not all(cert.verified.values()):
         raise VerificationError("certificate verification failed")
     summary = {"construction": cert.construction_id, "q": q, "size": cert.size}
     if triangle_free:
@@ -77,7 +84,7 @@ def cmd_build(args):
         summary["greedy_extended_size"] = cert.extension["greedy_size"]
     outputs = []
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out, "w") as fh:
             fh.write(cert.to_json() + "\n")
         outputs.append(args.out)
     _report(args, {"q": q, "construction": args.construction},
@@ -99,7 +106,7 @@ def cmd_graph(args):
     if args.out:
         # DIMACS and CSV pieces are a row each, a few hundred bytes: a
         # 64 KiB buffer makes one system call per 64 KiB, not per 8 KiB.
-        sink = open(args.out, "wb", buffering=1 << 16)
+        sink = _open_out(args.out, "wb", buffering=1 << 16)
     else:
         sink = contextlib.nullcontext(sys.stdout.buffer)
         if args.format == "graph6":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .field import factor_prime_power, field_for_order
 from .graphs import Graph, greedy_extend
 from .plane import (ProjectivePlane, baer_stabilizer_generators,
-                    conic_stabilizer_lift, orbit)
+                    conic_stabilizer_lift, orbit, orbits)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity, _polar_rows
 
 CERTIFICATE_VERSION = "v1"
@@ -215,23 +215,15 @@ def orbit_census_odd_square(q) -> OrbitCensus:
         if index[R] in baer:
             tangent.update(plane.line_point_indices(pol.polar_line(R)))
     classes = pol.point_classes()
-    # a byte per point: a set of every index took half a megabyte more
-    seen = bytearray(len(points))
-    for j in baer:
-        seen[j] = 1
     counts = Counter()
-    for i in range(len(points)):
-        if seen[i]:
-            continue
-        orb = orbit(perms, i)
-        for j in orb:
-            seen[j] = 1
+    off_baer = (i for i in range(len(points)) if i not in baer)
+    for orb in orbits(perms, off_baer):
         # the members' census labels: one (class, on a tangent) pair
         kinds = {(classes[j], j in tangent) for j in orb}
         label = _CENSUS_LABELS.get(kinds.pop()) if len(kinds) == 1 else None
         if label is None:
             raise VerificationError(
-                f"orbit of {points[i]} has no single census label")
+                f"orbit of {points[orb[0]]} has no single census label")
         counts[label, len(orb)] += 1
     entries = [(label, size, mult) for (label, size), mult in counts.items()]
     total = sum(size * mult for _, size, mult in entries)
@@ -298,17 +290,10 @@ def coclique_odd_sq_pos(q) -> Certificate:
 def internal_k_orbits(q):
     """All K-orbits on internal points, as point lists in index order."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    perms = k_generators(plane)
-    points = plane.points
-    seen = set()
-    orbits = []
-    for i, cls in enumerate(pol.point_classes()):
-        if i in seen or cls != INTERNAL:
-            continue
-        orb = sorted(orbit(perms, i))
-        seen.update(orb)
-        orbits.append([points[j] for j in orb])
-    return orbits
+    internal = (i for i, cls in enumerate(pol.point_classes())
+                if cls == INTERNAL)
+    return [[plane.points[j] for j in sorted(orb)]
+            for orb in orbits(k_generators(plane), internal)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +371,6 @@ def pencil_conics(plane, alpha, lams):
     return [list(found[f.neg(lam)]) for lam in lams]
 
 
-def conic_points(plane, alpha, lam):
-    """Points of the pencil conic X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 = 0."""
-    return pencil_conics(plane, alpha, [lam])[0]
-
-
 @dataclass
 class MaximalArc:
     degree: int
@@ -453,9 +433,8 @@ def coclique_even(q) -> Certificate:
                     "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
     on_arc = set(arc.points)
-    counts, index = arc.line_counts, plane.index
-    candidates = [pt for pt in plane.points
-                  if pt not in on_arc and not counts[index[pol.polar_line(pt)]]]
+    candidates = [pt for pt, j in zip(plane.points, pol.polar_indices())
+                  if pt not in on_arc and not arc.line_counts[j]]
     k = len(arc.points)
     sub = _certify(cert, plane, candidates)
     extended = greedy_extend(sub, range(k), range(k, sub.n))
@@ -503,16 +482,15 @@ def triangle_free_set(q) -> TriangleFreeSet:
         raise ValueError("no nonzero trace-zero element (q = 2)")
     _, plane, pol = _plane_context(ctx)
     alpha = ctx.find_trace_one()
-    counts = _line_counts(plane, conic_points(plane, alpha, ctx.mul(lam, lam)))
-    index = plane.index
-    pts = [pt for pt in plane.points  # off the absolute line X1 = 0
-           if pt[0] and counts[index[pol.polar_line(pt)]] == 2]
+    conic = pencil_conics(plane, alpha, [ctx.mul(lam, lam)])[0]
+    counts = _line_counts(plane, conic)
+    pts = [pt for pt, cls, j in zip(plane.points, pol.point_classes(),
+                                    pol.polar_indices())
+           if cls != ABSOLUTE and counts[j] == 2]
     if len(pts) != q * (q + 1) // 2:
         raise VerificationError(
             f"triangle-free set has {len(pts)} points, "
             f"expected {q * (q + 1) // 2}")
-    if any(pol.is_absolute(pt) for pt in pts):
-        raise VerificationError("triangle-free set contains an absolute point")
     return TriangleFreeSet(q=q, lam=lam, points=pts, plane=plane)
 
 

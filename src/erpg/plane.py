@@ -9,8 +9,8 @@ stable integer index: 0, 1 + z and 1 + q + q*y + z.
 ``line_point_indices`` solves a line's equation directly in these index
 coordinates, so listing the points of a line needs no per-point
 normalization.  A collineation is a permutation of the point indices
-(``collineation`` builds it from a matrix the same way), and ``orbit``
-is a BFS over such permutations.
+(``collineation`` builds it from a matrix the same way); ``orbit`` and
+``orbits`` walk such permutations breadth first.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ from __future__ import annotations
 from operator import add
 
 from .field import FieldCtx
+
+
+def _check_coordinates(q, v):
+    """ValueError unless every entry of v is an int in range(q)."""
+    for x in v:
+        if not isinstance(x, int) or not 0 <= x < q:
+            raise ValueError(f"coordinates {v!r} are not all in GF({q})")
 
 
 class ProjectivePlane:
@@ -40,10 +47,9 @@ class ProjectivePlane:
 
     def normalize(self, v):
         """Scale a nonzero triple so its first nonzero coordinate is 1."""
-        f, q = self.ctx, self.q
+        f = self.ctx
+        _check_coordinates(self.q, v)
         x, y, z = v
-        if not (0 <= x < q and 0 <= y < q and 0 <= z < q):
-            raise ValueError(f"coordinates {v!r} are not all in GF({q})")
         if x:
             if x == 1:
                 return (1, y, z)
@@ -66,9 +72,8 @@ class ProjectivePlane:
         blocks.
         """
         f, q = self.ctx, self.q
+        _check_coordinates(q, line)
         a, b, c = line
-        if not (0 <= a < q and 0 <= b < q and 0 <= c < q):
-            raise ValueError(f"coordinates {line!r} are not all in GF({q})")
         if c:
             ic = f.inv(c)
             u, v = f.neg(f.mul(a, ic)), f.neg(f.mul(b, ic))
@@ -91,10 +96,9 @@ class ProjectivePlane:
 
     def line_through(self, P, Q):
         """The unique line through two distinct points (cross product)."""
-        f, q = self.ctx, self.q
-        for v in (P, Q):
-            if not all(0 <= c < q for c in v):
-                raise ValueError(f"coordinates {v!r} are not all in GF({q})")
+        f = self.ctx
+        _check_coordinates(self.q, P)
+        _check_coordinates(self.q, Q)
         a = f.sub(f.mul(P[1], Q[2]), f.mul(P[2], Q[1]))
         b = f.sub(f.mul(P[2], Q[0]), f.mul(P[0], Q[2]))
         c = f.sub(f.mul(P[0], Q[1]), f.mul(P[1], Q[0]))
@@ -127,9 +131,7 @@ def collineation(plane: ProjectivePlane, m) -> list:
     """
     f, q = plane.ctx, plane.q
     for r in m:
-        for x in r:
-            if not isinstance(x, int) or not 0 <= x < q:
-                raise ValueError(f"matrix entry {x!r} is not in GF({q})")
+        _check_coordinates(q, r)
     mul = f.mul
     inv = [0, *map(f.inv, range(1, q))]
     perm = []
@@ -163,10 +165,8 @@ def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
     the pseudo polarity's matrix A, so the lift commutes with the
     polarity, and sqrt(det) = det^(q/2) keeps the map a homomorphism.
     """
-    f, q = plane.ctx, plane.q
-    if not all(0 <= x < q for x in (a, b, c, d)):
-        raise ValueError(f"matrix entries {(a, b, c, d)!r} are not all "
-                         f"in GF({q})")
+    f = plane.ctx
+    _check_coordinates(plane.q, (a, b, c, d))
     det = f.sub(f.mul(a, d), f.mul(b, c))
     if det == 0:
         raise ValueError("degenerate 2x2 matrix")
@@ -199,6 +199,18 @@ def orbit(perms, start):
                 seen.add(j)
                 order.append(j)
     return order
+
+
+def orbits(perms, starts):
+    """Yield orbit(perms, i) for each start i in no earlier orbit, in the
+    order of starts; a bytearray over range(len(perms[0])) marks seen."""
+    seen = bytearray(len(perms[0]))
+    for i in starts:
+        if not seen[i]:
+            orb = orbit(perms, i)
+            for j in orb:
+                seen[j] = 1
+            yield orb
 
 
 def baer_stabilizer_generators(plane: ProjectivePlane):

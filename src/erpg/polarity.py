@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .plane import ProjectivePlane
+from .plane import ProjectivePlane, _check_coordinates, collineation
 from .graphs import Graph
 
 ABSOLUTE = "absolute"
@@ -37,10 +37,7 @@ class Polarity:
         self.kind = "pseudo" if self.ctx.p == 2 else "orthogonal"
 
     def polar_line(self, point):
-        q = self.plane.q
-        x1, x2, x3 = point
-        if not (0 <= x1 < q and 0 <= x2 < q and 0 <= x3 < q):
-            raise ValueError(f"coordinates {point!r} are not all in GF({q})")
+        _check_coordinates(self.plane.q, point)
         return self.plane.normalize(self._polar(point))
 
     def _polar(self, point):
@@ -57,22 +54,17 @@ class Polarity:
         [a, b, c] is the polar of (c, -b/2, a) for odd q, of (a, c, b) for
         even q.
         """
-        f, q = self.ctx, self.plane.q
+        f = self.ctx
+        _check_coordinates(self.plane.q, line)
         a, b, c = line
-        if not (0 <= a < q and 0 <= b < q and 0 <= c < q):
-            raise ValueError(f"coordinates {line!r} are not all in GF({q})")
         if self.kind == "orthogonal":
             return self.plane.normalize((c, f.neg(f.div(b, f.add(1, 1))), a))
         return self.plane.normalize((a, c, b))
 
-    def is_absolute(self, point) -> bool:
-        return self.classify(point) == ABSOLUTE
-
     def classify(self, point) -> str:
-        f, q = self.ctx, self.plane.q
+        f = self.ctx
+        _check_coordinates(self.plane.q, point)
         x1, x2, x3 = point
-        if not (0 <= x1 < q and 0 <= x2 < q and 0 <= x3 < q):
-            raise ValueError(f"coordinates {point!r} are not all in GF({q})")
         if self.kind == "pseudo":
             return ABSOLUTE if x1 == 0 else NONABSOLUTE
         d = f.sub(f.mul(x2, x2), f.mul(x1, x3))
@@ -94,6 +86,16 @@ class Polarity:
             classes.extend(map(label.__getitem__,
                                f.affine_values(f.mul(y, y), f.neg(1))))
         return classes
+
+    def polar_indices(self) -> list:
+        """The index of polar_line(point) for every point, by index: the
+        collineation of the matrix that _polar multiplies out."""
+        f = self.ctx
+        if self.kind == "orthogonal":
+            m = ((0, 0, 1), (0, f.neg(f.add(1, 1)), 0), (1, 0, 0))
+        else:
+            m = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+        return collineation(self.plane, m)
 
     def absolute_points(self):
         """The q+1 absolute points: the conic (q odd) or the line X1=0."""

@@ -24,7 +24,7 @@ this module where the test extras are not installed.
 import binascii
 import json
 
-from erpg.constructions import CERTIFICATE_VERSION, conic_points
+from erpg.constructions import CERTIFICATE_VERSION, pencil_conics
 from erpg.field import field_for_order
 from erpg.graphs import (_B64_TO_G6, _G6, _G6_TO_B64, _MAX_VERTICES, Graph,
                          MISResult, SolveBudget, _graph6_size,
@@ -244,7 +244,8 @@ def conic_polar_disjointness(q, lam):
     polar line disjoint from that conic: no two of its points are conjugate
     (none is absolute).  Holds exactly when Tr(lam) = 0."""
     f = field_for_order(q)
-    pts = conic_points(ProjectivePlane(f), f.find_trace_one(), f.mul(lam, lam))
+    pts = pencil_conics(ProjectivePlane(f), f.find_trace_one(),
+                        [f.mul(lam, lam)])[0]
     return not any(conjugate(f, P, R) for P in pts for R in pts)
 
 

@@ -15,7 +15,7 @@ from erpg import graphs as gr
 from erpg import hypergraph as hg
 from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
-from erpg.polarity import Polarity, build_er_graph
+from erpg.polarity import ABSOLUTE, Polarity, build_er_graph
 
 from reference import (alpha_exact, alpha_subset_scan, c4_pair,
                        conic_polar_disjointness, random_graph)
@@ -103,7 +103,7 @@ def test_criterion_6_triangle_free():
         sub = cons.induced_on_points(plane, tfs.points)
         sizes[q] = tfs.size
         ok &= tfs.size == q * (q + 1) // 2
-        ok &= all(not pol.is_absolute(P) for P in tfs.points)
+        ok &= all(pol.classify(P) != ABSOLUTE for P in tfs.points)
         ok &= sub.triangle_count() == 0
         ok &= sub.is_regular(q // 2)
         if q <= 16:

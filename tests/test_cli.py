@@ -415,20 +415,37 @@ def test_orbits_census_mismatch_exits_3(capsys, monkeypatch):
     assert err == "verification failure: orbit census mismatch\n"
 
 
-def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path):
-    build = cli.cons.build_coclique
+@pytest.mark.parametrize("q,family,unverify", [
+    pytest.param(9, "odd_sq_neg",
+                 lambda verified: verified.update(independent=False),
+                 id="flag-false"),
+    # never certified: all({}) is True, so only a non-empty check sees it
+    pytest.param(8, "even_arc", dict.clear, id="never-certified")])
+def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path,
+                                              q, family, unverify):
+    build = cli.cons.BUILDERS[family]
 
     def unverified(q):
         cert = build(q)
-        cert.verified["independent"] = False
+        unverify(cert.verified)
         return cert
 
-    monkeypatch.setattr(cli.cons, "build_coclique", unverified)
+    monkeypatch.setitem(cli.cons.BUILDERS, family, unverified)
     target = tmp_path / "cert.json"
-    code, out, err = run(capsys, "build", "--q", "9", "--out", str(target))
+    code, out, err = run(capsys, "build", "--q", str(q), "--out", str(target))
     assert code == 3 and out == ""
     assert err == "verification failure: certificate verification failed\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [["build", "--q", "8"],
+                                  ["graph", "--q", "5", "--format", "csv"]])
+def test_out_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot open --out {str(target)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_solve_bound_violation_exits_4(capsys, monkeypatch):

@@ -10,7 +10,8 @@ from erpg.field import factor_prime_power, field_for_order
 from erpg.graphs import Graph, greedy_extend
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
                         collineation, orbit)
-from erpg.polarity import EXTERNAL, INTERNAL, Polarity, build_er_graph
+from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, Polarity,
+                           build_er_graph)
 
 from reference import (c4_pair, certificate_json_reference,
                        conic_polar_disjointness, conjugate,
@@ -66,6 +67,26 @@ def test_census_rejects_a_spoiled_tangent_set(monkeypatch):
                         lambda self, line: real(self, line) + [later])
     with pytest.raises(cons.VerificationError, match="census label"):
         cons.orbit_census_odd_square(q)
+
+
+def test_census_rejects_an_orbit_that_enters_the_baer_subplane(monkeypatch):
+    # An extra generator swaps (1, y, 0), y outside GF(3), with the Baer
+    # point (0, 1, 0).  Both are external points on the tangent X3 = 0 to
+    # the Baer conic, so the merged orbit keeps one label, and only the
+    # total over the orbits sees the six Baer points it took in.
+    real = cons.baer_stabilizer_generators
+
+    def leaky(plane):
+        baer = plane.baer_points()
+        y = next(y for y in range(plane.q) if (1, y, 0) not in baer)
+        i, j = plane.index[(1, y, 0)], plane.index[(0, 1, 0)]
+        swap = list(range(len(plane.points)))
+        swap[i], swap[j] = j, i
+        return real(plane) + [swap]
+
+    monkeypatch.setattr(cons, "baer_stabilizer_generators", leaky)
+    with pytest.raises(cons.VerificationError, match="does not cover"):
+        cons.orbit_census_odd_square(9)
 
 
 def test_census_rejects_bad_q():
@@ -284,7 +305,7 @@ def test_line_counts_match_direct_count(q):
     rng = random.Random(q)
     alpha = ctx.find_trace_one()
     sets = [cons.denniston_arc(q).points,
-            cons.conic_points(pl, alpha, 1),
+            cons.pencil_conics(pl, alpha, [1])[0],
             pol.absolute_points(),
             []]
     sets += [rng.sample(pl.points, k) for k in (1, q, len(pl.points) // 3)]
@@ -336,7 +357,7 @@ def test_pencil_scan_any_alpha(q):
     for alpha in range(q):
         expected = [conic_points_reference(pl, alpha, lam) for lam in lams]
         assert cons.pencil_conics(pl, alpha, lams) == expected
-        assert cons.conic_points(pl, alpha, 1) == expected[1]
+        assert cons.pencil_conics(pl, alpha, [1]) == [expected[1]]
 
 
 # -- even cocliques ----------------------------------------------------------
@@ -427,7 +448,7 @@ def test_pencil_orbit_is_conic():
     gen = cyclic_pencil_group(q)
     lam = next(x for x in range(1, q) if ctx.abs_trace(x) == 0)
     alpha = ctx.find_trace_one()
-    expected = set(cons.conic_points(pl, alpha, ctx.mul(lam, lam)))
+    expected = set(cons.pencil_conics(pl, alpha, [ctx.mul(lam, lam)])[0])
     orb = orbit([gen], pl.index[(1, lam, 0)])
     assert {pl.points[j] for j in orb} == expected
 
@@ -439,7 +460,7 @@ def test_triangle_free_set(q):
     pl, pol = setup(q)
     tfs = cons.triangle_free_set(q)
     assert tfs.size == q * (q + 1) // 2
-    assert all(not pol.is_absolute(P) for P in tfs.points)
+    assert all(pol.classify(P) != ABSOLUTE for P in tfs.points)
     sub = cons.induced_on_points(pl, tfs.points)
     assert sub.triangle_count() == 0
     assert sub.is_regular(q // 2)

@@ -4,7 +4,7 @@ import pytest
 
 from erpg.field import field_for_order
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        collineation, conic_stabilizer_lift, orbit)
+                        collineation, conic_stabilizer_lift, orbit, orbits)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
 from reference import dot, preserves_adjacency
@@ -123,16 +123,18 @@ def test_singular_matrix_rejected():
 def test_matrix_entry_outside_field_rejected(entry):
     # 5 and 7 lie past the ends of GF(3)'s tables, and -1 would wrap to 2
     pl = plane_for(3)
-    with pytest.raises(ValueError, match="not in GF"):
+    with pytest.raises(ValueError, match="not all in GF"):
         collineation(pl, ((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(ValueError, match="not in GF"):
+    with pytest.raises(ValueError, match="not all in GF"):
         collineation(pl, ((1, 0, 0), (0, 1, 0), (0, 0, entry)))
 
 
-@pytest.mark.parametrize("q,bad", [(5, 7), (5, -1), (9, 11), (9, -1)])
+@pytest.mark.parametrize("q,bad", [(5, 7), (5, -1), (5, 0.5), (5, "1"),
+                                   (8, 10), (8, -1), (8, 0.5), (8, "1"),
+                                   (9, 11), (9, -1), (9, 0.5), (9, "1")])
 def test_coordinate_outside_field_rejected(q, bad):
-    # q + 2 lies past the ends of GF(q)'s tables, and -1 would wrap to
-    # another element
+    # q + 2 lies past the ends of GF(q)'s tables, -1 would wrap to another
+    # element, and 0.5 and "1" are not field elements at all
     pl = plane_for(q)
     pol = Polarity(pl)
     calls = [
@@ -143,6 +145,7 @@ def test_coordinate_outside_field_rejected(q, bad):
         lambda: pl.line_points((0, 0, bad)),
         lambda: pl.line_through((1, 0, bad), (0, 1, 0)),
         lambda: pl.line_through((0, 1, 0), (1, 0, bad)),
+        lambda: collineation(pl, ((1, 0, 0), (0, 1, 0), (0, 0, bad))),
         lambda: conic_stabilizer_lift(pl, bad, 0, 0, 1),
         lambda: conic_stabilizer_lift(pl, 1, 0, 0, bad),
         lambda: pol.polar_line((1, bad, 0)),
@@ -150,7 +153,6 @@ def test_coordinate_outside_field_rejected(q, bad):
         lambda: pol.pole((0, 1, bad)),
         lambda: pol.classify((1, bad, 0)),
         lambda: pol.classify((bad, 1, 0)),
-        lambda: pol.is_absolute((1, bad, 0)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not all in GF"):
@@ -299,6 +301,18 @@ def test_orbit_is_breadth_first_in_generator_order():
     assert orbit([step, back], 0) == [0, 1, 5, 2, 4, 3]
     assert orbit([back, step], 0) == [0, 5, 1, 4, 2, 3]
     assert orbit([[0, 2, 1, 3]], 3) == [3]
+
+
+def test_orbits_yields_each_orbit_once_in_first_seen_order():
+    # a 3-cycle (0 1 2) and a transposition (4 6) on eight points
+    step = [1, 2, 0, 3, 4, 5, 6, 7]
+    swap = [0, 1, 2, 3, 6, 5, 4, 7]
+    # 6, 0 and 2 are skipped as seen, 7 is no start, so it has no orbit
+    starts = [4, 1, 6, 3, 0, 2, 5]
+    assert list(orbits([step, swap], starts)) == [[4, 6], [1, 2, 0], [3],
+                                                  [5]]
+    assert list(orbits([swap, step], [2, 2])) == [[2, 0, 1]]
+    assert list(orbits([step], [])) == []
 
 
 def test_orbit_sizes_divide_group_order():

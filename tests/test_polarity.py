@@ -56,6 +56,13 @@ def test_point_classes_are_classify_by_index(q):
     assert pol.point_classes() == [pol.classify(P) for P in pl.points]
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49])
+def test_polar_indices_are_polar_line_by_index(q):
+    pl, pol = setup(q)
+    assert pol.polar_indices() == [pl.index[pol.polar_line(P)]
+                                   for P in pl.points]
+
+
 def test_classification_counts_even():
     pl, pol = setup(2)
     absolute = [P for P in pl.points if pol.classify(P) == ABSOLUTE]
