@@ -25,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .field import factor_prime_power, field_for_order
-from .graphs import Graph, greedy_extend
+from .graphs import Graph
 from .plane import (ProjectivePlane, baer_stabilizer_generators,
-                    conic_stabilizer_lift, orbit, orbits)
+                    baer_stabilizer_matrices, collineation,
+                    conic_stabilizer_matrix, matrix_orbit, orbits)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity, _polar_rows
 
 CERTIFICATE_VERSION = "v1"
@@ -72,17 +73,26 @@ def induced_on_points(plane, points):
 
 
 def point_set_independent(plane, points):
-    """None if the point set is a coclique of ER_q, else a conjugate pair.
-
-    Checked on the induced subgraph, so it does not need the full graph in
-    memory.
-    """
+    """None if the listed points form a coclique of ER_q, else a conjugate
+    pair: P passes when its polar line's count in _line_counts(plane,
+    points) is 1 if P is absolute, else 0.  The pair is the first P that
+    fails and the point on its polar line whose last listing, other than
+    P's own, comes first, so a repeated absolute point A gives (A, A).  A
+    point that is not a normalized point of the plane raises ValueError."""
     points = list(points)
-    sub = induced_on_points(plane, points)
-    witness = sub.is_independent(range(len(points)))
-    if witness is None:
-        return None
-    return (points[witness[0]], points[witness[1]])
+    index, pol = plane.index, Polarity(plane)
+    for pt in points:
+        if pt not in index:
+            raise ValueError(
+                f"{pt!r} is not a normalized point of PG(2,{plane.q})")
+    counts = _line_counts(plane, points)
+    for i, pt in enumerate(points):
+        polar = pol.polar_line(pt)
+        if counts[index[polar]] != (pol.classify(pt) == ABSOLUTE):
+            last = {index[Q]: k for k, Q in enumerate(points)}
+            return pt, points[min(last[j] for j in plane.line_point_indices(
+                polar) if last.get(j, i) != i)]
+    return None
 
 
 @dataclass
@@ -132,17 +142,15 @@ class Certificate:
         return f'{head}\n  "points": {points},{tail}'
 
 
-def _certify(cert, plane, extra=()):
-    """Check cert.points and set cert.verified.  Returns the
-    induced_on_points subgraph on cert.points followed by extra."""
-    # Duplicates first: a repeated absolute point lies on its own polar
-    # line and would otherwise be reported as a conjugate pair.
+def _certify(cert, plane):
+    """Set cert.verified, or raise VerificationError: cert.points must
+    have no duplicates (checked first: a repeated absolute point would read
+    as a conjugate pair), pass point_set_independent and number the
+    claimed size."""
     if len(set(cert.points)) != len(cert.points):
         raise VerificationError(f"{cert.construction_id}: duplicate points")
-    sub = induced_on_points(plane, cert.points + list(extra))
-    witness = sub.is_independent(range(len(cert.points)))
-    if witness is not None:
-        pair = (cert.points[witness[0]], cert.points[witness[1]])
+    pair = point_set_independent(plane, cert.points)
+    if pair is not None:
         raise VerificationError(
             f"{cert.construction_id}: conjugate pair {pair}")
     if len(cert.points) != cert.claimed_size:
@@ -150,7 +158,6 @@ def _certify(cert, plane, extra=()):
             f"{cert.construction_id}: built {len(cert.points)} points, "
             f"formula gives {cert.claimed_size}")
     cert.verified = {"independent": True, "size_matches": True}
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +239,10 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     return OrbitCensus(q, sorted(entries))
 
 
-def _conic_plus_orbit(q, construction_id, generators, arrange):
+def _conic_plus_orbit(q, construction_id, matrices, arrange):
     """Certificate for the conic plus the orbit of the internal point
     (1, 0, w), w the first nonsquare, under the group generated by
-    generators(plane); arrange puts the orbit's indices in order."""
+    matrices(ctx); arrange puts the orbit's indices in order."""
     claimed = _claimed_size(q, construction_id)
     expected_orbit = claimed - q - 1
     ctx, plane, pol = _plane_context(field_for_order(q))
@@ -243,7 +250,7 @@ def _conic_plus_orbit(q, construction_id, generators, arrange):
     base = (1, 0, w)
     if pol.classify(base) != INTERNAL:
         raise VerificationError("base point (1,0,w) must be internal")
-    orb = arrange(orbit(generators(plane), plane.index[base]))
+    orb = arrange(matrix_orbit(plane, matrices(ctx), plane.index[base]))
     if len(orb) != expected_orbit:
         raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
     cert = Certificate(
@@ -258,33 +265,36 @@ def _conic_plus_orbit(q, construction_id, generators, arrange):
 def coclique_odd_sq_neg(q) -> Certificate:
     """Conic plus a stabilizer orbit of an internal point, in BFS order;
     needs sqrt(q) = -1 mod 4."""
-    return _conic_plus_orbit(q, "odd_sq_neg", baer_stabilizer_generators,
+    return _conic_plus_orbit(q, "odd_sq_neg", baer_stabilizer_matrices,
                              list)
 
 
-def k_generators(plane) -> list:
-    """Generators of the group K of order q(sqrt q + 1), as point
-    permutations: the lifts of t -> a*t + c with a of norm 1, i.e. the
-    conic stabilizers [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
+def k_matrices(ctx) -> list:
+    """Generators of the group K of order q(sqrt q + 1), as 3x3 matrices:
+    the lifts of t -> a*t + c with a of norm 1, i.e. the conic stabilizers
+    [[a^2, 2ac, c^2], [0, a, c], [0, 0, 1]].
 
-    Two generators suffice: t -> zeta*t, zeta = g^(sqrt q - 1), and
-    t -> t + 1.  Conjugating the translation by the k-th power of the
-    first gives t -> t + zeta^k, so K holds t -> t + c for every c in the
-    additive span of the powers of zeta, which is GF(p)[zeta].  zeta has
-    order sqrt q + 1, more than the p^d - 1 units of any proper subfield
-    GF(p^d) (d <= n/2), so GF(p)[zeta] = GF(q) and every translation is
-    in K.
+    Two suffice: t -> zeta*t, zeta = g^(sqrt q - 1), and t -> t + 1.
+    Conjugating the translation by the k-th power of the first gives
+    t -> t + zeta^k, so K holds t -> t + c for every c in the additive
+    span of the powers of zeta, which is GF(p)[zeta].  zeta has order
+    sqrt q + 1, more than the p^d - 1 units of any proper subfield GF(p^d)
+    (d <= n/2), so GF(p)[zeta] = GF(q) and every translation is in K.
     """
-    ctx = plane.ctx
     zeta = ctx.pow(ctx.generator, ctx.sqrt_q() - 1)
-    return [conic_stabilizer_lift(plane, a, c, 0, 1)
+    return [conic_stabilizer_matrix(ctx, a, c, 0, 1)
             for a, c in [(zeta, 0), (1, 1)]]
+
+
+def k_generators(plane) -> list:
+    """k_matrices as point permutations."""
+    return [collineation(plane, m) for m in k_matrices(plane.ctx)]
 
 
 def coclique_odd_sq_pos(q) -> Certificate:
     """Conic plus a K-orbit of an internal point, in index order; needs
     sqrt(q) = 1 mod 4."""
-    return _conic_plus_orbit(q, "odd_sq_pos", k_generators, sorted)
+    return _conic_plus_orbit(q, "odd_sq_pos", k_matrices, sorted)
 
 
 def internal_k_orbits(q):
@@ -418,10 +428,10 @@ def denniston_arc(q) -> MaximalArc:
 def coclique_even(q) -> Certificate:
     """Denniston-arc coclique for q = 2^n, n odd, plus an extension report.
 
-    The extension report counts the points whose polar line misses the
-    arc (exactly sqrt(q/2)*(q+1) of them) and greedily adds them.  The
-    arc is certified on the first vertices of the same induced subgraph
-    that the extension reads.
+    The extension report counts the points off the arc whose polar line
+    misses it (exactly sqrt(q/2)*(q+1) of them), none adjacent to the arc,
+    and adds them greedily in index order: each one not yet marked is
+    taken and marks its polar line, its neighbours, in a bytearray.
     """
     claimed = _claimed_size(q, "even_arc")
     arc = denniston_arc(q)
@@ -432,16 +442,23 @@ def coclique_even(q) -> Certificate:
         parameters={"trace_zero_set": arc.trace_zero_set,
                     "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
-    on_arc = set(arc.points)
-    candidates = [pt for pt, j in zip(plane.points, pol.polar_indices())
-                  if pt not in on_arc and not arc.line_counts[j]]
-    k = len(arc.points)
-    sub = _certify(cert, plane, candidates)
-    extended = greedy_extend(sub, range(k), range(k, sub.n))
+    _certify(cert, plane)
+    polar = pol.polar_indices()
+    marked = bytearray(len(polar))  # the arc, then the taken's neighbours
+    for pt in arc.points:
+        marked[plane.index[pt]] = 1
+    candidates = [i for i, j in enumerate(polar)
+                  if not marked[i] and not arc.line_counts[j]]
+    taken = 0
+    for i in candidates:
+        if not marked[i]:
+            taken += 1
+            for j in plane.line_point_indices(plane.points[polar[i]]):
+                marked[j] = 1
     cert.extension = {
         "candidate_count": len(candidates),
         "expected_candidates": half * (q + 1),
-        "greedy_size": len(extended),
+        "greedy_size": len(arc.points) + taken,
     }
     if len(candidates) != half * (q + 1):
         raise VerificationError(

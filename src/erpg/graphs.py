@@ -102,11 +102,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
-    def has_edge(self, u, v) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def degree(self, v) -> int:
         self._check_vertex(v)
         return self.adj[v].bit_count()
@@ -119,10 +114,6 @@ class Graph:
             higher = self.adj[u] >> (u + 1) << (u + 1)
             for v in bits(higher):
                 yield (u, v)
-
-    def neighbors(self, v):
-        self._check_vertex(v)
-        return list(bits(self.adj[v]))
 
     def check_symmetric(self):
         """Raise AssertionError on a loop, a neighbour outside 0..n-1 or
@@ -404,28 +395,6 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
             cand ^= pending
     status = "budget_exhausted" if exhausted else "optimal"
     return MISResult(best, list(bits(_mirror(best_set, n))), status, nodes)
-
-
-def greedy_extend(g: Graph, S, candidates):
-    """Extend an independent set greedily over candidates in given order."""
-    witness = g.is_independent(S)
-    if witness is not None:
-        raise ValueError(f"input set is not independent: edge {witness}")
-    chosen = list(S)
-    mask = 0
-    for v in chosen:
-        mask |= 1 << v
-    blocked = 0
-    for v in chosen:
-        blocked |= g.adj[v]
-    for v in candidates:
-        g._check_vertex(v)
-        b = 1 << v
-        if not (mask & b) and not (blocked & b):
-            chosen.append(v)
-            mask |= b
-            blocked |= g.adj[v]
-    return chosen
 
 
 # -- interchange formats -----------------------------------------------------

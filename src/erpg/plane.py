@@ -10,7 +10,8 @@ stable integer index: 0, 1 + z and 1 + q + q*y + z.
 coordinates, so listing the points of a line needs no per-point
 normalization.  A collineation is a permutation of the point indices
 (``collineation`` builds it from a matrix the same way); ``orbit`` and
-``orbits`` walk such permutations breadth first.
+``orbits`` walk such permutations breadth first, ``matrix_orbit`` the
+matrices themselves.
 """
 
 from __future__ import annotations
@@ -117,71 +118,70 @@ class ProjectivePlane:
                           *((1, y, z) for y in sub for z in sub)])
 
 
+def _check_matrix(f, m):
+    """ValueError unless m is an invertible 3x3 matrix over GF(q)."""
+    for r in m:
+        _check_coordinates(f.q, r)
+    (a, b, c), (d, e, g), (h, i, k) = m
+    mul, sub = f.mul, f.sub
+    if not f.add(sub(mul(a, sub(mul(e, k), mul(g, i))),
+                     mul(b, sub(mul(d, k), mul(g, h)))),
+                 mul(c, sub(mul(d, i), mul(e, h)))):
+        raise ValueError("singular matrix does not define a collineation")
+
+
 def collineation(plane: ProjectivePlane, m) -> list:
     """The collineation of the 3x3 matrix m as a point permutation:
-    perm[i] = index of m times point i (column vectors).
-
-    Along each enumeration block -- (0,0,1), then (0,1,z), then each
-    row (1,y,z) -- every image coordinate is affine in z, so
-    affine_values lists it for the whole block; dividing by the first
-    nonzero coordinate then gives the index directly.  A singular m maps
-    the plane into a line or a point (a zero image counts as index 0),
-    so it is rejected as the map is not a bijection, and so is an entry
-    that is not an int in range(q).
+    perm[i] = index of m times point i (column vectors).  Along each
+    enumeration block -- (0,0,1), then (0,1,z), then each row (1,y,z) --
+    every image coordinate is affine in z, so affine_values lists it for
+    the whole block; dividing by the first nonzero coordinate then gives
+    the index.  A singular m, or an entry outside GF(q), raises ValueError.
     """
     f, q = plane.ctx, plane.q
-    for r in m:
-        _check_coordinates(q, r)
+    _check_matrix(f, m)
     mul = f.mul
     inv = [0, *map(f.inv, range(1, q))]
     perm = []
 
     def emit(xs, ys, zs):
         for x, y, z in zip(xs, ys, zs):
-            if x:
-                s = inv[x]
-                perm.append(q + 1 + q * mul(y, s) + mul(z, s))
-            elif y:
-                perm.append(1 + mul(z, inv[y]))
-            else:
-                perm.append(0)
+            perm.append(q + 1 + q * mul(y, inv[x]) + mul(z, inv[x]) if x
+                        else 1 + mul(z, inv[y]) if y else 0)
 
     emit(*([r[2]] for r in m))                                # (0, 0, 1)
     emit(*(f.affine_values(r[1], r[2]) for r in m))           # (0, 1, z)
     starts = [f.affine_values(r[0], r[1]) for r in m]         # at (1, y, 0)
     for y in range(q):
         emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, m)))
-    if len(set(perm)) != len(perm):
-        raise ValueError("singular matrix does not define a collineation")
     return perm
 
 
-def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
-    """Point permutation of the 3x3 lift of an invertible 2x2 matrix into
-    the conic/polarity stabilizer.
-
-    For odd q the lift stabilizes the conic X2^2 - X1*X3 = 0.  For even q
-    it is diag(sqrt(det), [[a, b], [c, d]]); then M^T A M = det * A for
-    the pseudo polarity's matrix A, so the lift commutes with the
-    polarity, and sqrt(det) = det^(q/2) keeps the map a homomorphism.
+def conic_stabilizer_matrix(f: FieldCtx, a, b, c, d):
+    """The 3x3 lift of an invertible 2x2 matrix into the conic/polarity
+    stabilizer.  For odd q the lift stabilizes the conic X2^2 - X1*X3 = 0.
+    For even q it is diag(sqrt(det), [[a, b], [c, d]]); then
+    M^T A M = det * A for the pseudo polarity's matrix A, so the lift
+    commutes with the polarity, and sqrt(det) = det^(q/2) keeps the map a
+    homomorphism.
     """
-    f = plane.ctx
-    _check_coordinates(plane.q, (a, b, c, d))
+    _check_coordinates(f.q, (a, b, c, d))
     det = f.sub(f.mul(a, d), f.mul(b, c))
     if det == 0:
         raise ValueError("degenerate 2x2 matrix")
     if f.p == 2:
-        return collineation(plane, ((f.pow(det, f.q // 2), 0, 0),
-                                    (0, a, b), (0, c, d)))
+        return ((f.pow(det, f.q // 2), 0, 0), (0, a, b), (0, c, d))
     two = f.add(1, 1)
     # symmetric square of [[a,b],[c,d]] in the basis (x^2, x*y, y^2);
     # a true homomorphism GL(2,q) -> GL(3,q) stabilizing X2^2 - X1*X3 = 0
-    m = (
-        (f.mul(a, a), f.mul(two, f.mul(a, b)), f.mul(b, b)),
-        (f.mul(a, c), f.add(f.mul(a, d), f.mul(b, c)), f.mul(b, d)),
-        (f.mul(c, c), f.mul(two, f.mul(c, d)), f.mul(d, d)),
-    )
-    return collineation(plane, m)
+    return ((f.mul(a, a), f.mul(two, f.mul(a, b)), f.mul(b, b)),
+            (f.mul(a, c), f.add(f.mul(a, d), f.mul(b, c)), f.mul(b, d)),
+            (f.mul(c, c), f.mul(two, f.mul(c, d)), f.mul(d, d)))
+
+
+def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
+    """collineation of conic_stabilizer_matrix(plane.ctx, a, b, c, d)."""
+    return collineation(plane, conic_stabilizer_matrix(plane.ctx, a, b, c, d))
 
 
 def orbit(perms, start):
@@ -213,21 +213,38 @@ def orbits(perms, starts):
             yield orb
 
 
-def baer_stabilizer_generators(plane: ProjectivePlane):
-    """Lifted generators of PGL(2, sqrt q) acting with subfield entries,
-    as point permutations.
+def matrix_orbit(plane: ProjectivePlane, matrices, start):
+    """orbit([collineation(plane, m) for m in matrices], start), imaging
+    the orbit's points only."""
+    f, q, points = plane.ctx, plane.q, plane.points
+    for m in matrices:
+        _check_matrix(f, m)
+    mul, add, inv = f.mul, f.add, f.inv
+    seen, order = {start}, [start]
+    for i in order:  # order grows while it is read: a FIFO queue
+        u, v, w = points[i]
+        for m in matrices:
+            x, y, z = [add(add(mul(a, u), mul(b, v)), mul(c, w))
+                       for a, b, c in m]
+            j = (q + 1 + q * mul(y, inv(x)) + mul(z, inv(x)) if x
+                 else 1 + mul(z, inv(y)) if y else 0)
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
-    Uses the standard generating set of GL(2, F): a transvection, a
-    diagonal matrix with a generating scalar, and the coordinate swap.
+
+def baer_stabilizer_matrices(ctx: FieldCtx):
+    """Lifted generators of PGL(2, sqrt q) acting with subfield entries,
+    as 3x3 matrices: the lifts of GL(2, F)'s standard generating set, a
+    transvection, a diagonal matrix with a generating scalar and the swap.
     """
-    ctx = plane.ctx
-    sub = ctx.subfield()
-    e = ctx.embed_subfield
-    g = e(sub.generator)
-    one = e(1)
-    gens2 = [
-        (one, one, 0, one),
-        (g, 0, 0, one),
-        (0, one, one, 0),
-    ]
-    return [conic_stabilizer_lift(plane, *t) for t in gens2]
+    g, one = map(ctx.embed_subfield, (ctx.subfield().generator, 1))
+    return [conic_stabilizer_matrix(ctx, *t) for t in
+            [(one, one, 0, one), (g, 0, 0, one), (0, one, one, 0)]]
+
+
+def baer_stabilizer_generators(plane: ProjectivePlane):
+    """baer_stabilizer_matrices as point permutations."""
+    return [collineation(plane, m)
+            for m in baer_stabilizer_matrices(plane.ctx)]

@@ -12,7 +12,7 @@ one line to the next by field translations; `build_er_graph` (and so
 export, solve and the hypergraph) uses it.  `_polar_rows(plane, points)`
 builds the subgraph induced on a point list, one polar line per listed
 point, which is cheaper when the list is a small part of the plane; the
-certificates use it through `constructions.induced_on_points`.
+triangle-free set's girth check uses it via `induced_on_points`.
 """
 
 from __future__ import annotations
@@ -47,19 +47,6 @@ class Polarity:
             f = self.ctx
             return (x3, f.neg(f.add(x2, x2)), x1)
         return (x1, x3, x2)
-
-    def pole(self, line):
-        """The point whose polar line is `line`: the inverse of polar_line.
-
-        [a, b, c] is the polar of (c, -b/2, a) for odd q, of (a, c, b) for
-        even q.
-        """
-        f = self.ctx
-        _check_coordinates(self.plane.q, line)
-        a, b, c = line
-        if self.kind == "orthogonal":
-            return self.plane.normalize((c, f.neg(f.div(b, f.add(1, 1))), a))
-        return self.plane.normalize((a, c, b))
 
     def classify(self, point) -> str:
         f = self.ctx
@@ -168,29 +155,37 @@ def _plane_rows(plane: ProjectivePlane) -> list[int]:
     (`_translations`).  The q + 1 lines with c = 0 are contiguous index
     blocks, plus (0, 0, 1) for [a, 1, 0].  Each line is stored at its pole
     with the pole's own bit cleared, so each row costs O(log_p q) big-int
-    operations instead of q + 1 Python steps.
+    operations instead of q + 1 Python steps.  The pole of line l is the
+    p with polar_indices()[p] == l; [-u, -v, 1] is line [1, v/u, -1/u].
     """
     f, q, index = plane.ctx, plane.q, plane.index
-    pole = Polarity(plane).pole
+    pole = [0] * len(plane.points)
+    for p, line in enumerate(Polarity(plane).polar_indices()):
+        pole[line] = p
     rows = [0] * len(plane.points)
 
     def place(line, row):
-        j = index[pole(line)]
+        j = pole[line]
         rows[j] = row & ~(1 << j)
 
     moves = _translations(f)
+    neg_inv = [0, *(f.neg(f.inv(u)) for u in range(1, q))]  # -1/u
     for v in range(q):
         x = sum(1 << (q * y + z) for y, z in enumerate(f.affine_values(0, v)))
+        times_neg_v = f.affine_values(0, f.neg(v))  # -v * y for every y
+        lines = [q + 1 + q * times_neg_v[w] + w for w in neg_inv]
+        lines[0] = index[plane.normalize((0, f.neg(v), 1))]  # u = 0
         for u in range(q):
-            place((f.neg(u), f.neg(v), 1), x << (q + 1) | 2 << v)
+            place(lines[u], x << (q + 1) | 2 << v)
             for up, s, down, t in moves:
                 if (u + 1) % s:
                     break
                 x = (x & up) << s | (x & down) >> t
     block = (1 << q) - 1
     for a in range(q):
-        place((a, 1, 0), 1 | block << (q + 1 + q * f.neg(a)))
-    place((1, 0, 0), (1 << (q + 1)) - 1)
+        place(index[plane.normalize((a, 1, 0))],
+              1 | block << (q + 1 + q * f.neg(a)))
+    place(index[(1, 0, 0)], (1 << (q + 1)) - 1)
     return rows
 
 

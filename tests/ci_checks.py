@@ -4,6 +4,7 @@
     python tests/ci_checks.py round-trip
     python tests/ci_checks.py builder-oracle
     python tests/ci_checks.py certificate-json
+    python tests/ci_checks.py even-extension
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
@@ -13,12 +14,13 @@ not collect it.
 import sys
 
 from erpg import graphs as gr
-from erpg.constructions import build_coclique
+from erpg.constructions import (build_coclique, coclique_even, denniston_arc,
+                                 induced_on_points)
 from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
-from erpg.polarity import _plane_rows, _polar_rows, build_er_graph
+from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
-from reference import certificate_json_reference
+from reference import certificate_json_reference, greedy_extend
 
 
 def round_trip():
@@ -62,8 +64,31 @@ def certificate_json():
             raise SystemExit(f"the q = {q} certificate JSON differs")
 
 
+def even_extension():
+    """coclique_even's extension report, from its walk that marks polar
+    lines, against the greedy extension on the rows induced on the arc
+    and its candidates, at q beyond Tier-1.  The rows also show that the
+    arc is independent and that no candidate is adjacent to it."""
+    for q in (128, 512):
+        arc = denniston_arc(q)
+        plane, pol, k = arc.plane, Polarity(arc.plane), len(arc.points)
+        on_arc = set(arc.points)
+        candidates = [pt for pt in plane.points if pt not in on_arc and not
+                      arc.line_counts[plane.index[pol.polar_line(pt)]]]
+        sub = induced_on_points(plane, arc.points + candidates)
+        if any(row & ((1 << k) - 1) for row in sub.adj):
+            raise SystemExit(f"the q = {q} arc has a neighbour in the rows")
+        extended = greedy_extend(sub, range(k), range(k, sub.n))
+        expected = {"candidate_count": len(candidates),
+                    "expected_candidates": arc.degree * (q + 1),
+                    "greedy_size": len(extended)}
+        if coclique_even(q).extension != expected:
+            raise SystemExit(f"the q = {q} extension differs from the rows'")
+
+
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
-          "certificate-json": certificate_json}
+          "certificate-json": certificate_json,
+          "even-extension": even_extension}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -17,6 +17,9 @@ as one string; the package's codecs must give the same bytes, graphs and
 errors while holding a row or a block at a time.
 `certificate_json_reference` writes a certificate with the stdlib `json`
 encoder alone, where `Certificate.to_json` splices in the points' text.
+`listed_pair_reference` names a conjugate pair from rows, where
+`point_set_independent` reads line counts, and `greedy_extend` extends an
+independent set on rows, where `coclique_even` marks polar lines.
 Only `alpha_subset_scan` needs numpy, so `tests/ci_checks.py` can import
 this module where the test extras are not installed.
 """
@@ -133,6 +136,30 @@ def induced(g, S):
                           for v in S])
 
 
+def greedy_extend(g, S, candidates):
+    """Extend an independent set greedily over candidates in given order,
+    on the rows of g: the oracle of the marking walk in
+    `constructions.coclique_even`."""
+    witness = g.is_independent(S)
+    if witness is not None:
+        raise ValueError(f"input set is not independent: edge {witness}")
+    chosen = list(S)
+    mask = 0
+    for v in chosen:
+        mask |= 1 << v
+    blocked = 0
+    for v in chosen:
+        blocked |= g.adj[v]
+    for v in candidates:
+        g._check_vertex(v)
+        b = 1 << v
+        if not (mask & b) and not (blocked & b):
+            chosen.append(v)
+            mask |= b
+            blocked |= g.adj[v]
+    return chosen
+
+
 def triangles(g):
     """All triangles of g as triples u < v < w, in lexicographic order."""
     for u, v in g.edges():
@@ -237,6 +264,21 @@ def conjugate(f, P, Q):
     if f.p == 2:
         return dot(f, P, (Q[0], Q[2], Q[1])) == 0
     return dot(f, P, (Q[2], f.neg(f.add(Q[1], Q[1])), Q[0])) == 0
+
+
+def listed_pair_reference(f, points):
+    """The conjugate pair that `Graph.is_independent` names on rows over
+    the positions of a point list, or None.  Row i holds the last position
+    k != i of every listed point conjugate to points[i], itself included
+    where it is absolute, as the rows of `induced_on_points` did when they
+    certified cocliques."""
+    last = {P: k for k, P in enumerate(points)}
+    rows = [sum(1 << k for Q, k in last.items()
+                if k != i and conjugate(f, P, Q))
+            for i, P in enumerate(points)]
+    witness = Graph(len(points), rows).is_independent(range(len(points)))
+    return None if witness is None else (points[witness[0]],
+                                         points[witness[1]])
 
 
 def conic_polar_disjointness(q, lam):

@@ -7,15 +7,17 @@ import pytest
 
 from erpg import constructions as cons
 from erpg.field import factor_prime_power, field_for_order
-from erpg.graphs import Graph, greedy_extend
+from erpg.graphs import Graph
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        collineation, orbit)
+                        baer_stabilizer_matrices, collineation, matrix_orbit,
+                        orbit)
 from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, Polarity,
                            build_er_graph)
 
 from reference import (c4_pair, certificate_json_reference,
                        conic_polar_disjointness, conjugate,
-                       cyclic_pencil_group, induced, preserves_adjacency,
+                       cyclic_pencil_group, greedy_extend, induced,
+                       listed_pair_reference, preserves_adjacency,
                        triangles)
 
 
@@ -238,6 +240,78 @@ def test_point_set_independent_witness_is_conjugate_pair(q):
     for points in (pl.points[::-1], cert.points + [neighbour]):
         P, R = cons.point_set_independent(pl, points)
         assert P != R and conjugate(pl.ctx, P, R)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_point_set_independent_matches_the_row_oracles(q):
+    # random lists, with absolute points and duplicates mixed in, against
+    # rows over the list's positions; lists of distinct points in index
+    # order against ER_q induced on them
+    pl, pol = setup(q)
+    g = build_er_graph(pl)
+    absolute = pol.absolute_points()
+    rng = random.Random(q)
+    outcomes = set()
+    for _ in range(300):
+        points = rng.sample(pl.points, rng.randint(0, 6))
+        points += rng.sample(absolute, rng.randint(0, 2))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if points:
+                points.insert(rng.randrange(len(points) + 1),
+                              rng.choice(points))
+        rng.shuffle(points)
+        got = cons.point_set_independent(pl, points)
+        assert got == listed_pair_reference(pl.ctx, points), points
+        outcomes.add(got is None)
+        distinct = sorted(set(points), key=pl.index.__getitem__)
+        witness = induced(g, [pl.index[P] for P in distinct]).is_independent(
+            range(len(distinct)))
+        assert cons.point_set_independent(pl, distinct) == (
+            None if witness is None else tuple(distinct[v] for v in witness))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_repeated_absolute_point_is_its_own_conjugate(q):
+    pl, pol = setup(q)
+    A = pol.absolute_points()[1]
+    P = next(P for P in pl.points if not conjugate(pl.ctx, A, P)
+             and pol.classify(P) != ABSOLUTE)
+    assert cons.point_set_independent(pl, [A, P]) is None
+    assert cons.point_set_independent(pl, [A, P, A]) == (A, A)
+    assert cons.point_set_independent(pl, [P, P]) is None
+
+
+@pytest.mark.parametrize("q", [5, 9, 25])
+def test_conic_point_and_a_point_on_its_tangent_are_a_conjugate_pair(q):
+    pl, pol = setup(q)
+    R = pol.absolute_points()[2]
+    T = next(P for P in pl.line_points(pol.polar_line(R)) if P != R)
+    assert cons.point_set_independent(pl, [R, T]) == (R, T)
+    assert cons.point_set_independent(pl, [T, R]) == (T, R)
+    cert = cons.Certificate("odd_sq_neg", q, {}, [R, T], 2)
+    with pytest.raises(cons.VerificationError) as err:
+        cons._certify(cert, pl)
+    assert str(err.value) == f"odd_sq_neg: conjugate pair {(R, T)}"
+
+
+@pytest.mark.parametrize("family", ["baer", "k"])
+@pytest.mark.parametrize("q", [9, 25, 49, 81, 121])
+def test_matrix_orbit_is_the_permutation_orbit(family, q):
+    # both families' generators, on the base point of the certificates
+    pl, pol = setup(q)
+    matrices = {"baer": baer_stabilizer_matrices, "k": cons.k_matrices}[family]
+    base = pl.index[(1, 0, pl.ctx.find_nonsquare())]
+    perms = [collineation(pl, m) for m in matrices(pl.ctx)]
+    assert matrix_orbit(pl, matrices(pl.ctx), base) == orbit(perms, base)
+
+
+def test_odd_sq_neg_lists_the_orbit_in_bfs_order():
+    pl, pol = setup(49)
+    cert = cons.coclique_odd_sq_neg(49)
+    base = pl.index[(1, 0, pl.ctx.find_nonsquare())]
+    orb = orbit(baer_stabilizer_generators(pl), base)
+    assert cert.points[50:] == [pl.points[j] for j in orb]
 
 
 def test_coclique_pos_wrong_residue():
@@ -526,8 +600,8 @@ def swap_two_edges(real, wanted):
     def swapped(plane, points):
         sub = real(plane, points)
         for (a, b), (c, d) in itertools.combinations(sub.edges(), 2):
-            if len({a, b, c, d}) < 4 or sub.has_edge(a, c) \
-                    or sub.has_edge(b, d):
+            if len({a, b, c, d}) < 4 or sub.adj[a] >> c & 1 \
+                    or sub.adj[b] >> d & 1:
                 continue
             adj = list(sub.adj)
             for u, v in ((a, b), (c, d), (a, c), (b, d)):

@@ -14,8 +14,8 @@ from erpg.polarity import build_er_graph
 
 from reference import (alpha_exact, alpha_subset_scan,
                        check_symmetric_reference, greedy_cover_count,
-                       induced, max_independent_set_reference, random_graph,
-                       triangles)
+                       greedy_extend, induced, max_independent_set_reference,
+                       random_graph, triangles)
 
 
 # -- predicates --------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_triangle_count_matches_naive():
                 for u in range(n)
                 for v in range(u + 1, n)
                 for w in range(v + 1, n)
-                if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w))
+                if g.adj[u] >> v & g.adj[v] >> w & g.adj[u] >> w & 1)
             assert g.triangle_count() == naive
             assert len(list(triangles(g))) == naive
 
@@ -103,7 +103,7 @@ def girth_reference(g):
     """Reference oracle: dict-based BFS from every vertex, closing a cycle
     at the first non-tree edge between visited vertices."""
     best = math.inf
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [list(gr.bits(row)) for row in g.adj]
     for root in range(g.n):
         dist = {root: 0}
         parent = {root: -1}
@@ -326,7 +326,7 @@ def test_solver_tree_matches_reference_on_random_graphs():
     for _ in range(200):
         n = rng.randint(0, 45)
         g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]), rng)
-        greedy = gr.greedy_extend(g, [], rng.sample(range(n), n))
+        greedy = greedy_extend(g, [], rng.sample(range(n), n))
         for initial in (None, greedy[:rng.randint(0, len(greedy))]):
             assert_same_tree(g, initial)
 
@@ -423,15 +423,15 @@ def test_mirrored_rows_match_bit_by_bit_reversal(n):
 
 def test_greedy_extend():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert gr.greedy_extend(g, [0], []) == [0]
+    assert greedy_extend(g, [0], []) == [0]
     empty = Graph(4)
-    assert gr.greedy_extend(empty, [], range(4)) == [0, 1, 2, 3]
-    got = gr.greedy_extend(g, [0], [1, 2, 3, 4])
+    assert greedy_extend(empty, [], range(4)) == [0, 1, 2, 3]
+    got = greedy_extend(g, [0], [1, 2, 3, 4])
     assert g.is_independent(got) is None and len(got) == 2
     with pytest.raises(ValueError):
-        gr.greedy_extend(g, [0, 1], [])
+        greedy_extend(g, [0, 1], [])
     with pytest.raises(ValueError, match="out of range"):
-        gr.greedy_extend(Graph(3), [0], [5])
+        greedy_extend(Graph(3), [0], [5])
 
 
 # -- formats -----------------------------------------------------------------
@@ -456,7 +456,7 @@ def test_graph6_large_n_header():
     g = Graph(100)
     g.add_edge(0, 99)
     back = gr.from_graph6(gr.to_graph6(g))
-    assert back.n == 100 and back.has_edge(0, 99)
+    assert back.n == 100 and back.adj[0] >> 99 & 1
 
 
 def test_dimacs_roundtrip_and_counts():
@@ -493,7 +493,7 @@ def to_graph6_bitwise(g):
     acc, nb = 0, 0
     for v in range(1, n):
         for u in range(v):
-            acc = acc << 1 | g.has_edge(u, v)
+            acc = acc << 1 | g.adj[u] >> v & 1
             nb += 1
             if nb == 6:
                 out.append(acc + 63)
@@ -696,9 +696,8 @@ def test_vertex_out_of_range_raises_value_error():
     g = Graph(3)
     # Python lists read a negative index from the end: vertex -1 must not
     # answer for vertex 2
-    for call in (lambda: g.add_edge(0, 3), lambda: g.has_edge(-1, 0),
-                 lambda: g.degree(-1), lambda: g.degree(3),
-                 lambda: g.neighbors(-1), lambda: g.neighbors(3)):
+    for call in (lambda: g.add_edge(0, 3), lambda: g.add_edge(-1, 0),
+                 lambda: g.degree(-1), lambda: g.degree(3)):
         with pytest.raises(ValueError, match="out of range"):
             call()
 

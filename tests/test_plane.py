@@ -4,7 +4,8 @@ import pytest
 
 from erpg.field import field_for_order
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        collineation, conic_stabilizer_lift, orbit, orbits)
+                        collineation, conic_stabilizer_lift, matrix_orbit,
+                        orbit, orbits)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
 from reference import dot, preserves_adjacency
@@ -119,6 +120,16 @@ def test_singular_matrix_rejected():
     assert kept == 168
 
 
+def test_matrix_orbit_rejects_what_collineation_rejects():
+    pl = plane_for(3)
+    for m, message in [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), "singular matrix"),
+                       (((1, 0, 0), (0, 1, 0), (0, 0, 3)), "not all in GF")]:
+        for call in (lambda: collineation(pl, m),
+                     lambda: matrix_orbit(pl, [m], 0)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 @pytest.mark.parametrize("entry", [5, 7, -1, 1.0, "1"])
 def test_matrix_entry_outside_field_rejected(entry):
     # 5 and 7 lie past the ends of GF(3)'s tables, and -1 would wrap to 2
@@ -149,8 +160,6 @@ def test_coordinate_outside_field_rejected(q, bad):
         lambda: conic_stabilizer_lift(pl, bad, 0, 0, 1),
         lambda: conic_stabilizer_lift(pl, 1, 0, 0, bad),
         lambda: pol.polar_line((1, bad, 0)),
-        lambda: pol.pole((1, bad, 0)),
-        lambda: pol.pole((0, 1, bad)),
         lambda: pol.classify((1, bad, 0)),
         lambda: pol.classify((bad, 1, 0)),
     ]
