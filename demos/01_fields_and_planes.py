@@ -19,8 +19,8 @@ print(f"  GF(3) embeds as {embedded}")
 print(f"  norm of 5 down to GF(3): {f.norm_to_subfield(5)}")
 
 plane = ProjectivePlane(f)
-print(f"\nPG(2,9): {len(plane.points)} points, {len(plane.points)} lines")
-print(f"  first five points: {plane.points[:5]}")
+print(f"\nPG(2,9): {plane.size} points, {plane.size} lines")
+print(f"  first five points: {[plane.point(i) for i in range(5)]}")
 line = plane.line_through((1, 0, 0), (0, 1, 0))
 print(f"  line through (1,0,0) and (0,1,0): {line}, "
       f"{len(plane.line_points(line))} points on it")

@@ -31,4 +31,4 @@ for row in gr.to_dimacs(g).decode().splitlines()[:4]:
 
 pol = Polarity(plane)
 print(f"\nclassification of the 13 points of PG(2,3): "
-      f"{Counter(pol.classify(P) for P in plane.points)}")
+      f"{Counter(map(pol.classify, map(plane.point, range(plane.size))))}")

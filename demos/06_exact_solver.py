@@ -22,7 +22,7 @@ for q in (2, 3, 4, 5):
 q = 9
 plane = ProjectivePlane(field_for_order(q))
 g = build_er_graph(plane)
-seed = [plane.index[P] for P in cons.build_coclique(q).points]
+seed = [plane.index_of(P) for P in cons.build_coclique(q).points]
 res = gr.max_independent_set(g, gr.SolveBudget(max_nodes=20_000),
                              initial=seed)
 print(f"\nq={q}, budget 20k nodes, seeded with the size-{len(seed)} "

@@ -125,7 +125,7 @@ def cmd_solve(args):
     lower, upper, note = alpha_bounds(q)
     initial = None
     if not note:  # q has a coclique construction
-        initial = [plane.index[pt] for pt in cons.build_coclique(q).points]
+        initial = [plane.index_of(pt) for pt in cons.build_coclique(q).points]
     res = gr.max_independent_set(g, budget, initial=initial)
     violation = None
     if res.size > upper:

@@ -55,7 +55,7 @@ def _line_counts(plane, points):
     line_point_indices(p); one pass over the points counts every line at
     once.
     """
-    counts = [0] * len(plane.points)
+    counts = [0] * plane.size
     for pt in points:
         for j in plane.line_point_indices(pt):
             counts[j] += 1
@@ -66,8 +66,7 @@ def induced_on_points(plane, points):
     """Induced ER_q subgraph on a point list, without the full graph.
 
     Vertex i is points[i]; its row holds the positions of the other listed
-    points on its polar line.  A point that is not a normalized point of
-    the plane raises ValueError.
+    points on its polar line; plane.index_of rejects a non-point.
     """
     return Graph(len(points), _polar_rows(plane, points))
 
@@ -77,19 +76,15 @@ def point_set_independent(plane, points):
     pair: P passes when its polar line's count in _line_counts(plane,
     points) is 1 if P is absolute, else 0.  The pair is the first P that
     fails and the point on its polar line whose last listing, other than
-    P's own, comes first, so a repeated absolute point A gives (A, A).  A
-    point that is not a normalized point of the plane raises ValueError."""
+    P's own, comes first, so a repeated absolute point A gives (A, A).
+    plane.index_of rejects what is not a normalized point of the plane."""
     points = list(points)
-    index, pol = plane.index, Polarity(plane)
-    for pt in points:
-        if pt not in index:
-            raise ValueError(
-                f"{pt!r} is not a normalized point of PG(2,{plane.q})")
+    last = {plane.index_of(Q): k for k, Q in enumerate(points)}
+    pol = Polarity(plane)
     counts = _line_counts(plane, points)
     for i, pt in enumerate(points):
         polar = pol.polar_line(pt)
-        if counts[index[polar]] != (pol.classify(pt) == ABSOLUTE):
-            last = {index[Q]: k for k, Q in enumerate(points)}
+        if counts[plane.index_of(polar)] != (pol.classify(pt) == ABSOLUTE):
             return pt, points[min(last[j] for j in plane.line_point_indices(
                 polar) if last.get(j, i) != i)]
     return None
@@ -214,27 +209,26 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     orbit have one label."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
     perms = baer_stabilizer_generators(plane)
-    points, index = plane.points, plane.index
-    baer = {index[pt] for pt in plane.baer_points()}
+    baer = set(map(plane.index_of, plane.baer_points()))
     # Tangent lines to the Baer conic: polars of the conic points inside B.
     tangent = set()
     for R in pol.absolute_points():
-        if index[R] in baer:
+        if plane.index_of(R) in baer:
             tangent.update(plane.line_point_indices(pol.polar_line(R)))
     classes = pol.point_classes()
     counts = Counter()
-    off_baer = (i for i in range(len(points)) if i not in baer)
+    off_baer = (i for i in range(plane.size) if i not in baer)
     for orb in orbits(perms, off_baer):
         # the members' census labels: one (class, on a tangent) pair
         kinds = {(classes[j], j in tangent) for j in orb}
         label = _CENSUS_LABELS.get(kinds.pop()) if len(kinds) == 1 else None
         if label is None:
             raise VerificationError(
-                f"orbit of {points[orb[0]]} has no single census label")
+                f"orbit of {plane.point(orb[0])} has no single census label")
         counts[label, len(orb)] += 1
     entries = [(label, size, mult) for (label, size), mult in counts.items()]
     total = sum(size * mult for _, size, mult in entries)
-    if total != len(points) - len(baer):
+    if total != plane.size - len(baer):
         raise VerificationError("census does not cover PG(2,q) \\ B")
     return OrbitCensus(q, sorted(entries))
 
@@ -250,13 +244,13 @@ def _conic_plus_orbit(q, construction_id, matrices, arrange):
     base = (1, 0, w)
     if pol.classify(base) != INTERNAL:
         raise VerificationError("base point (1,0,w) must be internal")
-    orb = arrange(matrix_orbit(plane, matrices(ctx), plane.index[base]))
+    orb = arrange(matrix_orbit(plane, matrices(ctx), plane.index_of(base)))
     if len(orb) != expected_orbit:
         raise VerificationError(f"orbit size {len(orb)} != {expected_orbit}")
     cert = Certificate(
         construction_id=construction_id, q=ctx.q,
         parameters={"w": w},
-        points=pol.absolute_points() + [plane.points[j] for j in orb],
+        points=pol.absolute_points() + list(map(plane.point, orb)),
         claimed_size=claimed)
     _certify(cert, plane)
     return cert
@@ -302,7 +296,7 @@ def internal_k_orbits(q):
     ctx, plane, pol = _plane_context(_odd_square_field(q))
     internal = (i for i, cls in enumerate(pol.point_classes())
                 if cls == INTERNAL)
-    return [[plane.points[j] for j in sorted(orb)]
+    return [list(map(plane.point, sorted(orb)))
             for orb in orbits(k_generators(plane), internal)]
 
 
@@ -362,23 +356,20 @@ def pencil_conics(plane, alpha, lams):
     lam = -(y^2 + y*z + alpha*z^2); a point with x1 = 0 lies on all of them
     or on none.  Row y of the chart is y^2 + y*z plus alpha*z^2 over all z.
     """
-    f, q, points = plane.ctx, plane.q, plane.points
+    f, q = plane.ctx, plane.q
     found = {f.neg(lam): [] for lam in lams}  # -lam -> points of conic lam
-    common = [pt for pt in points[:q + 1]
-              if not f.add(f.add(f.mul(pt[1], pt[1]), f.mul(pt[1], pt[2])),
-                           f.mul(alpha, f.mul(pt[2], pt[2])))]
-    for conic in found.values():
-        conic.extend(common)
+    common = [(0, 0, 1)] if not alpha else []  # the form is alpha there
     squares = [f.mul(y, y) for y in range(q)]
     alpha_squares = [f.mul(alpha, s) for s in squares]
     for y in range(q):
-        row = points[q + 1 + q * y:q + 1 + q * (y + 1)]
-        form = map(f.add, f.affine_values(squares[y], y), alpha_squares)
-        for pt, v in zip(row, form):
+        form = list(map(f.add, f.affine_values(squares[y], y), alpha_squares))
+        if y == 1:  # the form at (0, 1, z) is the form at (1, 1, z)
+            common += [(0, 1, z) for z, v in enumerate(form) if not v]
+        for z, v in enumerate(form):
             conic = found.get(v)
             if conic is not None:
-                conic.append(pt)
-    return [list(found[f.neg(lam)]) for lam in lams]
+                conic.append((1, y, z))
+    return [common + found[f.neg(lam)] for lam in lams]
 
 
 @dataclass
@@ -419,8 +410,8 @@ def denniston_arc(q) -> MaximalArc:
     if not set(counts) <= {0, degree}:
         j = next(j for j, hits in enumerate(counts) if hits not in (0, degree))
         raise VerificationError(
-            f"line {plane.points[j]} meets arc in {counts[j]} points")
-    return MaximalArc(degree=degree, points=sorted(pts, key=plane.index.__getitem__),
+            f"line {plane.point(j)} meets arc in {counts[j]} points")
+    return MaximalArc(degree=degree, points=sorted(pts, key=plane.index_of),
                       subgroup=A, alpha=alpha, trace_zero_set=N, plane=plane,
                       line_counts=counts)
 
@@ -446,14 +437,14 @@ def coclique_even(q) -> Certificate:
     polar = pol.polar_indices()
     marked = bytearray(len(polar))  # the arc, then the taken's neighbours
     for pt in arc.points:
-        marked[plane.index[pt]] = 1
+        marked[plane.index_of(pt)] = 1
     candidates = [i for i, j in enumerate(polar)
                   if not marked[i] and not arc.line_counts[j]]
     taken = 0
     for i in candidates:
         if not marked[i]:
             taken += 1
-            for j in plane.line_point_indices(plane.points[polar[i]]):
+            for j in plane.line_point_indices(plane.point(polar[i])):
                 marked[j] = 1
     cert.extension = {
         "candidate_count": len(candidates),
@@ -501,9 +492,9 @@ def triangle_free_set(q) -> TriangleFreeSet:
     alpha = ctx.find_trace_one()
     conic = pencil_conics(plane, alpha, [ctx.mul(lam, lam)])[0]
     counts = _line_counts(plane, conic)
-    pts = [pt for pt, cls, j in zip(plane.points, pol.point_classes(),
-                                    pol.polar_indices())
-           if cls != ABSOLUTE and counts[j] == 2]
+    classes, polar = pol.point_classes(), pol.polar_indices()
+    pts = [plane.point(i) for i in range(plane.size)
+           if classes[i] != ABSOLUTE and counts[polar[i]] == 2]
     if len(pts) != q * (q + 1) // 2:
         raise VerificationError(
             f"triangle-free set has {len(pts)} points, "

@@ -23,7 +23,7 @@ from .polarity import Polarity, build_er_graph
 @dataclass
 class TriangleHypergraph:
     q: int
-    vertices: list   # indices into the plane's point list
+    vertices: list   # point indices: vertex i is plane.point(i)
     edges: list      # sorted triples of point indices, lexicographic
 
     def num_edges(self):
@@ -43,7 +43,7 @@ def build_hypergraph(q) -> TriangleHypergraph:
     plane = ProjectivePlane(field_for_order(q))
     pol = Polarity(plane)
     g = build_er_graph(plane)
-    absolute = {plane.index[pt] for pt in pol.absolute_points()}
+    absolute = {plane.index_of(pt) for pt in pol.absolute_points()}
     adj, edges = g.adj, []
     for a in sorted(absolute):
         for b in bits(adj[a]):

@@ -1,10 +1,11 @@
 """Points, lines and collineations of PG(2,q).
 
-Points and lines are homogeneous triples of field elements, stored as
+Points and lines are homogeneous triples of field elements, given as
 plain 3-tuples of ints and normalized so the first nonzero coordinate
 equals 1.  Enumeration order is fixed: (0,0,1), then (0,1,z), then
 (1,y,z) with (y,z) in canonical field order, giving every point/line a
-stable integer index: 0, 1 + z and 1 + q + q*y + z.
+stable integer index: 0, 1 + z and 1 + q + q*y + z.  ``point`` and
+``index_of`` compute this numbering both ways; the plane stores no point.
 
 ``line_point_indices`` solves a line's equation directly in these index
 coordinates, so listing the points of a line needs no per-point
@@ -34,17 +35,28 @@ class ProjectivePlane:
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.q = ctx.q
-        self.points = self._enumerate()
-        self.index = {pt: i for i, pt in enumerate(self.points)}
+        self.size = ctx.q * ctx.q + ctx.q + 1  # the number of points
 
-    def _enumerate(self):
+    def point(self, i):
+        """The normalized point of index i, an int in range(size)."""
         q = self.q
-        pts = [(0, 0, 1)]
-        pts.extend((0, 1, z) for z in range(q))
-        pts.extend((1, y, z) for y in range(q) for z in range(q))
-        if len(pts) != q * q + q + 1:
-            raise AssertionError(f"enumerated {len(pts)} points of PG(2,{q})")
-        return pts
+        if not isinstance(i, int) or not 0 <= i < self.size:
+            raise ValueError(f"{i!r} is not a point index of PG(2,{q})")
+        if i > q:
+            return (1, *divmod(i - q - 1, q))
+        return (0, 1, i - 1) if i else (0, 0, 1)
+
+    def index_of(self, pt):
+        """The i with point(i) == pt; the one normalized-point check."""
+        q = self.q
+        try:
+            x, y, z = pt
+            i = q + 1 + q * y + z if x else 1 + z if y else 0
+            if self.point(i) == pt:
+                return i
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{pt!r} is not a normalized point of PG(2,{q})")
 
     def normalize(self, v):
         """Scale a nonzero triple so its first nonzero coordinate is 1."""
@@ -92,8 +104,7 @@ class ProjectivePlane:
         idx = self.line_point_indices(line)
         if len(set(idx)) != self.q + 1:
             raise AssertionError(f"line {line} does not have q+1 points")
-        points = self.points
-        return [points[j] for j in idx]
+        return list(map(self.point, idx))
 
     def line_through(self, P, Q):
         """The unique line through two distinct points (cross product)."""
@@ -190,6 +201,8 @@ def orbit(perms, start):
     Returns the orbit in deterministic first-seen order: the indices are
     visited in that order and each one tries the permutations in turn.
     """
+    if perms and start not in range(len(perms[0])):
+        raise ValueError(f"start {start!r} is not a point index")
     seen = {start}
     order = [start]
     for i in order:  # order grows while it is read: a FIFO queue
@@ -216,13 +229,13 @@ def orbits(perms, starts):
 def matrix_orbit(plane: ProjectivePlane, matrices, start):
     """orbit([collineation(plane, m) for m in matrices], start), imaging
     the orbit's points only."""
-    f, q, points = plane.ctx, plane.q, plane.points
+    f, q = plane.ctx, plane.q
     for m in matrices:
         _check_matrix(f, m)
     mul, add, inv = f.mul, f.add, f.inv
     seen, order = {start}, [start]
     for i in order:  # order grows while it is read: a FIFO queue
-        u, v, w = points[i]
+        u, v, w = plane.point(i)
         for m in matrices:
             x, y, z = [add(add(mul(a, u), mul(b, v)), mul(c, w))
                        for a, b, c in m]

@@ -50,8 +50,7 @@ class Polarity:
 
     def classify(self, point) -> str:
         f = self.ctx
-        _check_coordinates(self.plane.q, point)
-        x1, x2, x3 = point
+        x1, x2, x3 = self.plane.normalize(point)  # scaling keeps the class
         if self.kind == "pseudo":
             return ABSOLUTE if x1 == 0 else NONABSOLUTE
         d = f.sub(f.mul(x2, x2), f.mul(x1, x3))
@@ -101,17 +100,13 @@ def _polar_rows(plane: ProjectivePlane, points) -> list[int]:
     A list over all point indices holds each listed point's (byte, bit) in
     a row and None off the list, so a polar line's points off the list are
     dropped by filter(None, ...) without a Python step each.  Each row is
-    filled as a little-endian byte string and converted to an int once.  A
-    point that is not a normalized point of the plane raises ValueError.
+    filled as a little-endian byte string and converted to an int once.
+    plane.index_of rejects what is not a normalized point of the plane.
     """
     pol = Polarity(plane)
-    slot = [None] * len(plane.points)
+    slot = [None] * plane.size
     for i, pt in enumerate(points):
-        j = plane.index.get(pt)
-        if j is None:
-            raise ValueError(
-                f"{pt!r} is not a normalized point of PG(2,{plane.q})")
-        slot[j] = (i >> 3, 1 << (i & 7))
+        slot[plane.index_of(pt)] = (i >> 3, 1 << (i & 7))
     nbytes = (len(points) + 7) // 8
     rows = []
     for i, pt in enumerate(points):
@@ -144,8 +139,8 @@ def _translations(ctx):
 
 
 def _plane_rows(plane: ProjectivePlane) -> list[int]:
-    """ER_q over the whole plane: the rows _polar_rows(plane, plane.points)
-    gives, built a whole line at a time.
+    """ER_q over the whole plane: the rows _polar_rows gives on every point
+    in index order, built a whole line at a time.
 
     Line [-u, -v, 1] holds (0, 1, v) and the points (1, y, u + v*y), one
     in each q-bit block (1, y, *) of the x = 1 chart.  The chart for u = 0
@@ -158,11 +153,11 @@ def _plane_rows(plane: ProjectivePlane) -> list[int]:
     operations instead of q + 1 Python steps.  The pole of line l is the
     p with polar_indices()[p] == l; [-u, -v, 1] is line [1, v/u, -1/u].
     """
-    f, q, index = plane.ctx, plane.q, plane.index
-    pole = [0] * len(plane.points)
+    f, q, index_of = plane.ctx, plane.q, plane.index_of
+    pole = [0] * plane.size
     for p, line in enumerate(Polarity(plane).polar_indices()):
         pole[line] = p
-    rows = [0] * len(plane.points)
+    rows = [0] * plane.size
 
     def place(line, row):
         j = pole[line]
@@ -174,7 +169,7 @@ def _plane_rows(plane: ProjectivePlane) -> list[int]:
         x = sum(1 << (q * y + z) for y, z in enumerate(f.affine_values(0, v)))
         times_neg_v = f.affine_values(0, f.neg(v))  # -v * y for every y
         lines = [q + 1 + q * times_neg_v[w] + w for w in neg_inv]
-        lines[0] = index[plane.normalize((0, f.neg(v), 1))]  # u = 0
+        lines[0] = index_of(plane.normalize((0, f.neg(v), 1)))  # u = 0
         for u in range(q):
             place(lines[u], x << (q + 1) | 2 << v)
             for up, s, down, t in moves:
@@ -183,19 +178,19 @@ def _plane_rows(plane: ProjectivePlane) -> list[int]:
                 x = (x & up) << s | (x & down) >> t
     block = (1 << q) - 1
     for a in range(q):
-        place(index[plane.normalize((a, 1, 0))],
+        place(index_of(plane.normalize((a, 1, 0))),
               1 | block << (q + 1 + q * f.neg(a)))
-    place(index[(1, 0, 0)], (1 << (q + 1)) - 1)
+    place(index_of((1, 0, 0)), (1 << (q + 1)) - 1)
     return rows
 
 
 def build_er_graph(plane: ProjectivePlane) -> Graph:
     """The polarity graph ER_q as a dense bitset graph.
 
-    Vertex i is the plane's i-th point.  Loops at absolute points are
+    Vertex i is plane.point(i).  Loops at absolute points are
     dropped (simple graph).  The rows come from the whole-plane builder
     `_plane_rows`; `check_symmetric` checks them.
     """
-    g = Graph(len(plane.points), _plane_rows(plane))
+    g = Graph(plane.size, _plane_rows(plane))
     g.check_symmetric()
     return g

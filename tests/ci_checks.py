@@ -20,7 +20,7 @@ from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
-from reference import certificate_json_reference, greedy_extend
+from reference import certificate_json_reference, greedy_extend, plane_points
 
 
 def round_trip():
@@ -51,7 +51,7 @@ def builder_oracle():
     q = 256)."""
     for q in (125, 128, 243, 256):
         pl = ProjectivePlane(field_for_order(q))
-        if _plane_rows(pl) != _polar_rows(pl, pl.points):
+        if _plane_rows(pl) != _polar_rows(pl, plane_points(pl)):
             raise SystemExit(f"the two ER_{q} row builders differ")
 
 
@@ -73,8 +73,9 @@ def even_extension():
         arc = denniston_arc(q)
         plane, pol, k = arc.plane, Polarity(arc.plane), len(arc.points)
         on_arc = set(arc.points)
-        candidates = [pt for pt in plane.points if pt not in on_arc and not
-                      arc.line_counts[plane.index[pol.polar_line(pt)]]]
+        candidates = [pt for pt in plane_points(plane) if pt not in on_arc
+                      and not arc.line_counts[plane.index_of(
+                          pol.polar_line(pt))]]
         sub = induced_on_points(plane, arc.points + candidates)
         if any(row & ((1 << k) - 1) for row in sub.adj):
             raise SystemExit(f"the q = {q} arc has a neighbour in the rows")

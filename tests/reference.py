@@ -12,7 +12,9 @@ plain oracles for `induced_on_points` and for the edges of the triangle
 hypergraph.  `c4_pair` checks exactly that a graph has no C4, in
 O(n * max degree) row operations, where a scan of all pairs takes O(n^2).
 The geometry here evaluates dot products and the polarity's bilinear form
-directly on coordinate triples.  The `*_reference` codecs build each file, or parse it,
+directly on coordinate triples, and `plane_points` lists the plane's points
+as the stored enumeration that `ProjectivePlane.point` and `index_of`
+compute.  The `*_reference` codecs build each file, or parse it,
 as one string; the package's codecs must give the same bytes, graphs and
 errors while holding a row or a block at a time.
 `certificate_json_reference` writes a certificate with the stdlib `json`
@@ -253,6 +255,16 @@ def preserves_adjacency(g, perm):
                for u, row in enumerate(g.adj))
 
 
+def plane_points(plane):
+    """The points of the plane as a stored list in index order, the
+    enumeration that `ProjectivePlane.point` and `index_of` compute."""
+    q = plane.q
+    pts = [(0, 0, 1)]
+    pts.extend((0, 1, z) for z in range(q))
+    pts.extend((1, y, z) for y in range(q) for z in range(q))
+    return pts
+
+
 def dot(f, u, v):
     """u . v over the field f; a point u lies on a line v when it is 0."""
     return f.add(f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1])), f.mul(u[2], v[2]))
@@ -301,7 +313,7 @@ def cyclic_pencil_group(q):
              for a in range(q) for b in range(q)
              if f.add(f.mul(a, f.add(a, b)), f.mul(alpha, f.mul(b, b))) == 1]
     assert len(group) == q + 1, f"pencil group has {len(group)} elements"
-    identity = list(range(len(plane.points)))
+    identity = list(range(plane.size))
     for g in group:
         power, order = g, 1
         while power != identity:

@@ -17,8 +17,8 @@ from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, Polarity,
 from reference import (c4_pair, certificate_json_reference,
                        conic_polar_disjointness, conjugate,
                        cyclic_pencil_group, greedy_extend, induced,
-                       listed_pair_reference, preserves_adjacency,
-                       triangles)
+                       listed_pair_reference, plane_points,
+                       preserves_adjacency, triangles)
 
 
 def setup(q):
@@ -60,7 +60,7 @@ def test_census_rejects_a_spoiled_tangent_set(monkeypatch):
     plane, pol = setup(q)
     baer = plane.baer_points()
     baer_conic = [R for R in pol.absolute_points() if R in baer]
-    first = next(i for i, pt in enumerate(plane.points)
+    first = next(i for i, pt in enumerate(plane_points(plane))
                  if pt not in baer and pol.classify(pt) == EXTERNAL
                  and not any(conjugate(plane.ctx, pt, R) for R in baer_conic))
     later = max(orbit(baer_stabilizer_generators(plane), first))
@@ -81,8 +81,8 @@ def test_census_rejects_an_orbit_that_enters_the_baer_subplane(monkeypatch):
     def leaky(plane):
         baer = plane.baer_points()
         y = next(y for y in range(plane.q) if (1, y, 0) not in baer)
-        i, j = plane.index[(1, y, 0)], plane.index[(0, 1, 0)]
-        swap = list(range(len(plane.points)))
+        i, j = plane.index_of((1, y, 0)), plane.index_of((0, 1, 0))
+        swap = list(range(plane.size))
         swap[i], swap[j] = j, i
         return real(plane) + [swap]
 
@@ -128,7 +128,7 @@ def test_all_good_internal_orbits_q9():
     pl, pol = setup(9)
     f = pl.ctx
     perms = baer_stabilizer_generators(pl)
-    line_internals = [pl.index[(1, 0, z)] for z in f.elements()
+    line_internals = [pl.index_of((1, 0, z)) for z in f.elements()
                       if pol.classify((1, 0, z)) == INTERNAL]
     orbits = []
     seen = set()
@@ -142,7 +142,7 @@ def test_all_good_internal_orbits_q9():
     for orb in orbits:
         assert len(orb) == 12
         assert cons.point_set_independent(
-            pl, [pl.points[j] for j in orb]) is None
+            pl, [pl.point(j) for j in orb]) is None
 
 
 def test_transitivity_transfer_q9():
@@ -182,7 +182,7 @@ def k_group_reference(pl):
 def test_k_generators_and_orbit_split_q25():
     pl, pol = setup(25)
     gens = cons.k_generators(pl)
-    closure = {tuple(range(len(pl.points)))}
+    closure = {tuple(range(pl.size))}
     frontier = list(closure)
     while frontier:
         frontier = [x for x in {tuple(g[j] for j in h)
@@ -209,7 +209,8 @@ def test_internal_k_orbits_q81():
     assert len(orbits) == 8
     assert all(len(o) == 405 for o in orbits)
     pl, pol = setup(81)
-    internal = {pt for pt in pl.points if pol.classify(pt) == INTERNAL}
+    internal = {pt for pt in plane_points(pl)
+                if pol.classify(pt) == INTERNAL}
     covered = [pt for o in orbits for pt in o]
     assert len(covered) == len(set(covered)) == 3240
     assert set(covered) == internal
@@ -237,7 +238,7 @@ def test_point_set_independent_witness_is_conjugate_pair(q):
     pl, pol = setup(q)
     cert = cons.build_coclique(q)
     neighbour = pl.line_points(pol.polar_line(cert.points[-1]))[0]
-    for points in (pl.points[::-1], cert.points + [neighbour]):
+    for points in (plane_points(pl)[::-1], cert.points + [neighbour]):
         P, R = cons.point_set_independent(pl, points)
         assert P != R and conjugate(pl.ctx, P, R)
 
@@ -253,7 +254,7 @@ def test_point_set_independent_matches_the_row_oracles(q):
     rng = random.Random(q)
     outcomes = set()
     for _ in range(300):
-        points = rng.sample(pl.points, rng.randint(0, 6))
+        points = rng.sample(plane_points(pl), rng.randint(0, 6))
         points += rng.sample(absolute, rng.randint(0, 2))
         for _ in range(rng.choice([0, 0, 1, 2])):
             if points:
@@ -263,8 +264,8 @@ def test_point_set_independent_matches_the_row_oracles(q):
         got = cons.point_set_independent(pl, points)
         assert got == listed_pair_reference(pl.ctx, points), points
         outcomes.add(got is None)
-        distinct = sorted(set(points), key=pl.index.__getitem__)
-        witness = induced(g, [pl.index[P] for P in distinct]).is_independent(
+        distinct = sorted(set(points), key=pl.index_of)
+        witness = induced(g, list(map(pl.index_of, distinct))).is_independent(
             range(len(distinct)))
         assert cons.point_set_independent(pl, distinct) == (
             None if witness is None else tuple(distinct[v] for v in witness))
@@ -275,7 +276,7 @@ def test_point_set_independent_matches_the_row_oracles(q):
 def test_repeated_absolute_point_is_its_own_conjugate(q):
     pl, pol = setup(q)
     A = pol.absolute_points()[1]
-    P = next(P for P in pl.points if not conjugate(pl.ctx, A, P)
+    P = next(P for P in plane_points(pl) if not conjugate(pl.ctx, A, P)
              and pol.classify(P) != ABSOLUTE)
     assert cons.point_set_independent(pl, [A, P]) is None
     assert cons.point_set_independent(pl, [A, P, A]) == (A, A)
@@ -301,7 +302,7 @@ def test_matrix_orbit_is_the_permutation_orbit(family, q):
     # both families' generators, on the base point of the certificates
     pl, pol = setup(q)
     matrices = {"baer": baer_stabilizer_matrices, "k": cons.k_matrices}[family]
-    base = pl.index[(1, 0, pl.ctx.find_nonsquare())]
+    base = pl.index_of((1, 0, pl.ctx.find_nonsquare()))
     perms = [collineation(pl, m) for m in matrices(pl.ctx)]
     assert matrix_orbit(pl, matrices(pl.ctx), base) == orbit(perms, base)
 
@@ -309,9 +310,9 @@ def test_matrix_orbit_is_the_permutation_orbit(family, q):
 def test_odd_sq_neg_lists_the_orbit_in_bfs_order():
     pl, pol = setup(49)
     cert = cons.coclique_odd_sq_neg(49)
-    base = pl.index[(1, 0, pl.ctx.find_nonsquare())]
+    base = pl.index_of((1, 0, pl.ctx.find_nonsquare()))
     orb = orbit(baer_stabilizer_generators(pl), base)
-    assert cert.points[50:] == [pl.points[j] for j in orb]
+    assert cert.points[50:] == [pl.point(j) for j in orb]
 
 
 def test_coclique_pos_wrong_residue():
@@ -357,7 +358,8 @@ def test_arc_line_intersections_q8():
     pl, _ = setup(8)
     arc = cons.denniston_arc(8)
     pts = set(arc.points)
-    hits = {sum(P in pts for P in pl.line_points(l)) for l in pl.points}
+    hits = {sum(P in pts for P in pl.line_points(l))
+            for l in plane_points(pl)}
     assert hits == {0, 2}
 
 
@@ -365,11 +367,11 @@ def test_arc_line_intersections_q8():
 
 def direct_line_counts(pl, points):
     """Per line: the number of marked points among its q+1 points."""
-    mask = bytearray(len(pl.points))
+    mask = bytearray(pl.size)
     for P in points:
-        mask[pl.index[P]] = 1
+        mask[pl.index_of(P)] = 1
     return [sum(mask[j] for j in pl.line_point_indices(line))
-            for line in pl.points]
+            for line in plane_points(pl)]
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
@@ -382,7 +384,7 @@ def test_line_counts_match_direct_count(q):
             cons.pencil_conics(pl, alpha, [1])[0],
             pol.absolute_points(),
             []]
-    sets += [rng.sample(pl.points, k) for k in (1, q, len(pl.points) // 3)]
+    sets += [rng.sample(plane_points(pl), k) for k in (1, q, pl.size // 3)]
     for points in sets:
         counts = cons._line_counts(pl, points)
         assert list(counts) == direct_line_counts(pl, points)
@@ -392,17 +394,17 @@ def test_line_counts_wide_counter_q256():
     pl, _ = setup(256)
     line = (1, 0, 0)
     counts = cons._line_counts(pl, pl.line_points(line))
-    assert len(counts) == len(pl.points)
-    assert counts[pl.index[line]] == 257
+    assert len(counts) == pl.size
+    assert counts[pl.index_of(line)] == 257
     # every other line meets the full line in exactly one point
     assert sum(counts) == 257 * 257
-    assert list(counts).count(1) == len(pl.points) - 1
+    assert list(counts).count(1) == pl.size - 1
 
 
 def conic_points_reference(pl, alpha, lam):
     """Evaluates X2^2 + X2*X3 + alpha*X3^2 + lam*X1^2 at every point."""
     f = pl.ctx
-    return [(x1, x2, x3) for (x1, x2, x3) in pl.points
+    return [(x1, x2, x3) for (x1, x2, x3) in plane_points(pl)
             if not f.add(f.add(f.mul(x2, x2), f.mul(x2, x3)),
                          f.add(f.mul(alpha, f.mul(x3, x3)),
                                f.mul(lam, f.mul(x1, x1))))]
@@ -419,7 +421,7 @@ def test_pencil_scan_matches_per_parameter_conics(q):
     expected = [conic_points_reference(pl, alpha, lam) for lam in lams]
     assert scanned == expected
     assert sorted(sum(scanned[:arc.degree], []),
-                  key=pl.index.__getitem__) == arc.points
+                  key=pl.index_of) == arc.points
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -463,7 +465,7 @@ def test_even_extension_matches_er_greedy(q):
     pl, _ = setup(q)
     g = build_er_graph(pl)
     cert = cons.coclique_even(q)
-    arc = [pl.index[P] for P in cert.points]
+    arc = [pl.index_of(P) for P in cert.points]
     arc_mask = sum(1 << v for v in arc)
     candidates = [v for v in range(g.n)
                   if not arc_mask >> v & 1 and not g.adj[v] & arc_mask]
@@ -502,14 +504,14 @@ def test_pencil_conic_polar_dichotomy(q):
 def test_cyclic_pencil_group(q):
     pl, _ = setup(q)
     gen = cyclic_pencil_group(q)
-    ident = list(range(len(pl.points)))
+    ident = list(range(pl.size))
     seen, acc = [], gen
     while acc != ident:
         seen.append(acc)
         acc = [acc[j] for j in gen]
     assert len(seen) + 1 == q + 1  # cyclic of order q+1
     # U1 is fixed; the absolute line X1 = 0 is stabilized setwise
-    u1 = pl.index[(1, 0, 0)]
+    u1 = pl.index_of((1, 0, 0))
     assert gen[u1] == u1
     absolute = set(pl.line_point_indices((1, 0, 0)))
     assert {gen[j] for j in absolute} == absolute
@@ -523,8 +525,8 @@ def test_pencil_orbit_is_conic():
     lam = next(x for x in range(1, q) if ctx.abs_trace(x) == 0)
     alpha = ctx.find_trace_one()
     expected = set(cons.pencil_conics(pl, alpha, [ctx.mul(lam, lam)])[0])
-    orb = orbit([gen], pl.index[(1, lam, 0)])
-    assert {pl.points[j] for j in orb} == expected
+    orb = orbit([gen], pl.index_of((1, lam, 0)))
+    assert {pl.point(j) for j in orb} == expected
 
 
 # -- triangle-free sets ------------------------------------------------------
@@ -546,7 +548,7 @@ def test_triangle_free_matches_er_induced():
     pl, pol = setup(q)
     tfs = cons.triangle_free_set(q)
     g = build_er_graph(pl)
-    via_big = induced(g, [pl.index[P] for P in tfs.points])
+    via_big = induced(g, [pl.index_of(P) for P in tfs.points])
     direct = cons.induced_on_points(pl, tfs.points)
     assert via_big.n == direct.n and via_big.adj == direct.adj
 
@@ -556,7 +558,8 @@ def test_triangle_free_matches_er_induced():
 def test_er_graph_is_induced_on_all_points(q):
     # the whole-plane builder against the point-list one
     pl, _ = setup(q)
-    assert build_er_graph(pl).adj == cons.induced_on_points(pl, pl.points).adj
+    assert build_er_graph(pl).adj == cons.induced_on_points(
+        pl, plane_points(pl)).adj
 
 
 @pytest.mark.parametrize("bad", [(2, 0, 0), (1, 7, 0)])
@@ -573,7 +576,7 @@ def test_triangle_free_invariant_under_pencil_group():
     pl, _ = setup(q)
     gen = cyclic_pencil_group(q)
     tfs = cons.triangle_free_set(q)
-    pts = {pl.index[P] for P in tfs.points}
+    pts = {pl.index_of(P) for P in tfs.points}
     assert {gen[j] for j in pts} == pts
 
 
@@ -660,7 +663,7 @@ def test_certificate_json_matches_schema():
 def test_certificate_json_is_the_stdlib_writers(q):
     pl = ProjectivePlane(field_for_order(q))
     # every point of the plane uses every field element as a coordinate
-    certs = [cons.Certificate("plane", q, {}, pl.points, len(pl.points))]
+    certs = [cons.Certificate("plane", q, {}, plane_points(pl), pl.size)]
     if cons.alpha_bounds(q)[2] == "":  # q has a coclique family
         certs.append(cons.build_coclique(q))
     for cert in certs:
@@ -796,7 +799,7 @@ def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
     def spoiled(q):
         arc = real(q)
         P = arc.points[0]
-        Q = next(pt for pt in arc.plane.points
+        Q = next(pt for pt in plane_points(arc.plane)
                  if pt not in arc.points and conjugate(arc.plane.ctx, P, pt))
         arc.points = [Q] + arc.points
         return arc

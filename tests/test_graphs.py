@@ -340,7 +340,7 @@ def test_solver_tree_matches_reference_on_er(q):
         cert = cons.build_coclique(q)
     except ValueError:
         return  # no construction for this q
-    assert_same_tree(g, [plane.index[pt] for pt in cert.points])
+    assert_same_tree(g, [plane.index_of(pt) for pt in cert.points])
 
 
 def star(m, center):
@@ -380,7 +380,7 @@ def test_solver_budget_tree_matches_reference_on_seeded_er(q):
     plane = ProjectivePlane(field_for_order(q))
     g = build_er_graph(plane)
     cert = cons.build_coclique(q)
-    assert_same_tree(g, [plane.index[pt] for pt in cert.points],
+    assert_same_tree(g, [plane.index_of(pt) for pt in cert.points],
                      budgets=[1, 2, 5, 17, 60, 5000])
 
 

@@ -50,7 +50,7 @@ def test_edges_inside_a_set_are_the_triangles_it_induces(q):
         first = next(triangles(induced(g, S)), None)
         assert witness == (None if first is None
                            else tuple(S[i] for i in first))
-        sub = cons.induced_on_points(plane, [plane.points[i] for i in S])
+        sub = cons.induced_on_points(plane, [plane.point(i) for i in S])
         assert (sub.triangle_count() == 0) == (witness is None)
         found[witness is None] += 1
     assert found[True] and found[False]
@@ -85,7 +85,7 @@ def test_build_rejects_non_linear_graph(monkeypatch):
     def with_extra_edge(plane):
         g = real(plane)
         pol = Polarity(plane)
-        absolute = {plane.index[pt] for pt in pol.absolute_points()}
+        absolute = {plane.index_of(pt) for pt in pol.absolute_points()}
         vertices = [i for i in range(g.n) if i not in absolute]
         a = vertices[0]
         for b in vertices[1:]:
@@ -109,7 +109,7 @@ def test_build_rejects_a_triangle_through_an_absolute_point(monkeypatch):
 
     def with_absolute_triangle(plane):
         g = real(plane)
-        a = plane.index[Polarity(plane).absolute_points()[0]]
+        a = plane.index_of(Polarity(plane).absolute_points()[0])
         b, c = list(bits(g.adj[a]))[:2]
         g.add_edge(b, c)
         joined.append(tuple(sorted((a, b, c))))
@@ -127,7 +127,7 @@ def test_triangle_free_set_is_hypergraph_independent(q):
     h = hg.build_hypergraph(q)
     plane = ProjectivePlane(field_for_order(q))
     tfs = triangle_free_set(q)
-    S = [plane.index[P] for P in tfs.points]
+    S = [plane.index_of(P) for P in tfs.points]
     assert len(S) == q * (q + 1) // 2
     assert hyper_independent_reference(h, S) is None
 

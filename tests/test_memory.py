@@ -72,6 +72,20 @@ def test_text_decoders_refuse_a_billion_vertices_before_allocating():
         "1000000000 vertices, more than the limit of 2097152"]
 
 
+def test_the_plane_holds_no_enumeration():
+    """ProjectivePlane(field_for_order(1024)) holds under 1 MB: it computes
+    points and indices, where a stored point list and point dict took
+    172 MB under tracemalloc."""
+    ctx = field_for_order(1024)
+    tracemalloc.start()
+    try:
+        plane = ProjectivePlane(ctx)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plane.q == 1024 and held < 1 << 20, held
+
+
 def test_check_symmetric_peak_is_a_quarter_of_the_rows():
     """At ER_64 the tiles that check_symmetric holds at once take at most a
     quarter of the rows' memory; the whole transposed copy took 1.3 times

@@ -4,11 +4,11 @@ import pytest
 
 from erpg.field import field_for_order
 from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        collineation, conic_stabilizer_lift, matrix_orbit,
-                        orbit, orbits)
+                        baer_stabilizer_matrices, collineation,
+                        conic_stabilizer_lift, matrix_orbit, orbit, orbits)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
-from reference import dot, preserves_adjacency
+from reference import dot, plane_points, preserves_adjacency
 
 
 def plane_for(q):
@@ -18,26 +18,55 @@ def plane_for(q):
 @pytest.mark.parametrize("q,npts", [(2, 7), (3, 13), (4, 21), (9, 91)])
 def test_point_counts(q, npts):
     pl = plane_for(q)
-    assert len(pl.points) == npts
-    assert len(set(pl.points)) == npts
+    assert pl.size == npts
+    assert len({pl.point(i) for i in range(pl.size)}) == npts
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_point_and_index_of_match_the_stored_enumeration(q):
+    pl = plane_for(q)
+    points = plane_points(pl)
+    assert pl.size == len(points)
+    assert [pl.point(i) for i in range(pl.size)] == points
+    assert [pl.index_of(pl.point(i)) for i in range(pl.size)] == list(
+        range(pl.size))
+    for i in (-1, pl.size, 1.0, "0", None):
+        with pytest.raises(ValueError, match="not a point index"):
+            pl.point(i)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_index_of_accepts_exactly_the_normalized_points(q):
+    pl = plane_for(q)
+    points = plane_points(pl)
+    near = range(-1, q + 2)
+    others = [(1, 0.5, 0), (1.5, 0, 0), [1, 0, 0], (1, 0), (1, 0, 0, 0),
+              None, "abc"]
+    for pt in [(x, y, z) for x in near for y in near for z in near] + others:
+        if pt in points:
+            assert pl.point(pl.index_of(pt)) == pt
+        else:
+            with pytest.raises(ValueError, match="not a normalized point"):
+                pl.index_of(pt)
 
 
 def test_enumeration_order_contract():
     pl = plane_for(3)
-    assert pl.points[0] == (0, 0, 1)
-    assert pl.points[1] == (0, 1, 0)
-    assert pl.points[4] == (1, 0, 0)
+    assert pl.point(0) == (0, 0, 1)
+    assert pl.point(1) == (0, 1, 0)
+    assert pl.point(4) == (1, 0, 0)
 
 
 def test_normalization_idempotent_and_bijective():
     pl = plane_for(4)
     f = pl.ctx
-    for pt in pl.points:
+    for pt in plane_points(pl):
         assert pl.normalize(pt) == pt
         for s in range(1, 4):  # any scalar multiple renormalizes back
             scaled = tuple(f.mul(s, c) for c in pt)
             assert pl.normalize(scaled) == pt
-    assert sorted(pl.index.values()) == list(range(len(pl.points)))
+    assert list(map(pl.index_of, plane_points(pl))) == list(range(pl.size))
 
 
 def test_incident_examples():
@@ -50,7 +79,7 @@ def test_incident_examples():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_every_line_has_q_plus_1_points(q):
     pl = plane_for(q)
-    for line in pl.points:
+    for line in plane_points(pl):
         pts = pl.line_points(line)
         assert len(pts) == q + 1
         assert all(dot(pl.ctx, P, line) == 0 for P in pts)
@@ -60,8 +89,9 @@ def test_every_line_has_q_plus_1_points(q):
 def test_line_point_indices_match_incidence(q):
     pl = plane_for(q)
     f = pl.ctx
-    for line in pl.points:
-        expected = [j for j, P in enumerate(pl.points) if dot(f, P, line) == 0]
+    points = plane_points(pl)
+    for line in points:
+        expected = [j for j, P in enumerate(points) if dot(f, P, line) == 0]
         assert pl.line_point_indices(line) == expected
         for s in range(2, q):
             scaled = tuple(f.mul(s, c) for c in line)
@@ -69,29 +99,35 @@ def test_line_point_indices_match_incidence(q):
 
 
 def test_zero_triple_is_not_a_line():
-    with pytest.raises(ValueError):
-        plane_for(3).line_point_indices((0, 0, 0))
+    # nor a point: classify, like polar_line, rejects it for odd and even q
+    for q in (3, 8, 9):
+        pl = plane_for(q)
+        pol = Polarity(pl)
+        for call in (pl.line_point_indices, pl.normalize, pol.polar_line,
+                     pol.classify, pl.index_of):
+            with pytest.raises(ValueError):
+                call((0, 0, 0))
 
 
 def test_line_through_two_points():
     pl = plane_for(5)
     rng = random.Random(1)
     for _ in range(50):
-        P, Q = rng.sample(pl.points, 2)
+        P, Q = rng.sample(plane_points(pl), 2)
         line = pl.line_through(P, Q)
         assert dot(pl.ctx, P, line) == dot(pl.ctx, Q, line) == 0
 
 
 def matrix_action(pl, m):
     """Index of the image of every point: m times the triple, normalized."""
-    return [pl.index[pl.normalize(tuple(dot(pl.ctx, row, P) for row in m))]
-            for P in pl.points]
+    return [pl.index_of(pl.normalize(tuple(dot(pl.ctx, row, P) for row in m)))
+            for P in plane_points(pl)]
 
 
 def test_identity_and_scalar_equivalence():
     pl = plane_for(9)
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert collineation(pl, identity) == list(range(len(pl.points)))
+    assert collineation(pl, identity) == list(range(pl.size))
     f = pl.ctx
     m = ((1, 2, 0), (0, 1, 1), (1, 0, 2))
     c = 5
@@ -192,11 +228,11 @@ def test_permutation_matches_matrix_action(q):
 def test_collineation_preserves_incidence():
     # the permutation maps the index set of every line onto that of a line
     pl = plane_for(9)
-    lines = {frozenset(pl.line_point_indices(l)): l for l in pl.points}
+    lines = {frozenset(pl.line_point_indices(l)) for l in plane_points(pl)}
     rng = random.Random(7)
     for _ in range(5):
         perm = collineation(pl, random_matrix(pl, rng))
-        assert sorted(perm) == list(range(len(pl.points)))
+        assert sorted(perm) == list(range(pl.size))
         images = {frozenset(perm[j] for j in pts) for pts in lines}
         assert images == set(lines)
 
@@ -222,7 +258,7 @@ def conic_point_set(pl):
 def test_lift_identity_and_composition():
     pl = plane_for(9)
     f = pl.ctx
-    assert conic_stabilizer_lift(pl, 1, 0, 0, 1) == list(range(len(pl.points)))
+    assert conic_stabilizer_lift(pl, 1, 0, 0, 1) == list(range(pl.size))
     sub = f.subfield()
     # composition homomorphism over all invertible 2x2 subfield matrices
     mats = []
@@ -257,7 +293,7 @@ def test_lift_preserves_conic():
         except ValueError:
             continue
         count += 1
-        assert {pl.points[col[pl.index[P]]] for P in conic} == conic
+        assert {pl.point(col[pl.index_of(P)]) for P in conic} == conic
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -287,7 +323,7 @@ def test_degenerate_lift_rejected():
 def test_orbit_trivial_and_closure():
     pl = plane_for(9)
     f = pl.ctx
-    P = pl.index[(0, 1, 0)]
+    P = pl.index_of((0, 1, 0))
     assert orbit([], P) == [P]
     # full conic stabilizer (entries from all of GF(9)): orbit of the
     # external point U2 is the whole external class, q(q+1)/2 points
@@ -296,12 +332,24 @@ def test_orbit_trivial_and_closure():
     orb = orbit(perms, P)
     pol = Polarity(pl)
     assert len(orb) == len(set(orb)) == 45
-    assert all(pol.classify(pl.points[j]) == EXTERNAL for j in orb)
+    assert all(pol.classify(pl.point(j)) == EXTERNAL for j in orb)
     # the subfield-entry subgroup keeps U2 inside the Baer subplane:
     # its orbit is the 6 points of B external to the Baer conic
     sub_orb = orbit(baer_stabilizer_generators(pl), P)
     assert len(sub_orb) == 6
-    assert all(pl.points[j] in pl.baer_points() for j in sub_orb)
+    assert all(pl.point(j) in pl.baer_points() for j in sub_orb)
+
+
+def test_orbit_start_off_the_plane_is_rejected():
+    # -1 once walked a wrong orbit through the end of the permutations
+    pl = plane_for(9)
+    matrices = baer_stabilizer_matrices(pl.ctx)
+    perms = [collineation(pl, m) for m in matrices]
+    for start in (-1, len(perms[0])):
+        with pytest.raises(ValueError):
+            orbit(perms, start)
+        with pytest.raises(ValueError):
+            matrix_orbit(pl, matrices, start)
 
 
 def test_orbit_is_breadth_first_in_generator_order():
@@ -328,15 +376,15 @@ def test_orbit_sizes_divide_group_order():
     # |PGL(2, sqrt q)| = sqrt(q) (q - 1) = 3 * 8 = 24 at q = 9
     pl = plane_for(9)
     perms = baer_stabilizer_generators(pl)
-    baer = {pl.index[P] for P in pl.baer_points()}
+    baer = {pl.index_of(P) for P in pl.baer_points()}
     seen = set()
-    for i in range(len(pl.points)):
+    for i in range(pl.size):
         if i in seen or i in baer:
             continue
         orb = orbit(perms, i)
         seen.update(orb)
         assert 24 % len(orb) == 0
-    assert len(seen) == len(pl.points) - len(baer)
+    assert len(seen) == pl.size - len(baer)
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 64])
@@ -344,10 +392,11 @@ def test_baer_membership(q):
     pl = plane_for(q)
     f = pl.ctx
     baer = pl.baer_points()
-    assert baer == {P for P in pl.points if all(map(f.in_subfield, P))}
+    points = plane_points(pl)
+    assert baer == {P for P in points if all(map(f.in_subfield, P))}
     assert (1, 0, 0) in baer
     r = f.sqrt_q()
-    assert sum(P in baer for P in pl.points) == r * r + r + 1
+    assert sum(P in baer for P in points) == r * r + r + 1
     g = next(a for a in f.elements() if not f.in_subfield(a))
     assert pl.normalize((1, g, 0)) not in baer
     with pytest.raises(ValueError):
@@ -359,9 +408,10 @@ def test_unique_secant_baer_line_through_outside_point():
     # the subplane in sqrt(q)+1 points
     pl = plane_for(9)
     baer = pl.baer_points()
-    rich_lines = [l for l in pl.points
+    points = plane_points(pl)
+    rich_lines = [l for l in points
                   if sum(P in baer for P in pl.line_points(l)) == 4]
-    for P in pl.points:
+    for P in points:
         if P in baer:
             continue
         through = sum(1 for l in rich_lines if dot(pl.ctx, P, l) == 0)

@@ -8,7 +8,7 @@ from erpg.plane import ProjectivePlane
 from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, NONABSOLUTE,
                            Polarity, _translations, build_er_graph)
 
-from reference import c4_pair, conjugate, dot
+from reference import c4_pair, conjugate, dot, plane_points
 
 
 def setup(q):
@@ -34,10 +34,11 @@ def test_polarity_is_involutory(q):
     # polar_line is a bijection onto the lines; the pole of a line, the
     # point it comes from, is the point conjugate to all of its points
     pl, pol = setup(q)
-    poles = {pol.polar_line(P): P for P in pl.points}
-    assert sorted(poles) == sorted(pl.points)
+    points = plane_points(pl)
+    poles = {pol.polar_line(P): P for P in points}
+    assert sorted(poles) == points
     for line, P in poles.items():
-        conjugates = [R for R in pl.points if conjugate(pl.ctx, P, R)]
+        conjugates = [R for R in points if conjugate(pl.ctx, P, R)]
         assert conjugates == pl.line_points(line)
 
 
@@ -48,36 +49,37 @@ def test_polarity_is_involutory(q):
 ])
 def test_classification_counts_odd(q, counts):
     pl, pol = setup(q)
-    assert Counter(pol.classify(P) for P in pl.points) == counts
+    assert Counter(pol.classify(P) for P in plane_points(pl)) == counts
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 8, 9, 25, 27, 49])
 def test_point_classes_are_classify_by_index(q):
     pl, pol = setup(q)
-    assert pol.point_classes() == [pol.classify(P) for P in pl.points]
+    assert pol.point_classes() == [pol.classify(P) for P in plane_points(pl)]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49])
 def test_polar_indices_are_polar_line_by_index(q):
     pl, pol = setup(q)
-    assert pol.polar_indices() == [pl.index[pol.polar_line(P)]
-                                   for P in pl.points]
+    assert pol.polar_indices() == [pl.index_of(pol.polar_line(P))
+                                   for P in plane_points(pl)]
 
 
 def test_classification_counts_even():
     pl, pol = setup(2)
-    absolute = [P for P in pl.points if pol.classify(P) == ABSOLUTE]
+    absolute = [P for P in plane_points(pl) if pol.classify(P) == ABSOLUTE]
     assert len(absolute) == 3
     assert all(dot(pl.ctx, P, (1, 0, 0)) == 0 for P in absolute)
     pl8, pol8 = setup(8)
-    c = Counter(pol8.classify(P) for P in pl8.points)
+    c = Counter(pol8.classify(P) for P in plane_points(pl8))
     assert c == {ABSOLUTE: 9, NONABSOLUTE: 64}
 
 
 def test_absolute_points_match_classification():
     for q in (3, 4, 5, 8, 9):
         pl, pol = setup(q)
-        via_class = {P for P in pl.points if pol.classify(P) == ABSOLUTE}
+        via_class = {P for P in plane_points(pl)
+                     if pol.classify(P) == ABSOLUTE}
         assert set(pol.absolute_points()) == via_class
         assert len(via_class) == q + 1
         for P in via_class:
@@ -89,10 +91,11 @@ def test_conjugacy_symmetric(q):
     # Q on the polar line of P exactly when P is on that of Q, and exactly
     # when the bilinear form vanishes
     pl, pol = setup(q)
+    points = plane_points(pl)
     on_polar = [set(pl.line_point_indices(pol.polar_line(P)))
-                for P in pl.points]
-    for i, P in enumerate(pl.points):
-        for j, Q in enumerate(pl.points):
+                for P in points]
+    for i, P in enumerate(points):
+        for j, Q in enumerate(points):
             assert ((j in on_polar[i]) == (i in on_polar[j])
                     == conjugate(pl.ctx, P, Q) == conjugate(pl.ctx, Q, P))
 
@@ -111,7 +114,7 @@ def test_polar_line_type_by_point_class(q):
     # internal -> external line (0 absolute points), external -> secant (2),
     # absolute -> tangent (1, the point itself)
     pl, pol = setup(q)
-    for P in pl.points:
+    for P in plane_points(pl):
         on_line = pl.line_points(pol.polar_line(P))
         absolutes = [R for R in on_line if pol.classify(R) == ABSOLUTE]
         cls = pol.classify(P)
@@ -137,7 +140,7 @@ def test_er_graph_shape(q):
     assert g.num_edges() == q * (q + 1) ** 2 // 2
     degs = Counter(g.degree(v) for v in range(g.n))
     assert degs == {q: q + 1, q + 1: q * q}
-    abs_idx = {pl.index[P] for P in pol.absolute_points()}
+    abs_idx = {pl.index_of(P) for P in pol.absolute_points()}
     assert {v for v in range(g.n) if g.degree(v) == q} == abs_idx
 
 
@@ -150,7 +153,7 @@ def test_er_graph_edges_are_conjugate_pairs():
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert bool(g.adj[u] >> v & 1) == conjugate(
-                    pl.ctx, pl.points[u], pl.points[v])
+                    pl.ctx, pl.point(u), pl.point(v))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
