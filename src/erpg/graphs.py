@@ -99,6 +99,8 @@ class Graph:
         self.adj[v] |= 1 << u
 
     def _check_vertex(self, v):
+        if not isinstance(v, int):
+            raise ValueError(f"vertex {v!r} is not an int")
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
@@ -240,6 +242,8 @@ class SolveBudget:
     max_nodes: int = 10 ** 8
 
     def __post_init__(self):
+        if not isinstance(self.max_nodes, int):
+            raise ValueError(f"budget {self.max_nodes!r} is not an int")
         if self.max_nodes <= 0:
             raise ValueError("budget must be positive")
 
@@ -270,29 +274,79 @@ def _mirrored_rows(adj):
             [0] + [1 << k for k in range(n)])
 
 
-def _cover_exceeds(rows, masks, cand, limit):
+# The most bytes `_pair_table` may estimate for a table it builds: ER_q up to
+# q = 32 (about 12 MB there) gets one, ER_64 (about 150 MB) does not.
+_PAIR_TABLE_BYTES = 16 << 20
+
+
+def _pair_table(rows, masks):
+    """Masks that close a clique of the greedy cover (`_cover_exceeds`) in
+    one `&`, indexed like rows and masks (`_mirrored_rows`).
+
+    For an edge (k, w) whose ends share at most one neighbour,
+    pairs[k][w] = pairs[w][k] is the set of all vertices but k, w and that
+    neighbour; for an edge whose ends share two or more it is None, and so
+    is every other entry off column 0.  pairs[k][0] is the set of all
+    vertices but k, for a clique that is k alone.  Each row is walked once,
+    and both entries of an edge hold the same int.  The table takes
+    (n + 1)^2 pointers and one n-bit int per vertex and per edge; when that
+    estimate exceeds _PAIR_TABLE_BYTES, every row is one shared list of
+    None, which costs O(n), and the cover grows every clique vertex by
+    vertex.
+    """
+    n = len(rows) - 1
+    ints = n + sum(row.bit_count() for row in rows) // 2
+    nones = [None] * (n + 1)
+    if 8 * (n + 1) ** 2 + ints * (32 + n // 7) > _PAIR_TABLE_BYTES:
+        return [nones] * (n + 1)
+    full = (1 << n) - 1
+    pairs = [[full ^ mask] + nones[1:] for mask in masks]
+    for k in range(2, n + 1):
+        row, pair_row = rows[k], pairs[k]
+        for p in bits(row & masks[k] - 1):  # the neighbours w = p + 1 < k
+            shared = row & rows[p + 1]
+            if not shared & (shared - 1):  # at most one common neighbour
+                pair_row[p + 1] = pairs[p + 1][k] = full ^ (
+                    masks[k] | masks[p + 1] | shared)
+    return pairs
+
+
+def _cover_exceeds(rows, masks, pairs, cand, limit):
     """True iff the greedy clique cover of cand has more than limit cliques.
 
-    rows, masks and cand are in mirrored bit order (`_mirrored_rows`).  The
-    cover takes the least remaining vertex, the top bit of what is left,
-    and grows its clique by the least common neighbour, the top bit of
-    their common neighbours, as long as one is left.  The count bounds the
-    independence number of cand from above, so a node with limit = best -
-    |chosen| is pruned iff this returns False.  A cover never has more
-    cliques than vertices, so |cand| <= limit answers False at once, and
-    the cover stops as soon as it needs clique limit + 1.
+    rows, masks and cand are in mirrored bit order (`_mirrored_rows`), and
+    pairs is `_pair_table(rows, masks)`.  The cover takes the least
+    remaining vertex k, the top bit of what is left, and grows its clique
+    by the least common neighbour, the top bit of their common neighbours,
+    as long as one is left.  With w the first of these (0 if there is
+    none), a mask in pairs[k][w] closes the clique with one `&`: the
+    vertices that could still join lie in the common neighbourhood of k
+    and w, which holds at most one vertex z, and after z nothing is left,
+    since z is not its own neighbour.  So the `&` removes exactly the
+    clique that growth vertex by vertex removes (clearing z's bit is a
+    no-op when z has already left), and every count, and so every prune,
+    is the same.  Where the entry is None the clique grows vertex by
+    vertex.  The count bounds the independence number of cand from above,
+    so a node with limit = best - |chosen| is pruned iff this returns
+    False.  A cover never has more cliques than vertices, so
+    |cand| <= limit answers False at once, and the cover stops as soon as
+    it needs clique limit + 1.
     """
     if cand.bit_count() <= limit:
         return False
     rest = cand
     for _ in range(limit):
         k = rest.bit_length()
-        rest ^= masks[k]
-        grow = rest & rows[k]
-        while grow:
-            k = grow.bit_length()
+        pair = pairs[k][(rest & rows[k]).bit_length()]
+        if pair is None:
             rest ^= masks[k]
-            grow &= rows[k]
+            grow = rest & rows[k]
+            while grow:
+                k = grow.bit_length()
+                rest ^= masks[k]
+                grow &= rows[k]
+        else:
+            rest &= pair
         if not rest:
             return False
     return True
@@ -317,11 +371,17 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     of a row through the slices each.  A node is pruned when
     the greedy clique cover of its candidates (`_cover_exceeds`) needs no
     more than best - |chosen| cliques; the cover stops early once it needs
-    more.  The include child is searched in place, diving until a leaf, a
-    prune or the budget ends the dive; only the exclude children wait on
-    an explicit stack, so the graph size is not limited by the recursion
-    limit.  Every visited node counts against the budget, so max_nodes = k
-    reports k + 1 nodes when the budget runs out.
+    more.  A table built once per call (`_pair_table`) holds, for each
+    edge whose ends share at most one neighbour, the mask that removes the
+    clique the cover grows from that edge, so such a clique costs one `&`;
+    the cover finds the cliques that growth vertex by vertex finds, and
+    the tree does not change.  A graph whose table would exceed
+    _PAIR_TABLE_BYTES gets none, and its cover grows every clique vertex
+    by vertex.  The include child is searched in place, diving until a
+    leaf, a prune or the budget ends the dive; only the exclude children
+    wait on an explicit stack, so the graph size is not limited by the
+    recursion limit.  Every visited node counts against the budget, so
+    max_nodes = k reports k + 1 nodes when the budget runs out.
     Deterministic: identical inputs give identical outputs.  `initial`
     seeds the incumbent with a known independent set.  Rows with a loop,
     an out-of-range neighbour or an asymmetric pair raise ValueError.
@@ -334,6 +394,7 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
         budget = SolveBudget()
     n = g.n
     rows, masks = _mirrored_rows(g.adj)
+    pairs = _pair_table(rows, masks)
     full = (1 << n) - 1
 
     best_set = 0
@@ -367,7 +428,7 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
                 if csize > best:
                     best, best_set = csize, chosen
                 break
-            if not _cover_exceeds(rows, masks, cand, best - csize):
+            if not _cover_exceeds(rows, masks, pairs, cand, best - csize):
                 break
             if pending:
                 cnt = cnt[:]

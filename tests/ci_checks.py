@@ -5,12 +5,14 @@
     python tests/ci_checks.py builder-oracle
     python tests/ci_checks.py certificate-json
     python tests/ci_checks.py even-extension
+    python tests/ci_checks.py solver-tree
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
 not collect it.
 """
 
+import random
 import sys
 
 from erpg import graphs as gr
@@ -20,7 +22,9 @@ from erpg.field import field_for_order
 from erpg.plane import ProjectivePlane
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
-from reference import certificate_json_reference, greedy_extend, plane_points
+from reference import (certificate_json_reference, greedy_extend,
+                       max_independent_set_reference, plane_points,
+                       random_graph)
 
 
 def round_trip():
@@ -87,9 +91,30 @@ def even_extension():
             raise SystemExit(f"the q = {q} extension differs from the rows'")
 
 
+def solver_tree():
+    """The solver, which closes most cliques of its cover with one `&` from
+    a pair table, against the reference, which grows every clique vertex
+    by vertex, node for node on graphs larger than Tier-1's: unseeded ER_11
+    and ER_13, and three draws of G(150, 0.05)."""
+    cases = [(f"ER_{q}", build_er_graph(ProjectivePlane(field_for_order(q))),
+              (1000, 200_000)) for q in (11, 13)]
+    rng = random.Random(150)
+    cases += [(f"G(150, 0.05) draw {i}", random_graph(150, 0.05, rng),
+               (50_000,)) for i in range(3)]
+    for name, g, budgets in cases:
+        for max_nodes in budgets:
+            budget = gr.SolveBudget(max_nodes)
+            res = gr.max_independent_set(g, budget)
+            ref = max_independent_set_reference(g, budget)
+            if (res.size, res.vertices, res.status, res.nodes) != (
+                    ref.size, ref.vertices, ref.status, ref.nodes):
+                raise SystemExit(f"the solver's tree on {name} differs from "
+                                 f"the reference's at {max_nodes} nodes")
+
+
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
           "certificate-json": certificate_json,
-          "even-extension": even_extension}
+          "even-extension": even_extension, "solver-tree": solver_tree}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

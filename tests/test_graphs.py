@@ -12,7 +12,7 @@ from erpg.graphs import Graph, SolveBudget, max_independent_set
 from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph
 
-from reference import (alpha_exact, alpha_subset_scan,
+from reference import (alpha_exact, alpha_subset_scan, c4_pair,
                        check_symmetric_reference, greedy_cover_count,
                        greedy_extend, induced, max_independent_set_reference,
                        random_graph, triangles)
@@ -302,9 +302,15 @@ def test_solver_rejects_rows_that_are_not_a_simple_graph(rows, message):
         max_independent_set(Graph(len(rows), rows))
 
 
-def test_invalid_budget():
-    with pytest.raises(ValueError):
-        SolveBudget(max_nodes=0)
+@pytest.mark.parametrize("max_nodes,message", [
+    (0, "budget must be positive"), (-1, "budget must be positive"),
+    (2.5, "budget 2.5 is not an int"), ("5", "budget '5' is not an int"),
+    (None, "budget None is not an int"),
+])
+def test_invalid_budget(max_nodes, message):
+    # 2.5 ran and reported 3 nodes; "5" and None ended in TypeError
+    with pytest.raises(ValueError, match=message):
+        SolveBudget(max_nodes=max_nodes)
 
 
 TREE_BUDGETS = [None, 1, 2, 5, 17, 60]
@@ -321,14 +327,20 @@ def assert_same_tree(g, initial, budgets=TREE_BUDGETS):
             ref.size, ref.vertices, ref.status, ref.nodes), (max_nodes, initial)
 
 
-def test_solver_tree_matches_reference_on_random_graphs():
+def random_tree_cases():
+    """200 random graphs, each with a greedy independent set to seed it."""
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(0, 45)
         g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]), rng)
         greedy = greedy_extend(g, [], rng.sample(range(n), n))
-        for initial in (None, greedy[:rng.randint(0, len(greedy))]):
-            assert_same_tree(g, initial)
+        yield g, greedy[:rng.randint(0, len(greedy))]
+
+
+def test_solver_tree_matches_reference_on_random_graphs():
+    for g, initial in random_tree_cases():
+        assert_same_tree(g, None)
+        assert_same_tree(g, initial)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -373,6 +385,106 @@ def test_solver_tree_matches_reference_on_matching_and_empty_graph():
     assert_same_tree(Graph(0), None)
 
 
+def petersen():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def friendship(k):
+    """k triangles through vertex 0."""
+    return Graph.from_edges(2 * k + 1, [e for i in range(k) for e in (
+        (0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def er7_plus_edge():
+    """ER_7 with the edge (1, 17) added.  1 and 17 had one common
+    neighbour z, and the ends of (1, z) and of (17, z) now share two."""
+    g = build_er_graph(ProjectivePlane(field_for_order(7)))
+    g.add_edge(1, 17)
+    return g
+
+
+# Graphs whose cover takes each kind of `_pair_table` entry: only masks
+# (Petersen: girth 5; F_5: the shared neighbour is in every triangle; K_2,3:
+# a C4, but no edge inside it), or masks and None mixed (ER_7 plus an edge,
+# K_4 minus an edge).
+TABLE_GRAPHS = {
+    "petersen": petersen,
+    "friendship-5": lambda: friendship(5),
+    "er7-plus-edge": er7_plus_edge,
+    "k4-minus-edge": lambda: Graph.from_edges(
+        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "k2,3": lambda: Graph.from_edges(
+        5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GRAPHS)
+def test_solver_tree_matches_reference_on_pair_table_graphs(name):
+    g = TABLE_GRAPHS[name]()
+    assert_same_tree(g, None)
+    assert_same_tree(g, greedy_extend(g, [], range(g.n))[:2])
+
+
+def assert_pair_table(g):
+    """Each edge's entry is None iff its ends share two or more neighbours,
+    counted from g.adj, and otherwise all vertices but the two ends and the
+    shared one; column 0 leaves out one vertex; every other entry is None.
+    Returns the number of edge entries that are None."""
+    n, full = g.n, (1 << g.n) - 1
+    rows, masks = gr._mirrored_rows(g.adj)
+    pairs = gr._pair_table(rows, masks)
+    assert len(pairs) == n + 1 and all(len(row) == n + 1 for row in pairs)
+    nones = 0
+    for u in range(n):
+        assert pairs[n - u][0] == full ^ gr._mirror(1 << u, n)
+        for v in range(n):
+            entry = pairs[n - u][n - v]
+            shared = g.adj[u] & g.adj[v]
+            if not g.adj[u] >> v & 1:
+                assert entry is None
+            elif shared.bit_count() >= 2:
+                assert entry is None
+                nones += 1
+            else:
+                assert entry == full ^ gr._mirror(
+                    1 << u | 1 << v | shared, n)
+    return nones
+
+
+def test_pair_table_entries_on_random_graphs():
+    assert sum(assert_pair_table(g) for g, _ in random_tree_cases())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pair_table_has_a_mask_on_every_edge_of_er(q):
+    """ER_q has no C4 (`c4_pair`), so no edge's ends share two neighbours."""
+    g = build_er_graph(ProjectivePlane(field_for_order(q)))
+    assert c4_pair(g) is None
+    assert assert_pair_table(g) == 0
+
+
+@pytest.mark.parametrize("name,nones", [
+    ("petersen", 0), ("friendship-5", 0), ("k2,3", 0),
+    ("er7-plus-edge", 4), ("k4-minus-edge", 2)])
+def test_pair_table_graphs_take_masks_and_nones(name, nones):
+    """The entries that are None, two per edge."""
+    assert assert_pair_table(TABLE_GRAPHS[name]()) == nones
+
+
+def test_pair_table_over_its_size_is_shared_nones():
+    n = 12
+    g = random_graph(n, 0.5, random.Random(3))
+    rows, masks = gr._mirrored_rows(g.adj)
+    with mock.patch.object(gr, "_PAIR_TABLE_BYTES", 8 * (n + 1) ** 2):
+        pairs = gr._pair_table(rows, masks)
+        assert_same_tree(g, None)
+    assert len(pairs) == n + 1
+    assert all(row is pairs[0] for row in pairs)
+    assert pairs[0] == [None] * (n + 1)
+
+
 @pytest.mark.parametrize("q", [8, 9])
 def test_solver_budget_tree_matches_reference_on_seeded_er(q):
     """Dives cut by the budget on the pinned ER_8 and ER_9 searches, seeded
@@ -397,9 +509,11 @@ def test_cover_exceeds_matches_greedy_cover_count(case):
     count = greedy_cover_count(g.adj, cand)
     rows, masks = gr._mirrored_rows(g.adj)
     mirrored = gr._mirror(cand, g.n)
-    for limit in range(-1, cand.bit_count() + 2):
-        assert gr._cover_exceeds(rows, masks, mirrored, limit) == (
-            count > limit)
+    nones = [None] * (g.n + 1)  # the shared row of a table over its size
+    for pairs in (gr._pair_table(rows, masks), [nones] * (g.n + 1)):
+        for limit in range(-1, cand.bit_count() + 2):
+            assert gr._cover_exceeds(rows, masks, pairs, mirrored, limit) == (
+                count > limit)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 63, 64, 65, 91, 130])
@@ -699,6 +813,13 @@ def test_vertex_out_of_range_raises_value_error():
     for call in (lambda: g.add_edge(0, 3), lambda: g.add_edge(-1, 0),
                  lambda: g.degree(-1), lambda: g.degree(3)):
         with pytest.raises(ValueError, match="out of range"):
+            call()
+    # these ended in TypeError from `1 << v` or from a comparison
+    for call in (lambda: g.add_edge(0.5, 1), lambda: g.add_edge(0, "1"),
+                 lambda: g.degree(0.5), lambda: g.is_independent([None]),
+                 lambda: max_independent_set(g, initial=[0.5]),
+                 lambda: max_independent_set(g, initial=["1"])):
+        with pytest.raises(ValueError, match="is not an int"):
             call()
 
 

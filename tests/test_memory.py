@@ -1,8 +1,9 @@
-"""Memory bounds of the export path.
+"""Memory bounds of the export path and the solver.
 
 ER_q is checked and written in little more memory than its rows, and the
 text decoders refuse a vertex count they could not hold before they
-allocate rows for it.  The subprocess checks run under an address-space
+allocate rows for it.  The solver builds no pair table that would not fit
+its size limit.  The subprocess checks run under an address-space
 limit (RLIMIT_AS), so that a regression fails with MemoryError instead of
 taking the memory of the whole machine.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import erpg
 from erpg.field import field_for_order
+from erpg.graphs import SolveBudget, max_independent_set
 from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph
 
@@ -99,3 +101,17 @@ def test_check_symmetric_peak_is_a_quarter_of_the_rows():
     finally:
         tracemalloc.stop()
     assert peak <= rows / 4, peak / rows
+
+
+def test_solver_on_er64_builds_no_pair_table():
+    """A 50-node search of ER_64 peaks under 16 MB: the solver's pair table
+    (`graphs._pair_table`) would take about 150 MB there, over its size
+    limit, so every row of it is one shared list of None."""
+    g = build_er_graph(ProjectivePlane(field_for_order(64)))
+    tracemalloc.start()
+    try:
+        res = max_independent_set(g, SolveBudget(50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes == 51 and peak < 16 << 20, peak
