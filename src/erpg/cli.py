@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -61,6 +62,17 @@ def _open_out(path, mode, **kwargs):
         return open(path, mode, **kwargs)
     except OSError as e:
         raise ValueError(f"cannot open --out {path!r}: {e.strerror}") from e
+
+
+def _check_out_dir(path):
+    """Raise the error of `_open_out` for an --out whose directory is
+    missing (or is a file) before any field or row is built.  The file
+    itself is opened after the build, so a build that fails verification
+    leaves no file."""
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise ValueError(f"cannot open --out {path!r}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +241,8 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     args.t0 = time.monotonic()
     try:
+        if getattr(args, "out", None):
+            _check_out_dir(args.out)
         if hasattr(args, "q"):
             field_for_order(args.q)
         args.func(args)

@@ -8,6 +8,7 @@ single machine operations per word.
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 import math
 import operator
@@ -78,6 +79,8 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency."""
 
     def __init__(self, n: int, adj=None):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a non-negative int")
         self.n = n
         self.adj = list(adj) if adj is not None else [0] * n
         if len(self.adj) != n:
@@ -119,8 +122,9 @@ class Graph:
 
     def check_symmetric(self):
         """Raise AssertionError on a loop, a neighbour outside 0..n-1 or
-        an asymmetric pair.  Loops and out-of-range bits are checked first,
-        by one scan of the rows.
+        an asymmetric pair, and ValueError on a row that is not a
+        non-negative int.  Rows, loops and out-of-range bits are checked
+        first, by one scan of the rows.
 
         The pairs are then compared tile by tile, so no transposed copy of
         the whole matrix is made.  The rows fall into bands of w rows
@@ -136,6 +140,8 @@ class Graph:
         """
         n, adj = self.n, self.adj
         for u, row in enumerate(adj):
+            if not isinstance(row, int) or row < 0:
+                raise ValueError(f"row {u} is {row!r}, not a non-negative int")
             if row.bit_length() > n:
                 raise AssertionError(f"vertex {u} has a neighbour out of range")
             if row >> u & 1:
@@ -204,29 +210,63 @@ class Graph:
     def girth(self):
         """Length of a shortest cycle; math.inf for forests.
 
-        BFS in bitset layers from every root, over the vertices >= root
-        only (a shortest cycle is found from its least vertex).  An edge
-        inside layer d closes a cycle of length at most 2d+1; a vertex of
-        layer d+1 with two neighbours in layer d closes one of length at
-        most 2d+2, and from the least vertex of a shortest cycle one of
-        the two is exact.  A root's search stops once 2d+1 >= best.
+        Step 1, a local pass, looks for 3- and 4-cycles.  Every vertex r
+        with two or more neighbours above it ORs the rows of those upper
+        neighbours u into one union.  If the union meets r's upper
+        neighbours, two of them are adjacent: a triangle, and the answer
+        is 3 at once.  Each row holds r, so rows that share no other
+        vertex give a union of sum(deg(u) - 1) + 1 bits; fewer bits mean
+        two upper neighbours share a vertex w != r, and w differs from
+        both since no vertex is its own neighbour: a 4-cycle r-u-w-u'.
+        The answer is then 4, once the whole pass has found no triangle.
+        The pass is exact: the least vertex of a triangle or a 4-cycle
+        has both of its cycle neighbours above it, and its own
+        neighbours' rows reveal the cycle.
+
+        Step 2 runs only when step 1 finds neither: a BFS in bitset layers
+        from every root, over the vertices >= root only (a shortest cycle
+        is found from its least vertex), starting at layer 1, the root's
+        upper neighbours.  An edge inside layer d closes a cycle of length
+        at most 2d+1; a vertex of layer d+1 with two neighbours in layer d
+        closes one of length at most 2d+2, and from the least vertex of a
+        shortest cycle one of the two is exact.  A root's search stops
+        once 2d+1 >= best, and the whole search at the first 5-cycle,
+        since step 1 has ruled out shorter ones.
         """
-        best = math.inf
         adj = self.adj
+        degree = [row.bit_count() for row in adj]
+        four = False
+        for r, row in enumerate(adj):
+            upper = row >> (r + 1) << (r + 1)
+            if upper & (upper - 1):  # two or more upper neighbours
+                nbs = list(bits(upper))
+                union = functools.reduce(operator.or_,
+                                         map(adj.__getitem__, nbs))
+                if union & upper:
+                    return 3
+                if not four and union.bit_count() <= sum(
+                        map(degree.__getitem__, nbs)) - len(nbs):
+                    four = True
+        if four:
+            return 4
+        best = math.inf
         for root in range(self.n):
-            seen = (2 << root) - 1  # the root and every lower vertex
-            frontier = 1 << root
-            d = 0
+            frontier = adj[root] >> (root + 1) << (root + 1)
+            seen = (2 << root) - 1 | frontier  # lower vertices, root, layer 1
+            d = 1
             while frontier and 2 * d + 1 < best:
+                unseen = ~seen
                 inside = reached = twice = 0
                 for u in bits(frontier):
                     row = adj[u]
                     inside |= row & frontier
-                    fresh = row & ~seen
+                    fresh = row & unseen
                     twice |= reached & fresh
                     reached |= fresh
                 if inside:
                     best = 2 * d + 1
+                    if best == 5:
+                        return best
                 elif twice:
                     best = min(best, 2 * d + 2)
                 seen |= reached
@@ -383,8 +423,9 @@ def max_independent_set(g: Graph, budget: SolveBudget | None = None,
     recursion limit.  Every visited node counts against the budget, so
     max_nodes = k reports k + 1 nodes when the budget runs out.
     Deterministic: identical inputs give identical outputs.  `initial`
-    seeds the incumbent with a known independent set.  Rows with a loop,
-    an out-of-range neighbour or an asymmetric pair raise ValueError.
+    seeds the incumbent with a known independent set.  Rows that are not
+    non-negative ints, or with a loop, an out-of-range neighbour or an
+    asymmetric pair, raise ValueError.
     """
     try:
         g.check_symmetric()

@@ -6,6 +6,7 @@
     python tests/ci_checks.py certificate-json
     python tests/ci_checks.py even-extension
     python tests/ci_checks.py solver-tree
+    python tests/ci_checks.py girth
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
@@ -17,14 +18,15 @@ import sys
 
 from erpg import graphs as gr
 from erpg.constructions import (build_coclique, coclique_even, denniston_arc,
-                                 induced_on_points)
+                                 induced_on_points, triangle_free_set)
 from erpg.field import field_for_order
+from erpg.hypergraph import build_hypergraph
 from erpg.plane import ProjectivePlane
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
-from reference import (certificate_json_reference, greedy_extend,
-                       max_independent_set_reference, plane_points,
-                       random_graph)
+from reference import (certificate_json_reference, girth_reference,
+                       greedy_extend, max_independent_set_reference,
+                       plane_points, random_graph)
 
 
 def round_trip():
@@ -112,9 +114,30 @@ def solver_tree():
                                  f"the reference's at {max_nodes} nodes")
 
 
+def girth():
+    """Graph.girth, which looks for 3- and 4-cycles by a local pass before
+    its BFS, against the reference BFS at sizes beyond Tier-1: the q = 64
+    triangle-free subgraph (girth 5, the BFS stops at its first 5-cycle)
+    and the vertex-edge incidence graph of the triangle hypergraph H_16
+    (girth 10, so the BFS searches on past length 5)."""
+    tfs = triangle_free_set(64)
+    h = build_hypergraph(16)
+    n = 16 * 16 + 16 + 1  # vertices are point indices of PG(2, 16)
+    cases = [("the q = 64 triangle-free subgraph",
+              induced_on_points(tfs.plane, tfs.points), 5),
+             ("the H_16 incidence graph", gr.Graph.from_edges(
+                 n + h.num_edges(),
+                 [(v, n + i) for i, e in enumerate(h.edges) for v in e]), 10)]
+    for name, g, expected in cases:
+        if not g.girth() == girth_reference(g) == expected:
+            raise SystemExit(f"the girth of {name} differs from the "
+                             f"reference's or from {expected}")
+
+
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
           "certificate-json": certificate_json,
-          "even-extension": even_extension, "solver-tree": solver_tree}
+          "even-extension": even_extension, "solver-tree": solver_tree,
+          "girth": girth}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -11,6 +11,9 @@ package compares them tile by tile.  `induced` and `triangles` are the
 plain oracles for `induced_on_points` and for the edges of the triangle
 hypergraph.  `c4_pair` checks exactly that a graph has no C4, in
 O(n * max degree) row operations, where a scan of all pairs takes O(n^2).
+`girth_reference` runs a BFS over dicts from every vertex, where
+`Graph.girth` looks for 3- and 4-cycles by one local pass over the rows
+first.
 The geometry here evaluates dot products and the polarity's bilinear form
 directly on coordinate triples, and `plane_points` lists the plane's points
 as the stored enumeration that `ProjectivePlane.point` and `index_of`
@@ -28,6 +31,7 @@ this module where the test extras are not installed.
 
 import binascii
 import json
+import math
 
 from erpg.constructions import CERTIFICATE_VERSION, pencil_conics
 from erpg.field import field_for_order
@@ -183,6 +187,32 @@ def c4_pair(g):
         if twice:
             return u, next(bits(twice))
     return None
+
+
+def girth_reference(g):
+    """Reference oracle: dict-based BFS from every vertex, closing a cycle
+    at the first non-tree edge between visited vertices."""
+    best = math.inf
+    nbrs = [list(bits(row)) for row in g.adj]
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if w not in dist:
+                        dist[w] = d + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and dist[w] >= d:
+                        # cross (dist equal) or forward (d+1) edge
+                        best = min(best, dist[w] + d + 1)
+            frontier = nxt
+            d += 1
+    return best
 
 
 def random_graph(n, p, rng):

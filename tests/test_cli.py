@@ -438,14 +438,25 @@ def test_build_unverified_certificate_exits_3(capsys, monkeypatch, tmp_path,
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [["build", "--q", "8"],
-                                  ["graph", "--q", "5", "--format", "csv"]])
-def test_out_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv", [
+    ["build", "--q", "8"], ["build", "--q", "8", "--construction",
+                            "triangle-free"],
+    ["graph", "--q", "5", "--format", "csv"]])
+def test_out_that_cannot_be_opened_exits_2(capsys, monkeypatch, tmp_path,
+                                           argv):
+    # the missing directory is found before any field or row is built
+    def forbidden(*args):
+        raise AssertionError("built before --out was checked")
+
+    for name in ("field_for_order", "ProjectivePlane", "build_er_graph"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for name in ("build_coclique", "triangle_free_certificate"):
+        monkeypatch.setattr(cli.cons, name, forbidden)
     target = tmp_path / "missing" / "out"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot open --out {str(target)!r}: ")
-    assert err.count("\n") == 1
+    assert err == (f"error: cannot open --out {str(target)!r}: "
+                   "No such file or directory\n")
 
 
 def test_solve_bound_violation_exits_4(capsys, monkeypatch):

@@ -621,22 +621,23 @@ def has_triangle(g):
     return next(triangles(g), None) is not None
 
 
+@pytest.mark.parametrize("q", [8, 32])
 @pytest.mark.parametrize("wanted,girth", [
     (has_triangle, 3),
     (lambda g: not has_triangle(g) and c4_pair(g) is not None, 4),
 ])
 def test_triangle_free_certificate_rejects_a_short_cycle(monkeypatch, wanted,
-                                                         girth):
+                                                         girth, q):
     # girth >= 5 is the one check that carries the triangle-free claim:
     # the swapped subgraph is still symmetric and q/2-regular
     swapped = swap_two_edges(cons.induced_on_points, wanted)
-    tfs = cons.triangle_free_set(8)
+    tfs = cons.triangle_free_set(q)
     sub = swapped(tfs.plane, tfs.points)
-    assert sub.is_regular(4) and sub.girth() == girth
+    assert sub.is_regular(q // 2) and sub.girth() == girth
     monkeypatch.setattr(cons, "induced_on_points", swapped)
     with pytest.raises(cons.VerificationError,
                        match="triangle-free verification failed"):
-        cons.triangle_free_certificate(8)
+        cons.triangle_free_certificate(q)
 
 
 def test_triangle_free_rejects_bad_input():

@@ -13,9 +13,9 @@ from erpg.plane import ProjectivePlane
 from erpg.polarity import build_er_graph
 
 from reference import (alpha_exact, alpha_subset_scan, c4_pair,
-                       check_symmetric_reference, greedy_cover_count,
-                       greedy_extend, induced, max_independent_set_reference,
-                       random_graph, triangles)
+                       check_symmetric_reference, girth_reference,
+                       greedy_cover_count, greedy_extend, induced,
+                       max_independent_set_reference, random_graph, triangles)
 
 
 # -- predicates --------------------------------------------------------------
@@ -85,6 +85,11 @@ def test_girth_cases():
     g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                              (5, 6), (6, 7), (7, 8), (8, 5)])
     assert g.girth() == 4
+    # a 4-cycle on the low vertices, a triangle on the high ones: the local
+    # pass meets the 4-cycle first and must still answer 3
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                             (4, 5), (5, 6), (6, 4)])
+    assert g.girth() == 3
 
 
 def test_girth_matches_bruteforce_on_random_graphs():
@@ -97,32 +102,6 @@ def test_girth_matches_bruteforce_on_random_graphs():
         cycles = [len(c) for c in nx.simple_cycles(nxg)]
         expected = min(cycles) if cycles else math.inf
         assert g.girth() == expected
-
-
-def girth_reference(g):
-    """Reference oracle: dict-based BFS from every vertex, closing a cycle
-    at the first non-tree edge between visited vertices."""
-    best = math.inf
-    nbrs = [list(gr.bits(row)) for row in g.adj]
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        d = 0
-        while frontier and 2 * d + 1 < best:
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if w not in dist:
-                        dist[w] = d + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and dist[w] >= d:
-                        # cross (dist equal) or forward (d+1) edge
-                        best = min(best, dist[w] + d + 1)
-            frontier = nxt
-            d += 1
-    return best
 
 
 def petersen():
@@ -140,6 +119,31 @@ def test_girth_named_graphs():
     k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     for g, girth in ((petersen(), 5), (k33, 4), (heawood(), 6)):
         assert g.girth() == girth_reference(g) == girth
+
+
+def incidence_graph(q):
+    """Point-line incidence graph of PG(2, q): point i is vertex i, the
+    line with coordinates plane.point(j) is vertex size + j."""
+    plane = ProjectivePlane(field_for_order(q))
+    n = plane.size
+    return Graph.from_edges(2 * n, [
+        (p, n + j) for j in range(n)
+        for p in plane.line_point_indices(plane.point(j))])
+
+
+@pytest.mark.parametrize("q", [8, 16, 32])
+def test_girth_of_triangle_free_subgraphs_matches_reference(q):
+    tfs = cons.triangle_free_set(q)
+    sub = cons.induced_on_points(tfs.plane, tfs.points)
+    assert sub.girth() == girth_reference(sub) == 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_girth_of_plane_incidence_graphs_matches_reference(q):
+    # no 3- or 4-cycle: the local pass finds nothing, and the BFS must
+    # search on past length 5
+    g = incidence_graph(q)
+    assert g.girth() == girth_reference(g) == 6
 
 
 @st.composite
@@ -294,10 +298,13 @@ def test_solver_deterministic():
     ([0b0011, 0b0001, 0, 0], "loop at vertex 0"),
     ([0b101100, 0b100, 0b10, 0b110, 0b1, 0b1], r"asymmetric edge \(0,2\)"),
     ([0b10000, 0, 0, 0], "neighbour out of range"),
-], ids=["loop", "asymmetric", "out-of-range"])
+    ([0.5, 0, 0], "row 0 is 0.5, not a non-negative int"),
+    ([-2, 1], "row 0 is -2, not a non-negative int"),
+], ids=["loop", "asymmetric", "out-of-range", "float", "negative"])
 def test_solver_rejects_rows_that_are_not_a_simple_graph(rows, message):
     # unchecked, these returned [0, 2, 3] with the looped vertex 0 and the
-    # dependent set [0, 1, 4]
+    # dependent set [0, 1, 4]; the float row ended in AttributeError, and
+    # the negative one passed the check and failed in _mirror
     with pytest.raises(ValueError, match=message):
         max_independent_set(Graph(len(rows), rows))
 
@@ -708,6 +715,10 @@ def test_check_symmetric_rejects_loops_and_asymmetric_pairs():
         out_of_range = Graph(3, [row, 0, 0])
         with pytest.raises(AssertionError, match="out of range"):
             out_of_range.check_symmetric()
+    # a negative row ended in IndexError
+    for rows in ([-2, 1, 1], [0, 1.0, 0]):
+        with pytest.raises(ValueError, match="not a non-negative int"):
+            Graph(3, rows).check_symmetric()
 
 
 def check_outcome(check, g):
@@ -823,7 +834,11 @@ def test_vertex_out_of_range_raises_value_error():
             call()
 
 
-def test_row_count_must_match_vertex_count():
+def test_bad_vertex_count_raises_value_error():
     for n, rows in ((3, [0, 0]), (2, [0, 0, 0])):
         with pytest.raises(ValueError, match="rows for"):
             Graph(n, rows)
+    # 2.5 and "3" ended in TypeError from `[0] * n`
+    for n in (2.5, "3", -1, None):
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            Graph(n)
