@@ -66,22 +66,28 @@ def induced_on_points(plane, points):
     """Induced ER_q subgraph on a point list, without the full graph.
 
     Vertex i is points[i]; its row holds the positions of the other listed
-    points on its polar line; plane.index_of rejects a non-point.
+    points on its polar line; plane.index_of rejects a non-point, and a
+    repeated point raises ValueError.
     """
     return Graph(len(points), _polar_rows(plane, points))
 
 
-def point_set_independent(plane, points):
+def point_set_independent(plane, points, counted=None):
     """None if the listed points form a coclique of ER_q, else a conjugate
     pair: P passes when its polar line's count in _line_counts(plane,
     points) is 1 if P is absolute, else 0.  The pair is the first P that
     fails and the point on its polar line whose last listing, other than
     P's own, comes first, so a repeated absolute point A gives (A, A).
-    plane.index_of rejects what is not a normalized point of the plane."""
+    plane.index_of rejects what is not a normalized point of the plane.
+    counted, if given, is (snapshot, _line_counts(plane, snapshot)); the
+    counts are read only if the points are exactly the snapshot."""
     points = list(points)
     last = {plane.index_of(Q): k for k, Q in enumerate(points)}
     pol = Polarity(plane)
-    counts = _line_counts(plane, points)
+    if counted is not None and tuple(points) == counted[0]:
+        counts = counted[1]
+    else:
+        counts = _line_counts(plane, points)
     for i, pt in enumerate(points):
         polar = pol.polar_line(pt)
         if counts[plane.index_of(polar)] != (pol.classify(pt) == ABSOLUTE):
@@ -137,14 +143,14 @@ class Certificate:
         return f'{head}\n  "points": {points},{tail}'
 
 
-def _certify(cert, plane):
+def _certify(cert, plane, counted=None):
     """Set cert.verified, or raise VerificationError: cert.points must
     have no duplicates (checked first: a repeated absolute point would read
-    as a conjugate pair), pass point_set_independent and number the
-    claimed size."""
+    as a conjugate pair), pass point_set_independent (given counted) and
+    number the claimed size."""
     if len(set(cert.points)) != len(cert.points):
         raise VerificationError(f"{cert.construction_id}: duplicate points")
-    pair = point_set_independent(plane, cert.points)
+    pair = point_set_independent(plane, cert.points, counted)
     if pair is not None:
         raise VerificationError(
             f"{cert.construction_id}: conjugate pair {pair}")
@@ -380,7 +386,8 @@ class MaximalArc:
     alpha: int
     trace_zero_set: list  # N, the pencil parameters are {x^2 : x in N}
     plane: ProjectivePlane = field(repr=False)
-    line_counts: list = field(repr=False)  # _line_counts
+    line_counts: list = field(repr=False)  # _line_counts(plane, counted)
+    counted: tuple = field(repr=False)  # the points as counted
 
 
 def denniston_arc(q) -> MaximalArc:
@@ -399,7 +406,8 @@ def denniston_arc(q) -> MaximalArc:
                 raise VerificationError("pencil parameter set is not a group")
     alpha = ctx.find_trace_one()
     plane = ProjectivePlane(ctx)
-    pts = [pt for conic in pencil_conics(plane, alpha, A) for pt in conic]
+    pts = sorted([pt for conic in pencil_conics(plane, alpha, A)
+                  for pt in conic], key=plane.index_of)
     if len(set(pts)) != len(pts):
         raise VerificationError("pencil conics are not disjoint")
     degree = len(A)
@@ -411,9 +419,9 @@ def denniston_arc(q) -> MaximalArc:
         j = next(j for j, hits in enumerate(counts) if hits not in (0, degree))
         raise VerificationError(
             f"line {plane.point(j)} meets arc in {counts[j]} points")
-    return MaximalArc(degree=degree, points=sorted(pts, key=plane.index_of),
-                      subgroup=A, alpha=alpha, trace_zero_set=N, plane=plane,
-                      line_counts=counts)
+    return MaximalArc(degree=degree, points=pts, subgroup=A, alpha=alpha,
+                      trace_zero_set=N, plane=plane, line_counts=counts,
+                      counted=tuple(pts))
 
 
 def coclique_even(q) -> Certificate:
@@ -433,7 +441,7 @@ def coclique_even(q) -> Certificate:
         parameters={"trace_zero_set": arc.trace_zero_set,
                     "pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
-    _certify(cert, plane)
+    _certify(cert, plane, (arc.counted, arc.line_counts))
     polar = pol.polar_indices()
     marked = bytearray(len(polar))  # the arc, then the taken's neighbours
     for pt in arc.points:
@@ -465,7 +473,7 @@ def even_square_arc_coclique(q) -> Certificate:
         construction_id="even_sq_subfield_arc", q=q,
         parameters={"pencil_subgroup": arc.subgroup, "alpha": arc.alpha},
         points=arc.points, claimed_size=claimed)
-    _certify(cert, arc.plane)
+    _certify(cert, arc.plane, (arc.counted, arc.line_counts))
     return cert
 
 

@@ -393,7 +393,8 @@ def make_field(p: int, n: int) -> FieldCtx:
 
 def field_for_order(q: int) -> FieldCtx:
     """GF(q) for a prime power q up to Q_CAP (ValueError otherwise)."""
-    if q > Q_CAP:  # before factoring, which is O(sqrt q)
+    # before factoring, which is O(sqrt q) and rejects a non-int q
+    if isinstance(q, int) and q > Q_CAP:
         raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
     p, n = factor_prime_power(q)
     return make_field(p, n)
@@ -401,6 +402,8 @@ def field_for_order(q: int) -> FieldCtx:
 
 def factor_prime_power(q: int):
     """(p, n) with q = p^n, or ValueError if q is not a prime power."""
+    if not isinstance(q, int):
+        raise ValueError(f"{q!r} is not a prime power: not an int")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     p = q

@@ -512,7 +512,10 @@ _MAX_VERTICES = 1 << 21
 
 
 def _vertex_count(n):
-    """n, or ValueError if it is above _MAX_VERTICES."""
+    """n, or ValueError if it is not an int or is above _MAX_VERTICES;
+    Graph rejects a negative n, after any parse error."""
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count {n!r} is not a non-negative int")
     if n > _MAX_VERTICES:
         raise ValueError(f"{n} vertices, more than the limit of "
                          f"{_MAX_VERTICES}")

@@ -17,6 +17,7 @@ triangle-free set's girth check uses it via `induced_on_points`.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 
 from .plane import ProjectivePlane, _check_coordinates, collineation
@@ -74,13 +75,17 @@ class Polarity:
         return classes
 
     def polar_indices(self) -> list:
-        """The index of polar_line(point) for every point, by index: the
-        collineation of the matrix that _polar multiplies out."""
-        f = self.ctx
-        if self.kind == "orthogonal":
-            m = ((0, 0, 1), (0, f.neg(f.add(1, 1)), 0), (1, 0, 0))
-        else:
-            m = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+        """The index of polar_line(point) for every point, by index.  The
+        pseudo polarity swaps x2 and x3: (0, 0, 1) and (0, 1, 0) trade
+        places, (0, 1, z) goes to (0, 1, 1/z), and the chart is transposed,
+        (1, y, z) to (1, z, y).  The orthogonal one is the collineation of
+        the matrix that _polar multiplies out."""
+        f, q, size = self.ctx, self.plane.q, self.plane.size
+        if self.kind == "pseudo":
+            return [1, 0, *(1 + f.inv(z) for z in range(1, q)),
+                    *chain.from_iterable(range(q + 1 + y, size, q)
+                                         for y in range(q))]
+        m = ((0, 0, 1), (0, f.neg(f.add(1, 1)), 0), (1, 0, 0))
         return collineation(self.plane, m)
 
     def absolute_points(self):
@@ -101,12 +106,16 @@ def _polar_rows(plane: ProjectivePlane, points) -> list[int]:
     a row and None off the list, so a polar line's points off the list are
     dropped by filter(None, ...) without a Python step each.  Each row is
     filled as a little-endian byte string and converted to an int once.
-    plane.index_of rejects what is not a normalized point of the plane.
+    plane.index_of rejects what is not a normalized point of the plane,
+    and a point listed twice raises ValueError.
     """
     pol = Polarity(plane)
     slot = [None] * plane.size
     for i, pt in enumerate(points):
-        slot[plane.index_of(pt)] = (i >> 3, 1 << (i & 7))
+        j = plane.index_of(pt)
+        if slot[j] is not None:
+            raise ValueError(f"point {pt!r} is listed twice")
+        slot[j] = (i >> 3, 1 << (i & 7))
     nbytes = (len(points) + 7) // 8
     rows = []
     for i, pt in enumerate(points):

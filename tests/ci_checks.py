@@ -7,6 +7,7 @@
     python tests/ci_checks.py even-extension
     python tests/ci_checks.py solver-tree
     python tests/ci_checks.py girth
+    python tests/ci_checks.py polar-table
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
@@ -21,7 +22,7 @@ from erpg.constructions import (build_coclique, coclique_even, denniston_arc,
                                  induced_on_points, triangle_free_set)
 from erpg.field import field_for_order
 from erpg.hypergraph import build_hypergraph
-from erpg.plane import ProjectivePlane
+from erpg.plane import ProjectivePlane, collineation
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
 from reference import (certificate_json_reference, girth_reference,
@@ -134,10 +135,21 @@ def girth():
                              f"reference's or from {expected}")
 
 
+def polar_table():
+    """The pseudo polarity's polar_indices(), made by index arithmetic,
+    against the collineation of its matrix at q beyond Tier-1."""
+    for q in (256, 1024):
+        pl = ProjectivePlane(field_for_order(q))
+        swap = collineation(pl, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+        if Polarity(pl).polar_indices() != swap:
+            raise SystemExit(f"the q = {q} polar table differs from the "
+                             "collineation's")
+
+
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
           "certificate-json": certificate_json,
           "even-extension": even_extension, "solver-tree": solver_tree,
-          "girth": girth}
+          "girth": girth, "polar-table": polar_table}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -393,7 +393,10 @@ def from_graph6_reference(data):
 
 
 def vertex_count(n):
-    """n; the text decoders reject more than _MAX_VERTICES vertices."""
+    """n; the text decoders reject a non-int n and more than _MAX_VERTICES
+    vertices."""
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count {n!r} is not a non-negative int")
     if n > _MAX_VERTICES:
         raise ValueError(f"{n} vertices, more than the limit of "
                          f"{_MAX_VERTICES}")

@@ -571,6 +571,18 @@ def test_point_off_the_plane_raises_value_error(bad):
         cons.point_set_independent(pl, [(1, 0, 0), bad])
 
 
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_repeated_point_in_induced_on_points_raises_value_error(q):
+    # [A, A] gave the asymmetric Graph(2, [2, 0]) and [P, P] two isolated
+    # vertices
+    pl, pol = setup(q)
+    A = pol.absolute_points()[1]
+    P = next(P for P in plane_points(pl) if pol.classify(P) != ABSOLUTE)
+    for points in ([A, A], [P, P], [A, P, A]):
+        with pytest.raises(ValueError, match="is listed twice"):
+            cons.induced_on_points(pl, points)
+
+
 def test_triangle_free_invariant_under_pencil_group():
     q = 8
     pl, _ = setup(q)
@@ -707,7 +719,7 @@ def test_alpha_bounds_exact_at_73():
     assert cons.alpha_bounds(73) == (120, 633, "reported, not constructed")
 
 
-@pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100])
+@pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100, 4.0, 9.0])
 def test_alpha_bounds_rejects_non_prime_powers(q):
     with pytest.raises(ValueError, match="not a prime power"):
         cons.alpha_bounds(q)
@@ -781,6 +793,12 @@ def test_q_is_checked_before_any_plane_is_built(monkeypatch):
                        (cons.triangle_free_set, 509)]:
         with pytest.raises(ValueError):
             builder(q)
+    # a non-int q ended in TypeError
+    for builder in (cons.build_coclique, cons.denniston_arc,
+                    cons.triangle_free_set, cons.orbit_census_odd_square):
+        for q in (4.0, 9.0):
+            with pytest.raises(ValueError, match="not an int"):
+                builder(q)
     # every coclique builder refuses each q that selects another family
     served = {cons.coclique_odd_sq_neg: 9, cons.coclique_odd_sq_pos: 25,
               cons.coclique_even: 8, cons.even_square_arc_coclique: 16}
@@ -809,6 +827,58 @@ def test_even_arc_reports_conjugate_pair_as_point_triples(monkeypatch):
                        match=r"even_arc: conjugate pair \(\(\d+, \d+, \d+\), "
                              r"\(\d+, \d+, \d+\)\)"):
         cons.coclique_even(8)
+
+
+def conjugate_to_the_arc(arc):
+    P = arc.points[0]
+    return [next(pt for pt in plane_points(arc.plane)
+                 if pt not in arc.points and conjugate(arc.plane.ctx, P, pt))]
+
+
+def conjugate_candidates(arc):
+    # two points off the arc whose polar lines miss it: the arc's counts
+    # pass both, only a fresh count sees the pair
+    pl, pol = arc.plane, Polarity(arc.plane)
+    candidates = [pt for pt in plane_points(pl) if pt not in arc.points
+                  and not arc.line_counts[pl.index_of(pol.polar_line(pt))]]
+    return list(next(pair for pair in itertools.combinations(candidates, 2)
+                     if conjugate(pl.ctx, *pair)))
+
+
+@pytest.mark.parametrize("extra", [conjugate_to_the_arc,
+                                   conjugate_candidates])
+def test_even_arc_spoiled_in_place_is_counted_afresh(monkeypatch, extra):
+    # The arc's own list gains points in place, so the certificate holds
+    # the very list object the arc made; its counts were made before the
+    # edit and must not be read.
+    real = cons.denniston_arc
+
+    def spoiled(q):
+        arc = real(q)
+        for Q in extra(arc):
+            arc.points.insert(0, Q)
+        return arc
+    monkeypatch.setattr(cons, "denniston_arc", spoiled)
+    with pytest.raises(cons.VerificationError,
+                       match=r"even_arc: conjugate pair \(\(\d+, \d+, \d+\), "
+                             r"\(\d+, \d+, \d+\)\)"):
+        cons.coclique_even(8)
+
+
+@pytest.mark.parametrize("build,q", [(cons.coclique_even, 8),
+                                     (cons.coclique_even, 32),
+                                     (cons.even_square_arc_coclique, 16),
+                                     (cons.build_coclique, 9)])
+def test_each_coclique_counts_its_lines_once(monkeypatch, build, q):
+    calls = []
+    real = cons._line_counts
+
+    def counting(plane, points):
+        calls.append(len(points))
+        return real(plane, points)
+    monkeypatch.setattr(cons, "_line_counts", counting)
+    cert = build(q)
+    assert calls == [cert.size]
 
 
 def test_even_arc_reports_duplicate_points(monkeypatch):

@@ -241,6 +241,11 @@ def test_field_for_order_rejects_above_cap():
     for q in (65537, 2 ** 17, 2 ** 21, (1 << 61) - 1):
         with pytest.raises(ValueError, match="exceeds the supported cap"):
             field_for_order(q)
+    # a non-int q ended in TypeError, from the cap comparison or range()
+    for q in (4.0, 9.0, "4", None, 1e300):
+        for call in (field_for_order, factor_prime_power):
+            with pytest.raises(ValueError, match="not a prime power: not an int"):
+                call(q)
 
 
 def _least_primitive_by_walk(f):

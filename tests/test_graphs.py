@@ -842,3 +842,6 @@ def test_bad_vertex_count_raises_value_error():
     for n in (2.5, "3", -1, None):
         with pytest.raises(ValueError, match="is not a non-negative int"):
             Graph(n)
+    for n in (2.5, "3", -1):  # n=None takes the count from the edges
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            gr.from_edgelist_csv(b"u,v\n0,1\n", n=n)

@@ -143,7 +143,9 @@ def test_mw_bound_report():
         hg.mw_bound_report(9)
 
 
-@pytest.mark.parametrize("q", [0, 6, 12])
+@pytest.mark.parametrize("q", [0, 6, 12, 4.0, 9.0])
 def test_mw_bound_report_rejects_non_prime_powers(q):
     with pytest.raises(ValueError, match="not a prime power"):
         hg.mw_bound_report(q)
+    with pytest.raises(ValueError, match="not a prime power"):
+        hg.build_hypergraph(q)

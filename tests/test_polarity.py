@@ -58,7 +58,8 @@ def test_point_classes_are_classify_by_index(q):
     assert pol.point_classes() == [pol.classify(P) for P in plane_points(pl)]
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64,
+                               128])
 def test_polar_indices_are_polar_line_by_index(q):
     pl, pol = setup(q)
     assert pol.polar_indices() == [pl.index_of(pol.polar_line(P))
