@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 from .field import factor_prime_power, field_for_order
 from .graphs import Graph
-from .plane import (ProjectivePlane, baer_stabilizer_generators,
-                    baer_stabilizer_matrices, collineation,
-                    conic_stabilizer_matrix, matrix_orbit, orbits)
+from .plane import (ProjectivePlane, _check_coordinates,
+                    baer_stabilizer_generators, baer_stabilizer_matrices,
+                    collineation, conic_stabilizer_matrix, matrix_orbit,
+                    orbits)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity, _polar_rows
 
 CERTIFICATE_VERSION = "v1"
@@ -361,8 +362,11 @@ def pencil_conics(plane, alpha, lams):
     A point (1, y, z) lies on exactly one conic of the pencil, the one with
     lam = -(y^2 + y*z + alpha*z^2); a point with x1 = 0 lies on all of them
     or on none.  Row y of the chart is y^2 + y*z plus alpha*z^2 over all z.
+    An alpha or a lam outside GF(q) raises ValueError.
     """
     f, q = plane.ctx, plane.q
+    lams = list(lams)
+    _check_coordinates(q, (alpha, *lams))
     found = {f.neg(lam): [] for lam in lams}  # -lam -> points of conic lam
     common = [(0, 0, 1)] if not alpha else []  # the form is alpha there
     squares = [f.mul(y, y) for y in range(q)]

@@ -17,8 +17,10 @@ table lookups, and a table of Zech logarithms ``zech[d] = log(1 + g^d)``,
 which makes add/neg/sub table lookups for odd p too (for p = 2 addition is
 xor).  Polynomial multiplication and base-p digit addition are used only to
 build these tables.  ``affine_values`` evaluates a whole affine map
-y -> u + v*y over the field from slices of the tables; the plane solves
-lines with it.
+y -> u + v*y over the field from windows of the tables, by two
+``bytes.translate`` calls when q <= 256 and one lookup per element beyond;
+the plane solves lines with it.  ``division_tables`` gives log and exp
+tables in which a zero needs no branch, for the plane's collineations.
 """
 
 from __future__ import annotations
@@ -216,6 +218,14 @@ class FieldCtx:
         self._exp = exp
         self._log = log
         self._build_zech()
+        # log 0 := 2m, so a zero factor or dividend lands in the zero tail
+        self._division = ([2 * m, *log[1:]], exp + exp + [0] * (2 * m + 1))
+        self._bytes = None
+        if q <= 256:  # every element and every log fits in a byte
+            # exp and zech repeated: a 256-byte window starts at any log
+            span, times = m + 255, 255 // m + 2
+            self._bytes = (bytes(log[1:]), bytes((exp * times)[:span]),
+                           bytes((self._zech * times)[:span]))
 
     def _pow_raw(self, a: int, e: int) -> int:
         """a^e by square-and-multiply on _mul_raw."""
@@ -241,23 +251,50 @@ class FieldCtx:
     def affine_values(self, u: int, v: int) -> list:
         """[u + v*y for y in range(q)]: an affine map over the whole field.
 
-        Three lookups per element and no branch:
-        for u, v, y nonzero, u + v*y = u * g^zech[log v - log u + log y],
-        and the rotated slices below absorb both offsets.
+        For u, v, y nonzero, u + v*y = u * g^zech[log v - log u + log y],
+        so a window of zech starting at log v - log u and one of exp
+        starting at log u map log y to the value.  For q <= 256 the two
+        windows are 256-byte tables of ``bytes.translate`` over the bytes
+        of log y, so no Python step runs per element; the zech sentinel
+        q - 1, at the one y with u + v*y = 0, maps to u there and is set
+        to 0 after.  For q > 256 rotated lists give three lookups per
+        element.
         """
         q = self.q
         if not v:
             return [u] * q
         exp, log, m = self._exp, self._log, q - 1
+        lv = log[v]
+        if self._bytes is not None:
+            log1, exp_b, zech_b = self._bytes
+            if not u:
+                return [0, *log1.translate(exp_b[lv:lv + 256])]
+            lu = log[u]
+            w = (lv - lu) % m
+            values = [u, *log1.translate(zech_b[w:w + 256])
+                      .translate(exp_b[lu:lu + 256])]
+            # u + v*y = 0 at y = -u/v: there zech[w + log y] is the
+            # sentinel m, which the exp window reads as u
+            minus_one = 0 if self.p == 2 else m // 2  # log(-1)
+            values[exp[(minus_one - w) % m]] = 0
+            return values
         if not u:
-            lv = log[v]
             ev = exp[lv:] + exp[:lv]            # ev[k] = v * g^k
             return [0] + [ev[k] for k in log[1:]]
         lu = log[u]
-        w = (log[v] - lu) % m
+        w = (lv - lu) % m
         zw = self._zech[w:] + self._zech[:w]    # zw[k] = zech[w + k]
         eu = exp[lu:] + exp[:lu] + [0]          # eu[k] = u * g^k, eu[m] = 0
         return [u] + [eu[zw[k]] for k in log[1:]]
+
+    def division_tables(self):
+        """(L, D): L[a] = log a, with L[0] = 2(q - 1); D[k] = g^k for
+        k < 2(q - 1) and 0 from there to 4(q - 1).  So a*b = D[L[a] + L[b]]
+        for all a, b, and b/a = D[L[b] - L[a] + q - 1] for a != 0, with no
+        branch on a zero.  Built once with the field; an index outside
+        range(q) reads a wrong entry silently, so callers check first.
+        """
+        return self._division
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

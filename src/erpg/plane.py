@@ -130,15 +130,45 @@ class ProjectivePlane:
 
 
 def _check_matrix(f, m):
-    """ValueError unless m is an invertible 3x3 matrix over GF(q)."""
-    for r in m:
+    """m as a tuple of three row tuples; ValueError unless it is three rows
+    of three GF(q) ints forming an invertible matrix.  The determinant is
+    read from f.division_tables(), which a negative or too large entry
+    would index silently, so the entries are checked first."""
+    try:
+        rows = tuple(map(tuple, m))
+    except TypeError:
+        rows = ()
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError(f"{m!r} is not a 3x3 matrix over GF({f.q})")
+    for r in rows:
         _check_coordinates(f.q, r)
-    (a, b, c), (d, e, g), (h, i, k) = m
-    mul, sub = f.mul, f.sub
-    if not f.add(sub(mul(a, sub(mul(e, k), mul(g, i))),
-                     mul(b, sub(mul(d, k), mul(g, h)))),
-                 mul(c, sub(mul(d, i), mul(e, h)))):
+    L, D = f.division_tables()
+
+    def product(x, y, z):
+        return D[L[D[L[x] + L[y]]] + L[z]]
+
+    (a, b, c), (d, e, g), (h, i, k) = rows
+    plus = f.add(f.add(product(a, e, k), product(b, g, h)), product(c, d, i))
+    minus = f.add(f.add(product(c, e, h), product(b, d, k)), product(a, g, i))
+    if plus == minus:  # the determinant is plus - minus
         raise ValueError("singular matrix does not define a collineation")
+    return rows
+
+
+def _indexer(f):
+    """A function from three coordinate lists to the index of the point
+    (x, y, z) for each triple, which must be a nonzero vector over GF(q).
+    With L, D = f.division_tables(), y/x is D[L[y] + n] for
+    n = q - 1 - L[x], and row[k] is the index of (1, D[k], 0)."""
+    q, m = f.q, f.q - 1
+    L, D = f.division_tables()
+    row = [q + 1 + q * d for d in D]
+
+    def indices(xs, ys, zs):
+        return [row[L[y] + (n := m - L[x])] + D[L[z] + n] if x
+                else 1 + D[L[z] - L[y] + m] if y else 0
+                for x, y, z in zip(xs, ys, zs)]
+    return indices
 
 
 def collineation(plane: ProjectivePlane, m) -> list:
@@ -146,25 +176,20 @@ def collineation(plane: ProjectivePlane, m) -> list:
     perm[i] = index of m times point i (column vectors).  Along each
     enumeration block -- (0,0,1), then (0,1,z), then each row (1,y,z) --
     every image coordinate is affine in z, so affine_values lists it for
-    the whole block; dividing by the first nonzero coordinate then gives
-    the index.  A singular m, or an entry outside GF(q), raises ValueError.
+    the whole block; the index then divides by the first nonzero
+    coordinate through the field's log/exp division tables, with no
+    FieldCtx.mul or inv call.  A singular m, or anything that is not three
+    rows of three GF(q) ints, raises ValueError before any table is read.
     """
     f, q = plane.ctx, plane.q
-    _check_matrix(f, m)
-    mul = f.mul
-    inv = [0, *map(f.inv, range(1, q))]
-    perm = []
-
-    def emit(xs, ys, zs):
-        for x, y, z in zip(xs, ys, zs):
-            perm.append(q + 1 + q * mul(y, inv[x]) + mul(z, inv[x]) if x
-                        else 1 + mul(z, inv[y]) if y else 0)
-
-    emit(*([r[2]] for r in m))                                # (0, 0, 1)
-    emit(*(f.affine_values(r[1], r[2]) for r in m))           # (0, 1, z)
+    m = _check_matrix(f, m)
+    indices = _indexer(f)
+    perm = indices(*([r[2]] for r in m))                          # (0, 0, 1)
+    perm += indices(*(f.affine_values(r[1], r[2]) for r in m))    # (0, 1, z)
     starts = [f.affine_values(r[0], r[1]) for r in m]         # at (1, y, 0)
     for y in range(q):
-        emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, m)))
+        perm += indices(*(f.affine_values(s[y], r[2])
+                          for s, r in zip(starts, m)))
     return perm
 
 
@@ -201,7 +226,7 @@ def orbit(perms, start):
     Returns the orbit in deterministic first-seen order: the indices are
     visited in that order and each one tries the permutations in turn.
     """
-    if perms and start not in range(len(perms[0])):
+    if perms and not (isinstance(start, int) and 0 <= start < len(perms[0])):
         raise ValueError(f"start {start!r} is not a point index")
     seen = {start}
     order = [start]
@@ -216,9 +241,14 @@ def orbit(perms, start):
 
 def orbits(perms, starts):
     """Yield orbit(perms, i) for each start i in no earlier orbit, in the
-    order of starts; a bytearray over range(len(perms[0])) marks seen."""
-    seen = bytearray(len(perms[0]))
+    order of starts; a bytearray over range(len(perms[0])) marks seen.
+    A start that is not an int in that range raises ValueError, as in
+    orbit."""
+    n = len(perms[0])
+    seen = bytearray(n)
     for i in starts:
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise ValueError(f"start {i!r} is not a point index")
         if not seen[i]:
             orb = orbit(perms, i)
             for j in orb:
@@ -228,19 +258,31 @@ def orbits(perms, starts):
 
 def matrix_orbit(plane: ProjectivePlane, matrices, start):
     """orbit([collineation(plane, m) for m in matrices], start), imaging
-    the orbit's points only."""
+    the orbit's points only.
+
+    Point i is read as (row[i], z[i]): the chart point (1, y, z) as (y, z),
+    (0, 1, z) as (q, z) and (0, 0, 1) as (q + 1, 1).  A matrix row
+    (a, b, c) then takes it to first[row] + c*z, where first lists a + b*y
+    for every y, then b, then 0; both lists come from affine_values, so an
+    image needs two additions per coordinate and no FieldCtx.mul or inv
+    call, and its index comes from the division tables as in collineation.
+    """
     f, q = plane.ctx, plane.q
-    for m in matrices:
-        _check_matrix(f, m)
-    mul, add, inv = f.mul, f.add, f.inv
+    matrices = [_check_matrix(f, m) for m in matrices]
+    plane.point(start)  # ValueError unless start is a point index
+    # for each image coordinate, one (first, times_c) pair per matrix
+    maps = [[(f.affine_values(a, b) + [b, 0], f.affine_values(0, c))
+             for a, b, c in rows] for rows in zip(*matrices)]
+    add, indices = f.add, _indexer(f)
     seen, order = {start}, [start]
     for i in order:  # order grows while it is read: a FIFO queue
-        u, v, w = plane.point(i)
-        for m in matrices:
-            x, y, z = [add(add(mul(a, u), mul(b, v)), mul(c, w))
-                       for a, b, c in m]
-            j = (q + 1 + q * mul(y, inv(x)) + mul(z, inv(x)) if x
-                 else 1 + mul(z, inv(y)) if y else 0)
+        if i > q:
+            row, z = divmod(i - q - 1, q)
+        else:
+            row, z = (q, i - 1) if i else (q + 1, 1)
+        for j in indices(*[[add(first[row], times_c[z])
+                            for first, times_c in coordinate]
+                           for coordinate in maps]):
             if j not in seen:
                 seen.add(j)
                 order.append(j)

@@ -8,6 +8,7 @@
     python tests/ci_checks.py solver-tree
     python tests/ci_checks.py girth
     python tests/ci_checks.py polar-table
+    python tests/ci_checks.py field-maps
 
 A failed check raises SystemExit, not an assert, so each one also holds
 under python -O.  The file name does not match test_*.py, so pytest does
@@ -22,10 +23,11 @@ from erpg.constructions import (build_coclique, coclique_even, denniston_arc,
                                  induced_on_points, triangle_free_set)
 from erpg.field import field_for_order
 from erpg.hypergraph import build_hypergraph
-from erpg.plane import ProjectivePlane, collineation
+from erpg.plane import ProjectivePlane, _check_matrix, collineation
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
-from reference import (certificate_json_reference, girth_reference,
+from reference import (affine_values_reference, certificate_json_reference,
+                       collineation_reference, girth_reference,
                        greedy_extend, max_independent_set_reference,
                        plane_points, random_graph)
 
@@ -146,10 +148,40 @@ def polar_table():
                              "collineation's")
 
 
+def field_maps():
+    """affine_values, from byte tables up to q = 256 and from rotated lists
+    beyond, against digit-wise addition at q = 256, 257 and 512, and
+    collineations, which divide through the field's log/exp tables,
+    against per-point mul and inv at q = 243 and 256."""
+    for q in (256, 257, 512):
+        f = field_for_order(q)
+        rng = random.Random(q)
+        pairs = [(u, v) for u in (0, 1, q - 1) for v in (0, 1, q - 1)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+        for u, v in pairs:
+            if f.affine_values(u, v) != affine_values_reference(f, u, v):
+                raise SystemExit(f"affine_values({u}, {v}) differs at q = {q}")
+    for q in (243, 256):
+        pl = ProjectivePlane(field_for_order(q))
+        rng = random.Random(q)
+        done = 0
+        while done < 4:
+            m = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
+            try:
+                _check_matrix(pl.ctx, m)
+            except ValueError:  # singular
+                continue
+            if collineation(pl, m) != collineation_reference(pl, m):
+                raise SystemExit(f"the collineation of {m} differs from "
+                                 f"the reference's at q = {q}")
+            done += 1
+
+
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,
           "certificate-json": certificate_json,
           "even-extension": even_extension, "solver-tree": solver_tree,
-          "girth": girth, "polar-table": polar_table}
+          "girth": girth, "polar-table": polar_table,
+          "field-maps": field_maps}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -22,6 +22,10 @@ as one string; the package's codecs must give the same bytes, graphs and
 errors while holding a row or a block at a time.
 `certificate_json_reference` writes a certificate with the stdlib `json`
 encoder alone, where `Certificate.to_json` splices in the points' text.
+`affine_values_reference` adds base-p digits where `FieldCtx.affine_values`
+reads table windows, and `collineation_reference` and
+`matrix_orbit_reference` divide with `FieldCtx.mul` and `inv` per point
+where `collineation` and `matrix_orbit` read the field's division tables.
 `listed_pair_reference` names a conjugate pair from rows, where
 `point_set_independent` reads line counts, and `greedy_extend` extends an
 independent set on rows, where `coclique_even` marks polar lines.
@@ -298,6 +302,56 @@ def plane_points(plane):
 def dot(f, u, v):
     """u . v over the field f; a point u lies on a line v when it is 0."""
     return f.add(f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1])), f.mul(u[2], v[2]))
+
+
+def affine_values_reference(f, u, v):
+    """[u + v*y for y in GF(q)], adding the base-p digits of u and v*y, where
+    `FieldCtx.affine_values` reads windows of its exp and Zech log tables."""
+    return [f.from_coeffs([(a + b) % f.p for a, b in
+                           zip(f.coeffs(u), f.coeffs(f.mul(v, y)))])
+            for y in f.elements()]
+
+
+def collineation_reference(plane, m):
+    """The point permutation of the invertible matrix m, dividing by the
+    first nonzero image coordinate with FieldCtx.mul and inv per point,
+    where `collineation` reads the field's division tables."""
+    f, q = plane.ctx, plane.q
+    mul = f.mul
+    inv = [0, *map(f.inv, range(1, q))]
+    perm = []
+
+    def emit(xs, ys, zs):
+        for x, y, z in zip(xs, ys, zs):
+            perm.append(q + 1 + q * mul(y, inv[x]) + mul(z, inv[x]) if x
+                        else 1 + mul(z, inv[y]) if y else 0)
+
+    emit(*([r[2]] for r in m))                                # (0, 0, 1)
+    emit(*(f.affine_values(r[1], r[2]) for r in m))           # (0, 1, z)
+    starts = [f.affine_values(r[0], r[1]) for r in m]         # at (1, y, 0)
+    for y in range(q):
+        emit(*(f.affine_values(s[y], r[2]) for s, r in zip(starts, m)))
+    return perm
+
+
+def matrix_orbit_reference(plane, matrices, start):
+    """The orbit of start under the invertible matrices, breadth first,
+    each image multiplied out and divided with FieldCtx.mul, add and inv,
+    where `matrix_orbit` reads affine_values lists and division tables."""
+    f, q = plane.ctx, plane.q
+    mul, add, inv = f.mul, f.add, f.inv
+    seen, order = {start}, [start]
+    for i in order:  # order grows while it is read: a FIFO queue
+        u, v, w = plane.point(i)
+        for m in matrices:
+            x, y, z = [add(add(mul(a, u), mul(b, v)), mul(c, w))
+                       for a, b, c in m]
+            j = (q + 1 + q * mul(y, inv(x)) + mul(z, inv(x)) if x
+                 else 1 + mul(z, inv(y)) if y else 0)
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def conjugate(f, P, Q):

@@ -436,6 +436,16 @@ def test_pencil_scan_any_alpha(q):
         assert cons.pencil_conics(pl, alpha, [1]) == [expected[1]]
 
 
+@pytest.mark.parametrize("alpha,lams", [(99, [1]), (8, [1]), (-1, [1]),
+                                        (1.0, [1]), (1, [99]), (1, [0, 8]),
+                                        (1, [-1]), (1, ["1"])])
+def test_pencil_parameter_outside_field_rejected(alpha, lams):
+    # alpha = 99 ended in IndexError, and lam = 99 gave an empty conic
+    pl, _ = setup(8)
+    with pytest.raises(ValueError, match="not all in GF"):
+        cons.pencil_conics(pl, alpha, lams)
+
+
 # -- even cocliques ----------------------------------------------------------
 
 @pytest.mark.parametrize("q,size,candidates", [(8, 10, 18), (32, 100, 132)])

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from erpg.field import FieldCtx, factor_prime_power, field_for_order, make_field
+
+from reference import affine_values_reference
 
 
 def test_prime_field_modulus():
@@ -193,13 +197,37 @@ def test_zech_add_neg_sub_exhaustive(q):
             assert f.sub(a, b) == _digitwise(f, a, b, -1)
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 9, 25])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_affine_values_exhaustive(q):
     f = field_for_order(q)
     for u in f.elements():
         for v in f.elements():
-            assert f.affine_values(u, v) == [
-                _digitwise(f, u, f.mul(v, y), 1) for y in f.elements()]
+            assert f.affine_values(u, v) == affine_values_reference(f, u, v)
+
+
+@pytest.mark.parametrize("q", [243, 256, 257, 343, 512])
+def test_affine_values_across_the_byte_boundary(q):
+    # byte tables up to q = 256, rotated lists from q = 257 on; u or v = 0,
+    # 1 and q - 1 take the ends of the table windows
+    f = field_for_order(q)
+    rng = random.Random(q)
+    ends = [0, 1, q - 1]
+    pairs = [(u, v) for u in ends for v in ends]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(30)]
+    for u, v in pairs:
+        assert f.affine_values(u, v) == affine_values_reference(f, u, v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27, 256, 257])
+def test_division_tables_multiply_and_divide(q):
+    f = field_for_order(q)
+    L, D = f.division_tables()
+    some = range(q) if q < 256 else random.Random(q).sample(range(q), 40)
+    for a in [0, 1, q - 1, *some]:
+        for b in [0, 1, q - 1, *some]:
+            assert D[L[a] + L[b]] == f.mul(a, b)
+            if a:
+                assert D[L[b] - L[a] + q - 1] == f.div(b, a)
 
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from erpg.field import field_for_order
-from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        baer_stabilizer_matrices, collineation,
-                        conic_stabilizer_lift, matrix_orbit, orbit, orbits)
+from erpg.field import FieldCtx, field_for_order
+from erpg.plane import (ProjectivePlane, _check_matrix,
+                        baer_stabilizer_generators, baer_stabilizer_matrices,
+                        collineation, conic_stabilizer_lift, matrix_orbit,
+                        orbit, orbits)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
-from reference import dot, plane_points, preserves_adjacency
+from reference import (collineation_reference, dot, matrix_orbit_reference,
+                       plane_points, preserves_adjacency)
 
 
 def plane_for(q):
@@ -158,8 +160,17 @@ def test_singular_matrix_rejected():
 
 def test_matrix_orbit_rejects_what_collineation_rejects():
     pl = plane_for(3)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for m, message in [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), "singular matrix"),
-                       (((1, 0, 0), (0, 1, 0), (0, 0, 3)), "not all in GF")]:
+                       (((1, 0, 0), (0, 1, 0), (0, 0, 3)), "not all in GF"),
+                       (5, "not a 3x3 matrix"), (None, "not a 3x3 matrix"),
+                       (identity[:2], "not a 3x3 matrix"),
+                       (identity + identity[:1], "not a 3x3 matrix"),
+                       (((1, 0), (0, 1), (0, 0)), "not a 3x3 matrix"),
+                       (((1, 0, 0, 0), (0, 1, 0), (0, 0, 1)),
+                        "not a 3x3 matrix"),
+                       ((1, 0, 0, 0, 1, 0, 0, 0, 1), "not a 3x3 matrix"),
+                       ("abc", "not a 3x3 matrix")]:
         for call in (lambda: collineation(pl, m),
                      lambda: matrix_orbit(pl, [m], 0)):
             with pytest.raises(ValueError, match=message):
@@ -210,10 +221,66 @@ def random_matrix(pl, rng):
     while True:
         m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
         try:
-            collineation(pl, m)
+            return _check_matrix(pl.ctx, m)
         except ValueError:
             continue
-        return m
+
+
+def chart_hitting_matrix(pl, rng):
+    """A random invertible matrix that takes a chart point (1, y, z) to
+    (0, 0, 1) and another one to a point (0, 1, z'), so the division by x
+    and the one by y both meet a zero dividend and a zero divisor."""
+    q = pl.q
+    while True:
+        m = random_matrix(pl, rng)
+        images = collineation_reference(pl, m)[q + 1:]
+        if 0 in images and any(1 <= j <= q for j in images):
+            return m
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 8, 9, 25, 27, 49, 81, 121, 128, 243, 256])
+def test_collineation_and_matrix_orbit_match_the_references(q):
+    pl = plane_for(q)
+    rng = random.Random(q)
+    matrices = [chart_hitting_matrix(pl, rng) for _ in range(3)]
+    for m in matrices:
+        assert collineation(pl, m) == collineation_reference(pl, m)
+    # two random matrices: the orbit is the whole plane at every q here but
+    # 9; the subgroup below has a short orbit
+    for start in (0, 1, q + 1, pl.size - 1):
+        assert matrix_orbit(pl, matrices[:2], start) == \
+            matrix_orbit_reference(pl, matrices[:2], start)
+        if q > 9:
+            break
+    subgroup = baer_stabilizer_matrices(pl.ctx) if pl.ctx.n % 2 == 0 else [
+        ((1, 0, 0), (1, 1, 0), (0, 0, 1))]
+    start = pl.index_of((1, 0, q - 1))
+    assert matrix_orbit(pl, subgroup, start) == \
+        matrix_orbit_reference(pl, subgroup, start)
+
+
+def test_collineation_and_matrix_orbit_call_no_mul_or_inv(monkeypatch):
+    # byte tables at q = 8 and 9, rotated lists at q = 257; the odd-q
+    # polar table is a collineation too
+    cases = []
+    for q in (8, 9, 257):
+        pl = plane_for(q)
+        rng = random.Random(q)
+        matrices = [random_matrix(pl, rng) for _ in range(2)]
+        cases.append((pl, matrices, [collineation(pl, m) for m in matrices],
+                      matrix_orbit(pl, matrices, 0)))
+    polar = Polarity(plane_for(9)).polar_indices()
+
+    def forbidden(*args):
+        raise AssertionError("FieldCtx.mul or inv was called")
+
+    monkeypatch.setattr(FieldCtx, "mul", forbidden)
+    monkeypatch.setattr(FieldCtx, "inv", forbidden)
+    for pl, matrices, perms, orb in cases:
+        assert [collineation(pl, m) for m in matrices] == perms
+        assert matrix_orbit(pl, matrices, 0) == orb
+    assert Polarity(plane_for(9)).polar_indices() == polar
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
@@ -370,6 +437,16 @@ def test_orbits_yields_each_orbit_once_in_first_seen_order():
                                                   [5]]
     assert list(orbits([swap, step], [2, 2])) == [[2, 0, 1]]
     assert list(orbits([step], [])) == []
+
+
+@pytest.mark.parametrize("start", [3, -1, 100, 1.5, 1.0, "0", None])
+def test_orbits_start_off_the_points_is_rejected(start):
+    # 3 once ended in IndexError, -1 read the last point's seen mark, and
+    # 1.0, which range(3) holds, ended in TypeError
+    with pytest.raises(ValueError, match="not a point index"):
+        list(orbits([[0, 1, 2]], [0, start]))
+    with pytest.raises(ValueError, match="not a point index"):
+        orbit([[0, 1, 2]], start)
 
 
 def test_orbit_sizes_divide_group_order():
