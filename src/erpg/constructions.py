@@ -23,13 +23,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .field import factor_prime_power, field_for_order
 from .graphs import Graph
 from .plane import (ProjectivePlane, _check_coordinates,
-                    baer_stabilizer_generators, baer_stabilizer_matrices,
-                    collineation, conic_stabilizer_matrix, matrix_orbit,
-                    orbits)
+                    baer_stabilizer_matrices, conic_stabilizer_matrix,
+                    matrix_orbit, orbits)
 from .polarity import ABSOLUTE, EXTERNAL, INTERNAL, Polarity, _polar_rows
 
 CERTIFICATE_VERSION = "v1"
@@ -118,8 +118,13 @@ class Certificate:
         """json.dumps(doc, indent=2, sort_keys=True), each point as three
         coefficient lists.  With an indent json.dumps runs its pure-Python
         encoder, so the points' text is joined from one block per field
-        element instead and spliced in where doc holds None."""
+        element instead and spliced in where doc holds None.  ValueError
+        unless every coordinate is an int in range(q), checked once per
+        distinct (value, type) pair."""
         ctx = field_for_order(self.q)
+        coords = list(chain.from_iterable(self.points))
+        for c, _ in set(zip(coords, map(type, coords))):
+            _check_coordinates(self.q, (c,))
         doc = {
             "version": CERTIFICATE_VERSION,
             "construction": self.construction_id,
@@ -215,7 +220,6 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     to the Baer conic.  VerificationError unless all members of an
     orbit have one label."""
     ctx, plane, pol = _plane_context(_odd_square_field(q))
-    perms = baer_stabilizer_generators(plane)
     baer = set(map(plane.index_of, plane.baer_points()))
     # Tangent lines to the Baer conic: polars of the conic points inside B.
     tangent = set()
@@ -225,7 +229,7 @@ def orbit_census_odd_square(q) -> OrbitCensus:
     classes = pol.point_classes()
     counts = Counter()
     off_baer = (i for i in range(plane.size) if i not in baer)
-    for orb in orbits(perms, off_baer):
+    for orb in orbits(plane, baer_stabilizer_matrices(ctx), off_baer):
         # the members' census labels: one (class, on a tangent) pair
         kinds = {(classes[j], j in tangent) for j in orb}
         label = _CENSUS_LABELS.get(kinds.pop()) if len(kinds) == 1 else None
@@ -287,11 +291,6 @@ def k_matrices(ctx) -> list:
             for a, c in [(zeta, 0), (1, 1)]]
 
 
-def k_generators(plane) -> list:
-    """k_matrices as point permutations."""
-    return [collineation(plane, m) for m in k_matrices(plane.ctx)]
-
-
 def coclique_odd_sq_pos(q) -> Certificate:
     """Conic plus a K-orbit of an internal point, in index order; needs
     sqrt(q) = 1 mod 4."""
@@ -304,7 +303,7 @@ def internal_k_orbits(q):
     internal = (i for i, cls in enumerate(pol.point_classes())
                 if cls == INTERNAL)
     return [list(map(plane.point, sorted(orb)))
-            for orb in orbits(k_generators(plane), internal)]
+            for orb in orbits(plane, k_matrices(ctx), internal)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +409,9 @@ def denniston_arc(q) -> MaximalArc:
                 raise VerificationError("pencil parameter set is not a group")
     alpha = ctx.find_trace_one()
     plane = ProjectivePlane(ctx)
+    # normalized triples sort in index order
     pts = sorted([pt for conic in pencil_conics(plane, alpha, A)
-                  for pt in conic], key=plane.index_of)
+                  for pt in conic])
     if len(set(pts)) != len(pts):
         raise VerificationError("pencil conics are not disjoint")
     degree = len(A)

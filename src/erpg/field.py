@@ -11,16 +11,18 @@ The modulus is always the least monic irreducible polynomial of degree n
 over GF(p), found by a deterministic scan (polynomials ordered by their
 integer encoding, low-degree coefficient in the least significant digit).
 
-Every field (``q <= 2^16``, the cap) gets exp/log tables over a fixed
-generator g, the least primitive element, which make mul/inv/pow/is_square
-table lookups, and a table of Zech logarithms ``zech[d] = log(1 + g^d)``,
-which makes add/neg/sub table lookups for odd p too (for p = 2 addition is
-xor).  Polynomial multiplication and base-p digit addition are used only to
-build these tables.  ``affine_values`` evaluates a whole affine map
-y -> u + v*y over the field from windows of the tables, by two
-``bytes.translate`` calls when q <= 256 and one lookup per element beyond;
-the plane solves lines with it.  ``division_tables`` gives log and exp
-tables in which a zero needs no branch, for the plane's collineations.
+Every field (``q <= 2^16``, the cap) keeps three tables over a fixed
+generator g, the least primitive element, with m = q - 1: ``L``, the logs,
+with L[0] = 2m; ``D``, the powers g^k for k < 2m and then 0 up to 4m; and
+``Z``, the Zech logarithms log(1 + g^d) for d < 2m, with m where
+1 + g^d = 0.  A zero's log lands in the zero tail of D, so mul, neg and
+is_square are single reads; inv, div, pow and add (for odd p; for p = 2
+addition is xor) read the same tables.  Polynomial multiplication and
+base-p digit addition are used only to build them.  ``affine_values``
+evaluates a whole affine map y -> u + v*y over the field from windows of
+D and Z, by two ``bytes.translate`` calls over byte copies when q <= 256
+and one lookup per element beyond; the plane solves lines with it.
+``division_tables`` gives (L, D) to the plane's collineations.
 """
 
 from __future__ import annotations
@@ -176,17 +178,14 @@ class FieldCtx:
             return b
         if not b:
             return a
-        # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a])
-        m, log = self.q - 1, self._log
-        la = log[a]
-        z = self._zech[(log[b] - la) % m]
-        return 0 if z == m else self._exp[(la + z) % m]
+        # a + b = a * (1 + b/a) = g^(log a + zech(log b - log a))
+        L, m = self._L, self.q - 1
+        la = L[a]
+        z = self._Z[L[b] - la + m]
+        return 0 if z == m else self._D[la + z]
 
     def neg(self, a: int) -> int:
-        if self.p == 2 or not a:
-            return a
-        m = self.q - 1
-        return self._exp[(self._log[a] + m // 2) % m]  # -1 = g^((q-1)/2)
+        return self._D[self._L[a] + self._log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -198,34 +197,35 @@ class FieldCtx:
         return self.from_coeffs(r + (0,) * (self.n - len(r)))
 
     def _build_tables(self):
-        """exp/log tables over the least primitive element g: the first g
-        with g^(m/r) != 1 for every prime r dividing m = q - 1."""
-        q, m = self.q, self.q - 1
+        """L, D and Z over the least primitive element g: the first g with
+        g^(m/r) != 1 for every prime r dividing m = q - 1.  Adding 1 to
+        g^d changes only the lowest base-p digit of its encoding."""
+        q, m, p = self.q, self.q - 1, self.p
         primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
         for g in range(1, q):
             if all(self._pow_raw(g, m // r) != 1 for r in primes):
                 break
         else:
             raise AssertionError("no generator found (impossible for a field)")
-        exp, v = [0] * m, 1
+        exp, L, v = [0] * m, [2 * m] * q, 1
         for i in range(m):
-            exp[i] = v
+            exp[i], L[v] = v, i
             v = self._mul_raw(v, g)
-        log = [0] * q
-        for i, e in enumerate(exp):
-            log[e] = i
+        zech = [m] * m
+        for d, e in enumerate(exp):
+            s = e - e % p + (e + 1) % p
+            if s:
+                zech[d] = L[s]
         self.generator = g
-        self._exp = exp
-        self._log = log
-        self._build_zech()
-        # log 0 := 2m, so a zero factor or dividend lands in the zero tail
-        self._division = ([2 * m, *log[1:]], exp + exp + [0] * (2 * m + 1))
+        self._L, self._Z = L, zech + zech
+        self._D = exp + exp + [0] * (2 * m + 1)
+        self._log_minus_one = 0 if p == 2 else m // 2
         self._bytes = None
-        if q <= 256:  # every element and every log fits in a byte
-            # exp and zech repeated: a 256-byte window starts at any log
-            span, times = m + 255, 255 // m + 2
-            self._bytes = (bytes(log[1:]), bytes((exp * times)[:span]),
-                           bytes((self._zech * times)[:span]))
+        if q <= 256:  # elements, nonzero logs and Z's entries fit a byte
+            # a 256-byte window starts at any log; the padding is not read
+            span = m + 255
+            self._bytes = (bytes(L[1:]), *(bytes(t[:span]).ljust(span, b"\0")
+                                           for t in (self._D, self._Z)))
 
     def _pow_raw(self, a: int, e: int) -> int:
         """a^e by square-and-multiply on _mul_raw."""
@@ -237,77 +237,60 @@ class FieldCtx:
             e >>= 1
         return r
 
-    def _build_zech(self):
-        """zech[d] = log(1 + g^d), or q - 1 where 1 + g^d = 0.  Adding 1
-        changes only the lowest base-p digit of the encoding."""
-        m, log, p = self.q - 1, self._log, self.p
-        zech = [m] * m
-        for d, e in enumerate(self._exp):
-            s = e - e % p + (e + 1) % p
-            if s:
-                zech[d] = log[s]
-        self._zech = zech
-
     def affine_values(self, u: int, v: int) -> list:
         """[u + v*y for y in range(q)]: an affine map over the whole field.
 
-        For u, v, y nonzero, u + v*y = u * g^zech[log v - log u + log y],
-        so a window of zech starting at log v - log u and one of exp
-        starting at log u map log y to the value.  For q <= 256 the two
-        windows are 256-byte tables of ``bytes.translate`` over the bytes
-        of log y, so no Python step runs per element; the zech sentinel
-        q - 1, at the one y with u + v*y = 0, maps to u there and is set
-        to 0 after.  For q > 256 rotated lists give three lookups per
-        element.
+        For u, v, y nonzero, u + v*y = u * g^zech(log v - log u + log y),
+        so a window of Z starting at w = log v - log u (mod m) and one of D
+        starting at log u map log y to the value.  For q <= 256 the windows
+        are 256-byte tables of ``bytes.translate`` over the bytes of log y,
+        so no Python step runs per element; for q > 256 they are lists,
+        read once per element.  In both forms the zech sentinel m, at the
+        one y with u + v*y = 0, reads as u in the D window and is set to 0
+        after.
         """
         q = self.q
         if not v:
             return [u] * q
-        exp, log, m = self._exp, self._log, q - 1
-        lv = log[v]
-        if self._bytes is not None:
-            log1, exp_b, zech_b = self._bytes
-            if not u:
-                return [0, *log1.translate(exp_b[lv:lv + 256])]
-            lu = log[u]
-            w = (lv - lu) % m
-            values = [u, *log1.translate(zech_b[w:w + 256])
-                      .translate(exp_b[lu:lu + 256])]
-            # u + v*y = 0 at y = -u/v: there zech[w + log y] is the
-            # sentinel m, which the exp window reads as u
-            minus_one = 0 if self.p == 2 else m // 2  # log(-1)
-            values[exp[(minus_one - w) % m]] = 0
-            return values
-        if not u:
-            ev = exp[lv:] + exp[:lv]            # ev[k] = v * g^k
-            return [0] + [ev[k] for k in log[1:]]
-        lu = log[u]
+        L, D, m = self._L, self._D, q - 1
+        lv, lu = L[v], L[u]
         w = (lv - lu) % m
-        zw = self._zech[w:] + self._zech[:w]    # zw[k] = zech[w + k]
-        eu = exp[lu:] + exp[:lu] + [0]          # eu[k] = u * g^k, eu[m] = 0
-        return [u] + [eu[zw[k]] for k in log[1:]]
+        if self._bytes is not None:
+            logs, Dw, Zw = self._bytes
+            if not u:
+                return [0, *logs.translate(Dw[lv:lv + 256])]
+            values = [u, *logs.translate(Zw[w:w + 256])
+                      .translate(Dw[lu:lu + 256])]
+        elif not u:
+            dv = D[lv:lv + m]
+            return [0, *[dv[k] for k in L[1:]]]
+        else:
+            zw, du = self._Z[w:w + m], D[lu:lu + m + 1]
+            values = [u, *[du[zw[k]] for k in L[1:]]]
+        values[D[self._log_minus_one - w + m]] = 0  # y = -u/v
+        return values
 
     def division_tables(self):
         """(L, D): L[a] = log a, with L[0] = 2(q - 1); D[k] = g^k for
         k < 2(q - 1) and 0 from there to 4(q - 1).  So a*b = D[L[a] + L[b]]
         for all a, b, and b/a = D[L[b] - L[a] + q - 1] for a != 0, with no
-        branch on a zero.  Built once with the field; an index outside
+        branch on a zero.  The field's own tables; an index outside
         range(q) reads a wrong entry silently, so callers check first.
         """
-        return self._division
+        return self._L, self._D
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._D[self._L[a] + self._L[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._D[self.q - 1 - self._L[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self._D[self._L[a] - self._L[b] + self.q - 1]
 
     def pow(self, a: int, e: int) -> int:
         """a^e for any integer e, with 0^0 = 1."""
@@ -315,17 +298,13 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of 0")
             return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.q - 1)]
+        return self._D[self._L[a] * e % (self.q - 1)]
 
     # -- squares and traces ------------------------------------------------
 
     def is_square(self, a: int) -> bool:
         """Whether a is a square; for even q every element is a square."""
-        if self.p == 2:
-            return True
-        if a == 0:
-            return True
-        return self._log[a] % 2 == 0
+        return self.p == 2 or not self._L[a] & 1
 
     def sqrt_q(self) -> int:
         if self.n % 2:
@@ -403,10 +382,6 @@ class FieldCtx:
         """Image of a GF(sqrt(q)) element under the canonical embedding."""
         self.subfield()
         return self._embed_table[a_sub]
-
-    def in_subfield(self, a: int) -> bool:
-        self.subfield()
-        return a in self._lift_table
 
     def to_subfield(self, a: int) -> int:
         """Preimage under the embedding; a must lie in the embedded subfield."""

@@ -9,10 +9,11 @@ stable integer index: 0, 1 + z and 1 + q + q*y + z.  ``point`` and
 
 ``line_point_indices`` solves a line's equation directly in these index
 coordinates, so listing the points of a line needs no per-point
-normalization.  A collineation is a permutation of the point indices
-(``collineation`` builds it from a matrix the same way); ``orbit`` and
-``orbits`` walk such permutations breadth first, ``matrix_orbit`` the
-matrices themselves.
+normalization.  A group is given by the 3x3 matrices that generate it.
+``collineation`` turns a matrix into a permutation of the point indices
+the same way; ``orbits`` walks the orbits of many starts through those
+permutations breadth first, and ``matrix_orbit`` walks one orbit by
+imaging its points only.
 """
 
 from __future__ import annotations
@@ -215,50 +216,38 @@ def conic_stabilizer_matrix(f: FieldCtx, a, b, c, d):
             (f.mul(c, c), f.mul(two, f.mul(c, d)), f.mul(d, d)))
 
 
-def conic_stabilizer_lift(plane: ProjectivePlane, a, b, c, d) -> list:
-    """collineation of conic_stabilizer_matrix(plane.ctx, a, b, c, d)."""
-    return collineation(plane, conic_stabilizer_matrix(plane.ctx, a, b, c, d))
+def orbits(plane: ProjectivePlane, matrices, starts):
+    """Yield the orbit of each start that lies in no earlier orbit, in the
+    order of starts, under the group the matrices generate.
 
-
-def orbit(perms, start):
-    """BFS closure of a point index under index permutations.
-
-    Returns the orbit in deterministic first-seen order: the indices are
-    visited in that order and each one tries the permutations in turn.
+    Each orbit is listed breadth first in first-seen order: its points are
+    visited in that order and each one tries the matrices in turn.  The
+    matrices become permutations through collineation, and one bytearray
+    over the points marks those seen.  A start that is not a point index
+    raises ValueError.
     """
-    if perms and not (isinstance(start, int) and 0 <= start < len(perms[0])):
-        raise ValueError(f"start {start!r} is not a point index")
-    seen = {start}
-    order = [start]
-    for i in order:  # order grows while it is read: a FIFO queue
-        for perm in perms:
-            j = perm[i]
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-    return order
-
-
-def orbits(perms, starts):
-    """Yield orbit(perms, i) for each start i in no earlier orbit, in the
-    order of starts; a bytearray over range(len(perms[0])) marks seen.
-    A start that is not an int in that range raises ValueError, as in
-    orbit."""
-    n = len(perms[0])
+    perms = [collineation(plane, m) for m in matrices]
+    n = plane.size
     seen = bytearray(n)
     for i in starts:
         if not (isinstance(i, int) and 0 <= i < n):
             raise ValueError(f"start {i!r} is not a point index")
-        if not seen[i]:
-            orb = orbit(perms, i)
-            for j in orb:
-                seen[j] = 1
-            yield orb
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orb = [i]
+        for j in orb:  # orb grows while it is read: a FIFO queue
+            for perm in perms:
+                k = perm[j]
+                if not seen[k]:
+                    seen[k] = 1
+                    orb.append(k)
+        yield orb
 
 
 def matrix_orbit(plane: ProjectivePlane, matrices, start):
-    """orbit([collineation(plane, m) for m in matrices], start), imaging
-    the orbit's points only.
+    """The orbit of start that orbits(plane, matrices, [start]) yields,
+    imaging the orbit's points only.
 
     Point i is read as (row[i], z[i]): the chart point (1, y, z) as (y, z),
     (0, 1, z) as (q, z) and (0, 0, 1) as (q + 1, 1).  A matrix row
@@ -272,7 +261,7 @@ def matrix_orbit(plane: ProjectivePlane, matrices, start):
     plane.point(start)  # ValueError unless start is a point index
     # for each image coordinate, one (first, times_c) pair per matrix
     maps = [[(f.affine_values(a, b) + [b, 0], f.affine_values(0, c))
-             for a, b, c in rows] for rows in zip(*matrices)]
+             for a, b, c in (m[k] for m in matrices)] for k in range(3)]
     add, indices = f.add, _indexer(f)
     seen, order = {start}, [start]
     for i in order:  # order grows while it is read: a FIFO queue
@@ -297,9 +286,3 @@ def baer_stabilizer_matrices(ctx: FieldCtx):
     g, one = map(ctx.embed_subfield, (ctx.subfield().generator, 1))
     return [conic_stabilizer_matrix(ctx, *t) for t in
             [(one, one, 0, one), (g, 0, 0, one), (0, one, one, 0)]]
-
-
-def baer_stabilizer_generators(plane: ProjectivePlane):
-    """baer_stabilizer_matrices as point permutations."""
-    return [collineation(plane, m)
-            for m in baer_stabilizer_matrices(plane.ctx)]

@@ -27,9 +27,10 @@ from erpg.plane import ProjectivePlane, _check_matrix, collineation
 from erpg.polarity import Polarity, _plane_rows, _polar_rows, build_er_graph
 
 from reference import (affine_values_reference, certificate_json_reference,
-                       collineation_reference, girth_reference,
-                       greedy_extend, max_independent_set_reference,
-                       plane_points, random_graph)
+                       collineation_reference, field_op_cases, field_ops,
+                       field_ops_reference, girth_reference, greedy_extend,
+                       max_independent_set_reference, plane_points,
+                       random_graph)
 
 
 def round_trip():
@@ -149,10 +150,12 @@ def polar_table():
 
 
 def field_maps():
-    """affine_values, from byte tables up to q = 256 and from rotated lists
-    beyond, against digit-wise addition at q = 256, 257 and 512, and
+    """affine_values, from byte tables up to q = 256 and from list windows
+    beyond, against digit-wise addition at q = 256, 257 and 512;
     collineations, which divide through the field's log/exp tables,
-    against per-point mul and inv at q = 243 and 256."""
+    against per-point mul and inv at q = 243 and 256; and the scalar
+    operations against polynomial products and digit sums at the largest
+    fields, q = 2^16 and 3^10."""
     for q in (256, 257, 512):
         f = field_for_order(q)
         rng = random.Random(q)
@@ -175,6 +178,12 @@ def field_maps():
                 raise SystemExit(f"the collineation of {m} differs from "
                                  f"the reference's at q = {q}")
             done += 1
+    for q in (2 ** 16, 3 ** 10):
+        f = field_for_order(q)
+        for a, b, e in field_op_cases(q, 100):
+            if field_ops(f, a, b, e) != field_ops_reference(f, a, b, e):
+                raise SystemExit(f"the field operations on {(a, b, e)} "
+                                 f"differ from the reference's at q = {q}")
 
 
 CHECKS = {"round-trip": round_trip, "builder-oracle": builder_oracle,

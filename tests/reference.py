@@ -23,9 +23,12 @@ errors while holding a row or a block at a time.
 `certificate_json_reference` writes a certificate with the stdlib `json`
 encoder alone, where `Certificate.to_json` splices in the points' text.
 `affine_values_reference` adds base-p digits where `FieldCtx.affine_values`
-reads table windows, and `collineation_reference` and
-`matrix_orbit_reference` divide with `FieldCtx.mul` and `inv` per point
-where `collineation` and `matrix_orbit` read the field's division tables.
+reads table windows, and `field_ops_reference` multiplies polynomials and
+adds digits where `field_ops` reads the field's log, exp and Zech tables.
+`collineation_reference` and `matrix_orbit_reference` divide with
+`FieldCtx.mul` and `inv` per point where `collineation` and `matrix_orbit`
+read the field's division tables, and `orbit` walks permutations where
+`orbits` and `matrix_orbit` take the matrices.
 `listed_pair_reference` names a conjugate pair from rows, where
 `point_set_independent` reads line counts, and `greedy_extend` extends an
 independent set on rows, where `coclique_even` marks polar lines.
@@ -36,6 +39,7 @@ this module where the test extras are not installed.
 import binascii
 import json
 import math
+import random
 
 from erpg.constructions import CERTIFICATE_VERSION, pencil_conics
 from erpg.field import field_for_order
@@ -306,10 +310,60 @@ def dot(f, u, v):
 
 def affine_values_reference(f, u, v):
     """[u + v*y for y in GF(q)], adding the base-p digits of u and v*y, where
-    `FieldCtx.affine_values` reads windows of its exp and Zech log tables."""
-    return [f.from_coeffs([(a + b) % f.p for a, b in
-                           zip(f.coeffs(u), f.coeffs(f.mul(v, y)))])
-            for y in f.elements()]
+    `FieldCtx.affine_values` reads windows of its D and Z tables."""
+    return [digitwise(f, u, f.mul(v, y), 1) for y in f.elements()]
+
+
+def digitwise(f, a, b, sign):
+    """a + sign*b in GF(q) by adding base-p digits."""
+    return f.from_coeffs([(x + sign * y) % f.p
+                          for x, y in zip(f.coeffs(a), f.coeffs(b))])
+
+
+def field_op_cases(q, count):
+    """(a, b, e) triples for field_ops, b != 0: the table ends 0, 1 and
+    q - 1 with e in (-1, 0, q), then count triples from Random(q)."""
+    rng = random.Random(q)
+    cases = [(a, b, e) for a in (0, 1, q - 1) for b in (1, q - 1)
+             for e in (-1, 0, q)]
+    return cases + [(rng.randrange(q), rng.randrange(1, q),
+                     rng.randrange(-2 * q, 2 * q)) for _ in range(count)]
+
+
+def field_ops(f, a, b, e):
+    """(a*b, a/b, 1/b, a^e, whether a is a square, a + b, -a) from the
+    FieldCtx methods, for b != 0; a^e is None where a = 0 and e < 0."""
+    return (f.mul(a, b), f.div(a, b), f.inv(b),
+            f.pow(a, e) if a or e >= 0 else None, f.is_square(a),
+            f.add(a, b), f.neg(a))
+
+
+def field_ops_reference(f, a, b, e):
+    """field_ops(f, a, b, e) from products of polynomials modulo f's
+    modulus (FieldCtx._mul_raw, powers by square and multiply on it) and
+    base-p digit sums, where FieldCtx reads its log, exp and Zech tables.
+    1/b is b^(q - 2), and a is a square if a^((q - 1)/2) is 0 or 1."""
+    q, power = f.q, f._pow_raw
+    inv_b = power(b, q - 2)
+    a_e = (power(a, e) if e >= 0 else power(power(a, q - 2), -e)
+           if a else None)
+    return (f._mul_raw(a, b), f._mul_raw(a, inv_b), inv_b, a_e,
+            f.p == 2 or power(a, (q - 1) // 2) in (0, 1),
+            digitwise(f, a, b, 1), digitwise(f, 0, a, -1))
+
+
+def orbit(perms, start):
+    """The orbit of start under the index permutations perms, breadth
+    first: points are visited in first-seen order and each one tries the
+    permutations in turn."""
+    seen, order = {start}, [start]
+    for i in order:  # order grows while it is read: a FIFO queue
+        for perm in perms:
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def collineation_reference(plane, m):

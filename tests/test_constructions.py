@@ -8,22 +8,32 @@ import pytest
 from erpg import constructions as cons
 from erpg.field import factor_prime_power, field_for_order
 from erpg.graphs import Graph
-from erpg.plane import (ProjectivePlane, baer_stabilizer_generators,
-                        baer_stabilizer_matrices, collineation, matrix_orbit,
-                        orbit)
+from erpg import plane as plane_module
+from erpg.plane import (ProjectivePlane, baer_stabilizer_matrices,
+                        collineation, matrix_orbit, orbits)
 from erpg.polarity import (ABSOLUTE, EXTERNAL, INTERNAL, Polarity,
                            build_er_graph)
 
 from reference import (c4_pair, certificate_json_reference,
                        conic_polar_disjointness, conjugate,
                        cyclic_pencil_group, greedy_extend, induced,
-                       listed_pair_reference, plane_points,
+                       listed_pair_reference, orbit, plane_points,
                        preserves_adjacency, triangles)
 
 
 def setup(q):
     pl = ProjectivePlane(field_for_order(q))
     return pl, Polarity(pl)
+
+
+def baer_stabilizer_perms(pl):
+    """The collineations of baer_stabilizer_matrices(pl.ctx)."""
+    return [collineation(pl, m) for m in baer_stabilizer_matrices(pl.ctx)]
+
+
+def k_perms(pl):
+    """The collineations of cons.k_matrices(pl.ctx)."""
+    return [collineation(pl, m) for m in cons.k_matrices(pl.ctx)]
 
 
 # -- orbit census ------------------------------------------------------------
@@ -63,7 +73,7 @@ def test_census_rejects_a_spoiled_tangent_set(monkeypatch):
     first = next(i for i, pt in enumerate(plane_points(plane))
                  if pt not in baer and pol.classify(pt) == EXTERNAL
                  and not any(conjugate(plane.ctx, pt, R) for R in baer_conic))
-    later = max(orbit(baer_stabilizer_generators(plane), first))
+    later = max(orbit(baer_stabilizer_perms(plane), first))
     real = ProjectivePlane.line_point_indices
     monkeypatch.setattr(ProjectivePlane, "line_point_indices",
                         lambda self, line: real(self, line) + [later])
@@ -75,18 +85,26 @@ def test_census_rejects_an_orbit_that_enters_the_baer_subplane(monkeypatch):
     # An extra generator swaps (1, y, 0), y outside GF(3), with the Baer
     # point (0, 1, 0).  Both are external points on the tangent X3 = 0 to
     # the Baer conic, so the merged orbit keeps one label, and only the
-    # total over the orbits sees the six Baer points it took in.
-    real = cons.baer_stabilizer_generators
+    # total over the orbits sees the six Baer points it took in.  The swap
+    # is no collineation: the census's generator list gets a marker, which
+    # the collineation that orbits calls turns into the swap.
+    real_matrices, real_collineation = (cons.baer_stabilizer_matrices,
+                                        plane_module.collineation)
+    swap_marker = object()
 
-    def leaky(plane):
+    def leaky(plane, m):
+        if m is not swap_marker:
+            return real_collineation(plane, m)
         baer = plane.baer_points()
         y = next(y for y in range(plane.q) if (1, y, 0) not in baer)
         i, j = plane.index_of((1, y, 0)), plane.index_of((0, 1, 0))
         swap = list(range(plane.size))
         swap[i], swap[j] = j, i
-        return real(plane) + [swap]
+        return swap
 
-    monkeypatch.setattr(cons, "baer_stabilizer_generators", leaky)
+    monkeypatch.setattr(cons, "baer_stabilizer_matrices",
+                        lambda ctx: real_matrices(ctx) + [swap_marker])
+    monkeypatch.setattr(plane_module, "collineation", leaky)
     with pytest.raises(cons.VerificationError, match="does not cover"):
         cons.orbit_census_odd_square(9)
 
@@ -127,19 +145,11 @@ def test_all_good_internal_orbits_q9():
     # avoid their own polar lines
     pl, pol = setup(9)
     f = pl.ctx
-    perms = baer_stabilizer_generators(pl)
     line_internals = [pl.index_of((1, 0, z)) for z in f.elements()
                       if pol.classify((1, 0, z)) == INTERNAL]
-    orbits = []
-    seen = set()
-    for i in line_internals:
-        if i in seen:
-            continue
-        orb = orbit(perms, i)
-        seen.update(orb)
-        orbits.append(orb)
-    assert len(orbits) == 2
-    for orb in orbits:
+    found = list(orbits(pl, baer_stabilizer_matrices(f), line_internals))
+    assert len(found) == 2
+    for orb in found:
         assert len(orb) == 12
         assert cons.point_set_independent(
             pl, [pl.point(j) for j in orb]) is None
@@ -181,7 +191,7 @@ def k_group_reference(pl):
 
 def test_k_generators_and_orbit_split_q25():
     pl, pol = setup(25)
-    gens = cons.k_generators(pl)
+    gens = k_perms(pl)
     closure = {tuple(range(pl.size))}
     frontier = list(closure)
     while frontier:
@@ -191,34 +201,34 @@ def test_k_generators_and_orbit_split_q25():
         closure.update(frontier)
     assert len(closure) == 25 * 6
     assert closure == k_group_reference(pl)
-    orbits = cons.internal_k_orbits(25)
+    k_orbits = cons.internal_k_orbits(25)
     # sqrt(q)-1 = 4 orbits of size q(sqrt(q)+1)/2 = 75 covering all
     # q(q-1)/2 = 300 internal points
-    assert len(orbits) == 4
-    assert all(len(o) == 75 for o in orbits)
-    assert sum(len(o) for o in orbits) == 300
+    assert len(k_orbits) == 4
+    assert all(len(o) == 75 for o in k_orbits)
+    assert sum(len(o) for o in k_orbits) == 300
     # every K-orbit of internal points is a coclique
-    for orb in orbits:
+    for orb in k_orbits:
         assert cons.point_set_independent(pl, orb) is None
 
 
 def test_internal_k_orbits_q81():
-    # sqrt(q)-1 = 8 orbits of size q(sqrt(q)+1)/2 = 405 covering all
+    # sqrt(q)-1 = 8 k_orbits of size q(sqrt(q)+1)/2 = 405 covering all
     # q(q-1)/2 = 3,240 internal points, from the two generators of K
-    orbits = cons.internal_k_orbits(81)
-    assert len(orbits) == 8
-    assert all(len(o) == 405 for o in orbits)
+    k_orbits = cons.internal_k_orbits(81)
+    assert len(k_orbits) == 8
+    assert all(len(o) == 405 for o in k_orbits)
     pl, pol = setup(81)
     internal = {pt for pt in plane_points(pl)
                 if pol.classify(pt) == INTERNAL}
-    covered = [pt for o in orbits for pt in o]
+    covered = [pt for o in k_orbits for pt in o]
     assert len(covered) == len(set(covered)) == 3240
     assert set(covered) == internal
 
 
 GENERATORS_IN_USE = {
-    "baer": baer_stabilizer_generators,
-    "k": cons.k_generators,
+    "baer": baer_stabilizer_perms,
+    "k": k_perms,
     "pencil": lambda pl: [cyclic_pencil_group(pl.q)],
 }
 
@@ -311,7 +321,7 @@ def test_odd_sq_neg_lists_the_orbit_in_bfs_order():
     pl, pol = setup(49)
     cert = cons.coclique_odd_sq_neg(49)
     base = pl.index_of((1, 0, pl.ctx.find_nonsquare()))
-    orb = orbit(baer_stabilizer_generators(pl), base)
+    orb = orbit(baer_stabilizer_perms(pl), base)
     assert cert.points[50:] == [pl.point(j) for j in orb]
 
 
@@ -703,6 +713,18 @@ def test_certificate_json_is_the_stdlib_writers_beyond_the_families():
         extension={"points": [], "greedy_size": 3}))
     for cert in certs:
         assert cert.to_json() == certificate_json_reference(cert)
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 1.0])
+def test_certificate_json_rejects_a_coordinate_outside_the_field(bad):
+    # -1 wrote the bytes of (1, 2, 8) and 9 ended in IndexError; 1.0 is
+    # rejected even beside an int 1, which a set of values would merge
+    # with it
+    cert = cons.Certificate("x", 9, {}, [(1, 2, 1), (1, 2, bad)], 2)
+    with pytest.raises(ValueError, match="not all in GF"):
+        cert.to_json()
+    cert.points[1] = (1, 2, 8)
+    assert cert.to_json() == certificate_json_reference(cert)
 
 
 def test_certificate_json_reads_field_of_its_own_q():

@@ -4,7 +4,8 @@ import pytest
 
 from erpg.field import FieldCtx, factor_prime_power, field_for_order, make_field
 
-from reference import affine_values_reference
+from reference import (affine_values_reference, digitwise, field_op_cases,
+                       field_ops, field_ops_reference)
 
 
 def test_prime_field_modulus():
@@ -63,6 +64,11 @@ def test_lagrange_in_gf8():
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         make_field(3, 1).inv(0)
+    # div reads the tables itself: a zero divisor must not index them
+    for q in (3, 8, 9, 512):
+        for a in (0, 1, q - 1):
+            with pytest.raises(ZeroDivisionError):
+                field_for_order(q).div(a, 0)
 
 
 def test_is_square_basics():
@@ -181,20 +187,14 @@ def test_factor_prime_power():
             factor_prime_power(bad)
 
 
-def _digitwise(f, a, b, sign):
-    """Reference: coefficient-wise a + sign*b over GF(p)."""
-    return f.from_coeffs([(x + sign * y) % f.p
-                          for x, y in zip(f.coeffs(a), f.coeffs(b))])
-
-
 @pytest.mark.parametrize("q", [3, 9, 25, 27, 49])
 def test_zech_add_neg_sub_exhaustive(q):
     f = field_for_order(q)
     for a in f.elements():
-        assert f.neg(a) == _digitwise(f, 0, a, -1)
+        assert f.neg(a) == digitwise(f, 0, a, -1)
         for b in f.elements():
-            assert f.add(a, b) == _digitwise(f, a, b, 1)
-            assert f.sub(a, b) == _digitwise(f, a, b, -1)
+            assert f.add(a, b) == digitwise(f, a, b, 1)
+            assert f.sub(a, b) == digitwise(f, a, b, -1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -228,6 +228,18 @@ def test_division_tables_multiply_and_divide(q):
             assert D[L[a] + L[b]] == f.mul(a, b)
             if a:
                 assert D[L[b] - L[a] + q - 1] == f.div(b, a)
+
+
+@pytest.mark.parametrize("q", [243, 256, 257, 343, 512])
+def test_scalar_ops_match_the_polynomial_path(q):
+    # mul, div, inv, pow and is_square against polynomial products, add
+    # and neg against base-p digit sums, on the ends of the tables (0, 1,
+    # q - 1) and random pairs, since the division-table test above reads
+    # the same tables as mul
+    f = field_for_order(q)
+    for a, b, e in field_op_cases(q, 60):
+        assert field_ops(f, a, b, e) == field_ops_reference(f, a, b, e), (
+            a, b, e)
 
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]

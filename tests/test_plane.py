@@ -4,17 +4,21 @@ import pytest
 
 from erpg.field import FieldCtx, field_for_order
 from erpg.plane import (ProjectivePlane, _check_matrix,
-                        baer_stabilizer_generators, baer_stabilizer_matrices,
-                        collineation, conic_stabilizer_lift, matrix_orbit,
-                        orbit, orbits)
+                        baer_stabilizer_matrices, collineation,
+                        conic_stabilizer_matrix, matrix_orbit, orbits)
 from erpg.polarity import EXTERNAL, Polarity, build_er_graph
 
 from reference import (collineation_reference, dot, matrix_orbit_reference,
-                       plane_points, preserves_adjacency)
+                       orbit, plane_points, preserves_adjacency)
 
 
 def plane_for(q):
     return ProjectivePlane(field_for_order(q))
+
+
+def lift(pl, a, b, c, d):
+    """The collineation of conic_stabilizer_matrix(pl.ctx, a, b, c, d)."""
+    return collineation(pl, conic_stabilizer_matrix(pl.ctx, a, b, c, d))
 
 
 @pytest.mark.parametrize("q,npts", [(2, 7), (3, 13), (4, 21), (9, 91)])
@@ -204,8 +208,8 @@ def test_coordinate_outside_field_rejected(q, bad):
         lambda: pl.line_through((1, 0, bad), (0, 1, 0)),
         lambda: pl.line_through((0, 1, 0), (1, 0, bad)),
         lambda: collineation(pl, ((1, 0, 0), (0, 1, 0), (0, 0, bad))),
-        lambda: conic_stabilizer_lift(pl, bad, 0, 0, 1),
-        lambda: conic_stabilizer_lift(pl, 1, 0, 0, bad),
+        lambda: conic_stabilizer_matrix(pl.ctx, bad, 0, 0, 1),
+        lambda: conic_stabilizer_matrix(pl.ctx, 1, 0, 0, bad),
         lambda: pol.polar_line((1, bad, 0)),
         lambda: pol.classify((1, bad, 0)),
         lambda: pol.classify((bad, 1, 0)),
@@ -325,7 +329,7 @@ def conic_point_set(pl):
 def test_lift_identity_and_composition():
     pl = plane_for(9)
     f = pl.ctx
-    assert conic_stabilizer_lift(pl, 1, 0, 0, 1) == list(range(pl.size))
+    assert lift(pl, 1, 0, 0, 1) == list(range(pl.size))
     sub = f.subfield()
     # composition homomorphism over all invertible 2x2 subfield matrices
     mats = []
@@ -338,13 +342,13 @@ def test_lift_identity_and_composition():
     e = f.embed_subfield
     for A in mats[:12]:
         for B in mats[:12]:
-            la = conic_stabilizer_lift(pl, *(e(x) for x in A))
-            lb = conic_stabilizer_lift(pl, *(e(x) for x in B))
+            la = lift(pl, *(e(x) for x in A))
+            lb = lift(pl, *(e(x) for x in B))
             prod2 = (sub.add(sub.mul(A[0], B[0]), sub.mul(A[1], B[2])),
                      sub.add(sub.mul(A[0], B[1]), sub.mul(A[1], B[3])),
                      sub.add(sub.mul(A[2], B[0]), sub.mul(A[3], B[2])),
                      sub.add(sub.mul(A[2], B[1]), sub.mul(A[3], B[3])))
-            assert [la[j] for j in lb] == conic_stabilizer_lift(
+            assert [la[j] for j in lb] == lift(
                 pl, *(e(x) for x in prod2))
 
 
@@ -356,7 +360,7 @@ def test_lift_preserves_conic():
     while count < 100:
         a, b, c, d = (rng.randrange(9) for _ in range(4))
         try:
-            col = conic_stabilizer_lift(pl, a, b, c, d)
+            col = lift(pl, a, b, c, d)
         except ValueError:
             continue
         count += 1
@@ -373,7 +377,7 @@ def test_even_lifts_are_er_automorphisms(q):
             for c in range(q):
                 for d in range(q):
                     try:
-                        col = conic_stabilizer_lift(pl, a, b, c, d)
+                        col = lift(pl, a, b, c, d)
                     except ValueError:
                         continue
                     count += 1
@@ -384,84 +388,95 @@ def test_even_lifts_are_er_automorphisms(q):
 def test_degenerate_lift_rejected():
     pl = plane_for(9)
     with pytest.raises(ValueError):
-        conic_stabilizer_lift(pl, 1, 1, 1, 1)
+        lift(pl, 1, 1, 1, 1)
 
 
 def test_orbit_trivial_and_closure():
     pl = plane_for(9)
     f = pl.ctx
     P = pl.index_of((0, 1, 0))
-    assert orbit([], P) == [P]
+    # the trivial group: orbits yields [i] for each new start, and
+    # matrix_orbit returns [start]; a non-index start is still rejected
+    assert list(orbits(pl, [], [P, 0, P, 5])) == [[P], [0], [5]]
+    assert matrix_orbit(pl, [], P) == [P]
+    with pytest.raises(ValueError, match="not a point index"):
+        list(orbits(pl, [], [pl.size]))
+    with pytest.raises(ValueError, match="not a point index"):
+        matrix_orbit(pl, [], -1)
     # full conic stabilizer (entries from all of GF(9)): orbit of the
     # external point U2 is the whole external class, q(q+1)/2 points
-    perms = [conic_stabilizer_lift(pl, *t)
-             for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1), (0, 1, 1, 0)]]
-    orb = orbit(perms, P)
+    matrices = [conic_stabilizer_matrix(f, *t)
+                for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1), (0, 1, 1, 0)]]
+    orb = matrix_orbit(pl, matrices, P)
     pol = Polarity(pl)
     assert len(orb) == len(set(orb)) == 45
     assert all(pol.classify(pl.point(j)) == EXTERNAL for j in orb)
     # the subfield-entry subgroup keeps U2 inside the Baer subplane:
     # its orbit is the 6 points of B external to the Baer conic
-    sub_orb = orbit(baer_stabilizer_generators(pl), P)
+    sub_orb = matrix_orbit(pl, baer_stabilizer_matrices(f), P)
     assert len(sub_orb) == 6
     assert all(pl.point(j) in pl.baer_points() for j in sub_orb)
 
 
-def test_orbit_start_off_the_plane_is_rejected():
-    # -1 once walked a wrong orbit through the end of the permutations
+def orbit_generators(pl):
+    """Two lifted generators whose group has orbits of several sizes: a
+    transvection and a diagonal matrix with a generating scalar."""
+    f = pl.ctx
+    return [conic_stabilizer_matrix(f, *t)
+            for t in [(1, 1, 0, 1), (f.generator, 0, 0, 1)]]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 25])
+def test_orbits_match_the_reference_orbit(q):
+    # orbits against the permutation walk of tests/reference.py, with
+    # the generators in both orders, over starts that repeat, fall in an
+    # earlier orbit or are none at all
+    pl = plane_for(q)
+    rng = random.Random(q)
+    starts = rng.sample(range(pl.size), min(pl.size, 40))
+    starts += starts[:5] + [starts[0], pl.size - 1, 0]
+    for matrices in (orbit_generators(pl), orbit_generators(pl)[::-1]):
+        perms = [collineation(pl, m) for m in matrices]
+        expected, seen = [], set()
+        for i in starts:
+            if i not in seen:
+                expected.append(orbit(perms, i))
+                seen.update(expected[-1])
+        got = list(orbits(pl, matrices, starts))
+        assert got == expected
+        assert sorted(j for orb in got for j in orb) == sorted(seen)
+        assert list(orbits(pl, matrices, [])) == []
+        assert [matrix_orbit(pl, matrices, orb[0]) for orb in got] == got
+    # the same orbits, and from q = 4 on some orbit is walked in another
+    # order when the generators swap
+    walks = [list(orbits(pl, matrices, range(pl.size)))
+             for matrices in (orbit_generators(pl),
+                              orbit_generators(pl)[::-1])]
+    assert [sorted(o) for o in walks[0]] == [sorted(o) for o in walks[1]]
+    assert (walks[0] != walks[1]) == (q > 3)
+
+
+@pytest.mark.parametrize("start", [91, -1, 100, 1.5, 1.0, "0", None])
+def test_orbits_start_off_the_points_is_rejected(start):
+    # PG(2,9) has 91 points: the permutation walk once ended in IndexError
+    # at 91 and walked a wrong orbit from -1, and 1.0, which range(91)
+    # holds, ended in TypeError
     pl = plane_for(9)
     matrices = baer_stabilizer_matrices(pl.ctx)
-    perms = [collineation(pl, m) for m in matrices]
-    for start in (-1, len(perms[0])):
-        with pytest.raises(ValueError):
-            orbit(perms, start)
-        with pytest.raises(ValueError):
-            matrix_orbit(pl, matrices, start)
-
-
-def test_orbit_is_breadth_first_in_generator_order():
-    # two generators of the cyclic group of order 6 on six points
-    step, back = [1, 2, 3, 4, 5, 0], [5, 0, 1, 2, 3, 4]
-    assert orbit([step, back], 0) == [0, 1, 5, 2, 4, 3]
-    assert orbit([back, step], 0) == [0, 5, 1, 4, 2, 3]
-    assert orbit([[0, 2, 1, 3]], 3) == [3]
-
-
-def test_orbits_yields_each_orbit_once_in_first_seen_order():
-    # a 3-cycle (0 1 2) and a transposition (4 6) on eight points
-    step = [1, 2, 0, 3, 4, 5, 6, 7]
-    swap = [0, 1, 2, 3, 6, 5, 4, 7]
-    # 6, 0 and 2 are skipped as seen, 7 is no start, so it has no orbit
-    starts = [4, 1, 6, 3, 0, 2, 5]
-    assert list(orbits([step, swap], starts)) == [[4, 6], [1, 2, 0], [3],
-                                                  [5]]
-    assert list(orbits([swap, step], [2, 2])) == [[2, 0, 1]]
-    assert list(orbits([step], [])) == []
-
-
-@pytest.mark.parametrize("start", [3, -1, 100, 1.5, 1.0, "0", None])
-def test_orbits_start_off_the_points_is_rejected(start):
-    # 3 once ended in IndexError, -1 read the last point's seen mark, and
-    # 1.0, which range(3) holds, ended in TypeError
     with pytest.raises(ValueError, match="not a point index"):
-        list(orbits([[0, 1, 2]], [0, start]))
+        list(orbits(pl, matrices, [0, start]))
     with pytest.raises(ValueError, match="not a point index"):
-        orbit([[0, 1, 2]], start)
+        matrix_orbit(pl, matrices, start)
 
 
 def test_orbit_sizes_divide_group_order():
     # |PGL(2, sqrt q)| = sqrt(q) (q - 1) = 3 * 8 = 24 at q = 9
     pl = plane_for(9)
-    perms = baer_stabilizer_generators(pl)
     baer = {pl.index_of(P) for P in pl.baer_points()}
-    seen = set()
-    for i in range(pl.size):
-        if i in seen or i in baer:
-            continue
-        orb = orbit(perms, i)
-        seen.update(orb)
-        assert 24 % len(orb) == 0
-    assert len(seen) == pl.size - len(baer)
+    off_baer = [i for i in range(pl.size) if i not in baer]
+    found = list(orbits(pl, baer_stabilizer_matrices(pl.ctx), off_baer))
+    assert all(24 % len(orb) == 0 for orb in found)
+    assert sorted(j for orb in found for j in orb) == off_baer
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 64])
@@ -470,11 +485,16 @@ def test_baer_membership(q):
     f = pl.ctx
     baer = pl.baer_points()
     points = plane_points(pl)
-    assert baer == {P for P in points if all(map(f.in_subfield, P))}
+    subfield = {f.embed_subfield(a) for a in f.subfield().elements()}
+    assert baer == {P for P in points if subfield.issuperset(P)}
     assert (1, 0, 0) in baer
     r = f.sqrt_q()
     assert sum(P in baer for P in points) == r * r + r + 1
-    g = next(a for a in f.elements() if not f.in_subfield(a))
+    g = next(a for a in f.elements() if a not in subfield)
+    with pytest.raises(ValueError, match="not in the embedded subfield"):
+        f.to_subfield(g)
+    assert [f.to_subfield(a) for a in sorted(subfield)] == sorted(
+        range(r), key=f.embed_subfield)
     assert pl.normalize((1, g, 0)) not in baer
     with pytest.raises(ValueError):
         plane_for(3).baer_points()
